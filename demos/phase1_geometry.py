@@ -12,7 +12,7 @@ measures the one-attempt success rate the acceptance battery bounds.
 import numpy as np
 
 from shadowlp import add_constraints, derive_rng, solve_unit
-from shadowlp.phase1 import numb_halfspace_witness, simplex_vertices
+from shadowlp.phase1 import simplex_vertices
 from shadowlp.randgen import (
     added_sigma,
     gaussian,
@@ -58,8 +58,8 @@ print(f"\nsolve_unit: status={result.status} facet={result.facet.indices}"
       f" pivots={result.pivots_total} attempts={result.iterations}")
 
 # the witness halfspace certifies why retries are rare: any added block below
-# aff(facet(z)) is invisible to the walk
-witness = numb_halfspace_witness(points, z, result.facet)
+# aff(facet(z)), whose normal is the witness, is invisible to the walk
+witness = result.facet.normal
 dots = points @ witness
 print("numb-halfspace witness h: max <h, a_i> over all rows ="
       f" {float(np.max(dots)):.6f} (equality holds exactly on the facet;"
@@ -80,7 +80,7 @@ for d in (3, 4):
         unit = solve_unit(pts, zt, rng=stream)
         if unit.status != "optimal":
             continue
-        h = numb_halfspace_witness(pts, zt, unit.facet)
+        h = unit.facet.normal
         m = norm_ceiling(float(np.max(np.linalg.norm(pts, axis=1))))
         blk = add_constraints(pts, m, haar_rotation(d, stream), stream)
         if blk is not None and float(np.max(blk.added_points @ h)) <= 1.0 + 1e-8:

@@ -171,7 +171,7 @@ def replay_pivot_trial(seed, n, d, sigma, validate=False):
     }
 
 
-_SQUARE_POINTS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+SQUARE_POINTS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 # A blob strictly inside the halfspace x3 >= 12; the sweep plane x3 = 0
 # misses its hull entirely.
@@ -189,7 +189,7 @@ def _section_points(seed, n, d, sigma, model):
     if model == "gaussian":
         return randgen.gaussian(rng, (n, d), sigma=sigma)
     if model == "square":
-        return _SQUARE_POINTS.copy()
+        return SQUARE_POINTS.copy()
     if model == "degenerate":
         return _DEGENERATE_POINTS.copy()
     raise ValueError(f"unknown section model {model!r}")
@@ -198,12 +198,7 @@ def _section_points(seed, n, d, sigma, model):
 def replay_section_trial(seed, n, d, sigma, model="smoothed", validate=False):
     """Sample one random polytope from ``seed`` and count its section edges."""
     points = _section_points(seed, n, d, sigma, model)
-    dim = points.shape[1]
-    basis1 = np.zeros(dim)
-    basis2 = np.zeros(dim)
-    basis1[0] = 1.0
-    basis2[1] = 1.0
-    plane = SweepPlane(basis1, basis2)
+    plane = SweepPlane.axis(points.shape[1])
     report = sections.section_edges(points, plane, rng=randgen.derive_rng(seed, 1),
                                     validate=validate)
     return {

@@ -111,13 +111,18 @@ def basis_rows(points, indices, infinite_dir=None):
 
 @dataclass(frozen=True)
 class FacetIndexSet:
-    """A candidate facet: d sorted indices plus the normal of its affine hull.
+    """A candidate facet: d sorted indices, the normal of its affine hull
+    and the inverse of its basis.
 
-    Equality and hashing use the index tuple only; two facets are the same
-    facet exactly when their index sets coincide."""
+    The basis B stacks the facet's vectors as rows in index order (the
+    direction u for the vertex at infinity), so column j of ``inverse`` =
+    B^-1 belongs to indices[j].  Equality and hashing use the index tuple
+    only; two facets are the same facet exactly when their index sets
+    coincide."""
 
     indices: tuple
     normal: np.ndarray = field(compare=False, repr=False)
+    inverse: np.ndarray = field(compare=False, repr=False)
 
     @property
     def contains_infinite(self):
@@ -128,23 +133,19 @@ class FacetIndexSet:
         return tuple(i for i in self.indices if i != INFINITY_INDEX)
 
 
-def facet_normal(points, indices, infinite_dir=None, tol=DEFAULT_TOL):
-    """Normal h of the affine hull of an index set: <h, a_i> = 1 for finite
-    members, <h, u> = 0 for the vertex at infinity.  Raises SingularSystem
-    for degenerate index sets."""
+def make_facet(points, indices, infinite_dir=None, tol=DEFAULT_TOL):
+    """Build a FacetIndexSet from one factorization of its basis B: the
+    normal h solves B h = (1 for finite members, 0 for the vertex at
+    infinity), so <h, a_i> = 1 and <h, u> = 0, and the inverse is B^-1.
+    Raises SingularSystem for degenerate index sets."""
     points = np.asarray(points, dtype=float)
     d = points.shape[1]
     if len(set(indices)) != d:
         raise ValueError("index set must contain exactly d distinct indices")
     rows, finite = basis_rows(points, indices, infinite_dir)
-    rhs = finite.astype(float)
-    return solve_linear(rows, rhs, tol.eps_singular)
-
-
-def make_facet(points, indices, infinite_dir=None, tol=DEFAULT_TOL):
-    """Build a FacetIndexSet with its normal computed from the points."""
-    normal = facet_normal(points, indices, infinite_dir, tol)
-    return FacetIndexSet(indices=tuple(sorted(indices)), normal=normal)
+    solution = solve_linear(rows, np.column_stack([finite, np.eye(d)]), tol.eps_singular)
+    return FacetIndexSet(indices=tuple(sorted(indices)), normal=solution[:, 0],
+                         inverse=solution[:, 1:])
 
 
 def all_below(points, normal, infinite_dir=None, tol=DEFAULT_TOL):

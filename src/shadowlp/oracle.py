@@ -98,11 +98,15 @@ def _facet_candidates(points, infinite_dir, tol, cap):
     return results
 
 
+def _facet(ids, normal, mat):
+    return FacetIndexSet(indices=ids, normal=normal, inverse=np.linalg.inv(mat))
+
+
 def enumerate_facets(points, infinite_dir=None, tol=DEFAULT_TOL, cap=ENUMERATION_CAP):
     """Every index set whose affine hull supports the polytope from below:
     the complete facet list of Conv(0, points [, +ray])."""
     cands = _facet_candidates(points, infinite_dir, tol, cap)
-    return [FacetIndexSet(indices=ids, normal=normal) for ids, normal, _ in cands]
+    return [_facet(*cand) for cand in cands]
 
 
 def facet_of(points, direction, infinite_dir=None, tol=DEFAULT_TOL, cap=ENUMERATION_CAP):
@@ -119,7 +123,7 @@ def facet_of(points, direction, infinite_dir=None, tol=DEFAULT_TOL, cap=ENUMERAT
         except np.linalg.LinAlgError:
             continue
         if float(np.min(lam)) >= -tol.eps_feas:
-            matches.append(FacetIndexSet(indices=ids, normal=normal))
+            matches.append(_facet(ids, normal, mat))
     if not matches:
         return None
     if len(matches) > 1:

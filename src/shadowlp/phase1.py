@@ -12,18 +12,12 @@ walk's terminal facet uses no added index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import randgen
-from .geometry import (
-    DEFAULT_TOL,
-    SingularSystem,
-    cone_coefficients,
-    facet_normal,
-    make_facet,
-)
+from .geometry import DEFAULT_TOL, FacetIndexSet, SingularSystem, make_facet
 from .shadow_walk import UNBOUNDED, SweepPlane, walk
 
 OPTIMAL = "optimal"
@@ -40,11 +34,12 @@ class GaveUp(Exception):
 @dataclass
 class AddedBlock:
     """One attempt's added constraints: d smoothed vertices of a dilated
-    regular simplex, its known piercing direction z0, the norm grid value
-    2*m0 used for dilation, and the raw rotation and centers for
-    diagnostics."""
+    regular simplex, its facet over indices 0..d-1 of the added points, its
+    known piercing direction z0, the norm grid value 2*m0 used for
+    dilation, and the raw rotation and centers for diagnostics."""
 
     added_points: np.ndarray
+    facet: FacetIndexSet
     start_objective: np.ndarray
     norm_bound: float
     rotation: np.ndarray
@@ -103,15 +98,14 @@ def add_constraints(points, norm_bound, rotation, rng, tol=DEFAULT_TOL, smoothin
         smoothing_sigma = randgen.added_sigma(d, n)
     added = randgen.gaussian(rng, (d, d), center=centers, sigma=2.0 * norm_bound * smoothing_sigma)
     try:
-        lam = cone_coefficients(added, range(d), z0, tol=tol)
-        h = facet_normal(added, range(d), tol=tol)
+        facet = make_facet(added, range(d), tol=tol)
     except SingularSystem:
         return None
-    if float(np.min(lam)) < -tol.eps_feas:
+    if float(np.min(z0 @ facet.inverse)) < -tol.eps_feas:
         return None  # cone check failed: z0 escaped the cone of the added block
-    if 1.0 / float(np.linalg.norm(h)) < max_norm:
+    if 1.0 / float(np.linalg.norm(facet.normal)) < max_norm:
         return None  # distance check failed: block not far enough out
-    return AddedBlock(added_points=added, start_objective=z0,
+    return AddedBlock(added_points=added, facet=facet, start_objective=z0,
                       norm_bound=norm_bound, rotation=rotation, centers=centers)
 
 
@@ -152,7 +146,8 @@ def solve_unit(points, objective, rng=None, tol=DEFAULT_TOL,
         if block is None:
             continue
         full = np.vstack([points, block.added_points])
-        start = make_facet(full, range(n, n + d), tol=tol)
+        # Row n + j of full is row j of the added block: same basis, new labels.
+        start = replace(block.facet, indices=tuple(range(n, n + d)))
         z0 = block.start_objective
         plane = SweepPlane.through(z0, z, rotation_dir=_default_rotation_dir(z))
         theta_target = plane.theta_of(z)
@@ -165,14 +160,6 @@ def solve_unit(points, objective, rng=None, tol=DEFAULT_TOL,
             return UnitResult(UNIT_UNBOUNDED, None, pivots_total, attempt + 1)
         terminal = outcome.facet
         if all(i < n for i in terminal.indices):
-            facet = make_facet(points, terminal.indices, tol=tol)
-            return UnitResult(OPTIMAL, facet, pivots_total, attempt + 1)
+            return UnitResult(OPTIMAL, terminal, pivots_total, attempt + 1)
     raise GaveUp(f"no clean solution in {max_retries} attempts")
 
-
-def numb_halfspace_witness(points, objective, oracle_facet, tol=DEFAULT_TOL):
-    """Normal h of the affine halfspace {x : <h, x> <= 1} below
-    aff(Facet(z)), which is numb for a bounded unit program: adding any
-    constraints inside it leaves the solution unchanged.  oracle_facet must
-    be the independently computed facet pierced by the objective."""
-    return facet_normal(points, oracle_facet.indices, tol=tol)

@@ -17,15 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    DEFAULT_TOL,
-    INFINITY_INDEX,
-    FacetIndexSet,
-    all_below,
-    basis_rows,
-    make_facet,
-    solve_linear,
-)
+from .geometry import DEFAULT_TOL, INFINITY_INDEX, FacetIndexSet, all_below, make_facet
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,9 +49,10 @@ class SweepPlane:
     def __post_init__(self):
         b1 = np.asarray(self.basis1, dtype=float)
         b2 = np.asarray(self.basis2, dtype=float)
-        if abs(np.linalg.norm(b1) - 1.0) > 1e-9 or abs(np.linalg.norm(b2) - 1.0) > 1e-9:
+        eps = DEFAULT_TOL.eps_feas
+        if abs(np.linalg.norm(b1) - 1.0) > eps or abs(np.linalg.norm(b2) - 1.0) > eps:
             raise ValueError("sweep plane basis must be unit vectors")
-        if abs(float(np.dot(b1, b2))) > 1e-9:
+        if abs(float(np.dot(b1, b2))) > eps:
             raise ValueError("sweep plane basis must be orthogonal")
 
     def q(self, theta):
@@ -71,12 +64,18 @@ class SweepPlane:
         t = math.atan2(float(np.dot(v, self.basis2)), float(np.dot(v, self.basis1)))
         t %= TWO_PI
         # collapse rounding artifacts: an angle of -1e-16 must read as 0, not 2*pi
-        if TWO_PI - t <= 1e-12:
+        if TWO_PI - t <= DEFAULT_TOL.eps_angle:
             t = 0.0
         return t
 
     @classmethod
-    def through(cls, start, target, rotation_dir=None, collinear_eps=1e-12):
+    def axis(cls, d):
+        """Plane span(e1, e2) in dimension d, with basis1 = e1."""
+        basis = np.eye(d)
+        return cls(basis1=basis[0], basis2=basis[1])
+
+    @classmethod
+    def through(cls, start, target, rotation_dir=None):
         """Plane spanned by a start and a target direction, with basis1 along
         start.  When the two are collinear a rotation direction must be
         supplied to fix the plane."""
@@ -88,6 +87,7 @@ class SweepPlane:
         b1 = start / ns
         w = target - float(np.dot(target, b1)) * b1
         nw = float(np.linalg.norm(w))
+        collinear_eps = DEFAULT_TOL.eps_angle
         if nw <= collinear_eps * max(1.0, float(np.linalg.norm(target))):
             if rotation_dir is None:
                 raise ValueError("start and target collinear: rotation direction required")
@@ -125,26 +125,23 @@ class WalkOutcome:
         return seen
 
 
-def exit_angle(points, facet, plane, theta_now, infinite_dir=None, tol=DEFAULT_TOL):
+def exit_angle(facet, plane, theta_now, tol=DEFAULT_TOL):
     """First angle strictly after theta_now at which some cone coefficient of
     the facet crosses zero downward, together with the crossing index.
     Returns None when no coefficient ever crosses (never happens for genuine
     facets of pointed cones).  Raises WalkStateError when q(theta_now) does
     not pierce the facet."""
-    points = np.asarray(points, dtype=float)
-    rows, _ = basis_rows(points, facet.indices, infinite_dir)
-    vw = solve_linear(rows.T, np.stack([plane.basis1, plane.basis2], axis=1), tol.eps_singular)
-    v, w = vw[:, 0], vw[:, 1]
+    # The coefficients of q solve B^T lam = q, so lam = q @ B^-1.
+    v, w = plane.basis1 @ facet.inverse, plane.basis2 @ facet.inverse
     lam_now = v * math.cos(theta_now) + w * math.sin(theta_now)
     if np.min(lam_now) < -tol.eps_feas:
         raise WalkStateError(
             f"facet {facet.indices} is not pierced at theta={theta_now!r} "
             f"(min coefficient {np.min(lam_now):.3e})"
         )
-    idx = sorted(facet.indices)
     best_delta = None
     best_index = None
-    for j, i in enumerate(idx):
+    for j, i in enumerate(facet.indices):
         r = math.hypot(v[j], w[j])
         if r <= 1e-300:
             continue  # identically zero coefficient: never crosses
@@ -165,44 +162,37 @@ def pivot(points, facet, leaving, infinite_dir=None, tol=DEFAULT_TOL):
     """Minimal-ratio pivot across the ridge facet.indices minus {leaving}.
 
     g is the hyperplane rotation direction: <g, a_i> = 0 on the ridge and
-    <g, a_leaving> = -1.  Among candidates k outside the facet with
-    <g, a_k> > eps_feas, the entering index minimizes
-    (1 - <h, a_k>) / <g, a_k> (0 replaces 1 for the vertex at infinity),
-    ties broken by smallest index.  Returns (entering, new_facet) or None
+    <g, a_leaving> = -1, i.e. minus the leaving index's column of B^-1.
+    Among candidates k outside the facet with <g, a_k> > eps_feas, the
+    entering index minimizes (1 - <h, a_k>) / <g, a_k> (0 replaces 1 for
+    the vertex at infinity), ties broken by smallest index, so the vertex at
+    infinity (index -1) wins a tie.  Returns (entering, new_facet) or None
     when no candidate exists, which certifies unboundedness beyond the exit
     angle."""
     points = np.asarray(points, dtype=float)
     if leaving not in facet.indices:
         raise ValueError("leaving index must belong to the facet")
-    idx = sorted(facet.indices)
-    rows, _ = basis_rows(points, idx, infinite_dir)
-    rhs = np.array([-1.0 if i == leaving else 0.0 for i in idx])
-    g = solve_linear(rows, rhs, tol.eps_singular)
+    g = -facet.inverse[:, facet.indices.index(leaving)]
     h = facet.normal
 
-    n = points.shape[0]
-    in_facet = set(facet.indices)
+    den = points @ g
+    mask = den > tol.eps_feas
+    mask[list(facet.finite_indices)] = False
     best = None  # (ratio, index)
-    den_all = points @ g
-    num_all = 1.0 - points @ h
-    for k in range(n):
-        if k in in_facet:
-            continue
-        den = float(den_all[k])
-        if den > tol.eps_feas:
-            cand = (float(num_all[k]) / den, k)
-            if best is None or cand < best:
-                best = cand
-    if infinite_dir is not None and INFINITY_INDEX not in in_facet:
-        den = float(np.dot(g, infinite_dir))
-        if den > tol.eps_feas:
-            cand = (-float(np.dot(h, infinite_dir)) / den, INFINITY_INDEX)
-            if best is None or cand < best:
-                best = cand
+    if np.any(mask):
+        ratios = np.divide(1.0 - points @ h, den, out=np.full(den.shape, np.inf), where=mask)
+        k = int(np.argmin(ratios))  # first occurrence: smallest index on a tie
+        best = (float(ratios[k]), k)
+    if infinite_dir is not None and not facet.contains_infinite:
+        den_inf = float(np.dot(g, infinite_dir))
+        if den_inf > tol.eps_feas:
+            ratio_inf = -float(np.dot(h, infinite_dir)) / den_inf
+            if best is None or ratio_inf <= best[0]:
+                best = (ratio_inf, INFINITY_INDEX)
     if best is None:
         return None
     entering = best[1]
-    new_indices = [i for i in idx if i != leaving] + [entering]
+    new_indices = [i for i in facet.indices if i != leaving] + [entering]
     new_facet = make_facet(points, new_indices, infinite_dir, tol)
     return entering, new_facet
 
@@ -239,7 +229,7 @@ def walk(points, plane, start_facet, theta_start, theta_target,
     theta = theta_start
     pivots = 0
     while True:
-        hit = exit_angle(points, current, plane, theta, infinite_dir, tol)
+        hit = exit_angle(current, plane, theta, tol)
         if hit is None:
             trace.append(TraceEntry(current, theta, theta_target))
             return WalkOutcome(OPTIMAL_FACET, current, pivots, trace)

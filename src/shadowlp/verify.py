@@ -30,12 +30,10 @@ from .geometry import (
 from .interpolate import STATUS_OPTIMAL, solve_lp
 from .oracle import STATUS_AMBIGUOUS, classify_lp, section_edge_count_bruteforce
 from .phase1 import OPTIMAL as UNIT_OPTIMAL
-from .phase1 import add_constraints, numb_halfspace_witness, solve_unit
+from .phase1 import add_constraints, solve_unit
 from .shadow_walk import SweepPlane, WalkInvariantViolation
 
 VERIFY_SEED = 20260825
-
-_SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
 @dataclass
@@ -52,14 +50,6 @@ def format_line(result):
     keys = ", ".join(f"{k}={v}" for k, v in result.details.items()
                      if not isinstance(v, (list, dict)))
     return f"{flag}  criterion {result.criterion} ({result.name}): {keys}"
-
-
-def _axis_plane(d):
-    basis1 = np.zeros(d)
-    basis2 = np.zeros(d)
-    basis1[0] = 1.0
-    basis2[1] = 1.0
-    return SweepPlane(basis1, basis2)
 
 
 def _sub_seed(seed, *key):
@@ -173,7 +163,8 @@ def suite_phase1_statistics(seed=VERIFY_SEED, iterations=2000, n=50,
             continue
         collected += 1
         iter_sum += result.iterations
-        witness = numb_halfspace_witness(points, z, result.facet)
+        # Normal of aff(Facet(z)): the halfspace below it is numb.
+        witness = result.facet.normal
         attempt = randgen.derive_rng(seed, 2, i, 2)
         rotation = randgen.haar_rotation(d, attempt)
         norm_bound = randgen.norm_ceiling(float(np.max(np.linalg.norm(points, axis=1))))
@@ -237,7 +228,7 @@ def suite_pivot_growth(seed=VERIFY_SEED, ns=(16, 64, 256, 1024, 4096),
 def suite_section_agreement(seed=VERIFY_SEED, instances=200, validate=True):
     """Walked section edge counts vs. brute-force hyperplane enumeration."""
     start = time.perf_counter()
-    plane = _axis_plane(3)
+    plane = SweepPlane.axis(3)
     mismatches = violations = degenerate = 0
     first_bad = []
     for i in range(instances):
@@ -259,7 +250,7 @@ def suite_section_agreement(seed=VERIFY_SEED, instances=200, validate=True):
             mismatches += 1
             if len(first_bad) < 5:
                 first_bad.append({"instance": i, "walked": walked, "brute": brute})
-    square = sections.section_edges(_SQUARE, _axis_plane(2),
+    square = sections.section_edges(experiments.SQUARE_POINTS, SweepPlane.axis(2),
                                     rng=_sub_seed(seed, 4, instances),
                                     validate=validate)
     details = {
@@ -283,7 +274,7 @@ def suite_section_agreement(seed=VERIFY_SEED, instances=200, validate=True):
 def suite_polygon_growth(seed=VERIFY_SEED, trials=50, small=100, large=10000):
     """Mean hull-edge count of standard Gaussian polygons grows with n."""
     start = time.perf_counter()
-    plane = _axis_plane(2)
+    plane = SweepPlane.axis(2)
     means = {}
     for n in (small, large):
         counts = []

@@ -1,8 +1,10 @@
-"""Shared fixtures: small hand-checkable point sets and sweep planes."""
+"""Shared fixtures: small hand-checkable point sets, sweep planes and a
+factorization counter."""
 
 import numpy as np
 import pytest
 
+from shadowlp import experiments, geometry, interpolate, phase1, shadow_walk
 from shadowlp.shadow_walk import SweepPlane
 
 
@@ -14,18 +16,27 @@ def triangle():
 
 @pytest.fixture
 def square():
-    return np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    return experiments.SQUARE_POINTS.copy()
 
 
 @pytest.fixture
 def axis_plane():
     """Factory for the span(e1, e2) sweep plane in any ambient dimension."""
+    return SweepPlane.axis
 
-    def make(d):
-        basis1 = np.zeros(d)
-        basis2 = np.zeros(d)
-        basis1[0] = 1.0
-        basis2[1] = 1.0
-        return SweepPlane(basis1, basis2)
 
-    return make
+@pytest.fixture
+def solve_linear_calls(monkeypatch):
+    """Count the calls of geometry.solve_linear made through any module that
+    binds it; the returned list grows by one entry per call."""
+    real = geometry.solve_linear
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (geometry, shadow_walk, phase1, interpolate):
+        if getattr(module, "solve_linear", None) is real:
+            monkeypatch.setattr(module, "solve_linear", counted)
+    return calls

@@ -17,7 +17,6 @@ from shadowlp.geometry import (
     all_below,
     angular_distance,
     cone_coefficients,
-    facet_normal,
     make_facet,
     solve_linear,
     viewpoint_for_edge,
@@ -53,25 +52,27 @@ def test_tolerance_defaults_frozen():
 
 
 # ---------------------------------------------------------------------------
-# facet_normal / all_below / cone_coefficients
+# make_facet / all_below / cone_coefficients
 
 
 def test_facet_normal_standard_basis_gives_all_ones():
     d = 4
-    h = facet_normal(np.eye(d), range(d))
+    h = make_facet(np.eye(d), range(d)).normal
     assert np.allclose(h, np.ones(d))
 
 
 def test_facet_normal_scaled_basis():
     points = np.array([[2.0, 0.0], [0.0, 2.0]])
-    assert np.allclose(facet_normal(points, (0, 1)), [0.5, 0.5])
+    assert np.allclose(make_facet(points, (0, 1)).normal, [0.5, 0.5])
 
 
 def test_facet_normal_with_infinite_vertex():
     # <h, (1,0)> = 1 and <h, (0,-1)> = 0 force h = (1, 0).
     points = np.array([[1.0, 0.0]])
-    h = facet_normal(points, (INFINITY_INDEX, 0), infinite_dir=np.array([0.0, -1.0]))
-    assert np.allclose(h, [1.0, 0.0])
+    facet = make_facet(points, (INFINITY_INDEX, 0), infinite_dir=np.array([0.0, -1.0]))
+    assert np.allclose(facet.normal, [1.0, 0.0])
+    # inverse columns follow the sorted indices: u first, then a_0
+    assert np.allclose(np.array([[0.0, -1.0], [1.0, 0.0]]) @ facet.inverse, np.eye(2))
 
 
 def test_facet_normal_incidence_property_on_random_sets():
@@ -80,10 +81,11 @@ def test_facet_normal_incidence_property_on_random_sets():
         d = int(rng.integers(2, 6))
         points = rng.standard_normal((d, d))
         try:
-            h = facet_normal(points, range(d))
+            facet = make_facet(points, range(d))
         except SingularSystem:
             continue
-        assert np.max(np.abs(points @ h - 1.0)) <= 10.0 * DEFAULT_TOL.eps_feas
+        assert np.max(np.abs(points @ facet.normal - 1.0)) <= 10.0 * DEFAULT_TOL.eps_feas
+        assert np.allclose(points @ facet.inverse, np.eye(d), atol=1e-8)
 
 
 def test_all_below_equality_and_violation():
@@ -126,8 +128,8 @@ def test_make_facet_orders_indices_and_validates():
 
 
 def test_facet_index_set_equality_ignores_normal():
-    a = FacetIndexSet((0, 2), np.array([1.0, 0.0]))
-    b = FacetIndexSet((0, 2), np.array([0.5, 0.5]))
+    a = FacetIndexSet((0, 2), np.array([1.0, 0.0]), np.eye(2))
+    b = FacetIndexSet((0, 2), np.array([0.5, 0.5]), 2.0 * np.eye(2))
     assert a == b and hash(a) == hash(b)
 
 

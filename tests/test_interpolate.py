@@ -73,11 +73,11 @@ def test_classify_final_reads_top_membership():
     lp = GeneralLP(A=np.vstack([np.eye(2), np.full((5, 2), 0.1)]),
                    b=np.ones(7), z=[1.0, 0.0])
     lifted = lift(lp)
-    with_top = FacetIndexSet(indices=(2, 5, 7), normal=None)
+    with_top = FacetIndexSet(indices=(2, 5, 7), normal=None, inverse=None)
     status, basis = classify_final(with_top, lifted)
     assert status == STATUS_OPTIMAL
     assert basis == (2, 5)
-    without_top = FacetIndexSet(indices=(0, 2, 5), normal=None)
+    without_top = FacetIndexSet(indices=(0, 2, 5), normal=None, inverse=None)
     status, basis = classify_final(without_top, lifted)
     assert status == STATUS_INFEASIBLE
     assert basis is None

@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 
 from shadowlp import oracle, randgen
-from shadowlp.geometry import cone_coefficients
-from shadowlp.phase1 import (
-    GaveUp,
-    add_constraints,
-    numb_halfspace_witness,
-    simplex_vertices,
-    solve_unit,
-)
+from shadowlp.geometry import cone_coefficients, make_facet
+from shadowlp.phase1 import GaveUp, add_constraints, simplex_vertices, solve_unit
 from shadowlp.randgen import derive_rng, gaussian, haar_rotation, norm_ceiling
 
 
@@ -73,12 +67,26 @@ def test_add_constraints_unsmoothed_block_geometry():
                        2.0 * m0 * math.sqrt(1.0 + r * r))
     # the affine hull of the block sits at distance exactly 2*m0 from the
     # origin, twice the required clearance
-    from shadowlp.geometry import facet_normal
-    h = facet_normal(block.added_points, range(3))
+    h = make_facet(block.added_points, range(3)).normal
     assert 1.0 / np.linalg.norm(h) == pytest.approx(2.0 * m0, rel=1e-9)
     # the known direction really pierces the block
     lam = cone_coefficients(block.added_points, range(3), block.start_objective)
     assert float(np.min(lam)) > 0.0
+
+
+def test_add_constraints_and_solve_unit_factor_each_facet_once(solve_linear_calls):
+    rng = derive_rng(401)
+    points = _unit_points(30, 3, rng)
+    m0 = norm_ceiling(float(np.max(np.linalg.norm(points, axis=1))))
+    block = add_constraints(points, m0, haar_rotation(3, rng), rng)
+    assert block is not None
+    assert len(solve_linear_calls) == 1
+    # one factorization per attempt's block and one per pivot: the start
+    # facet is the block's facet relabelled, the answer is the walk's last
+    solve_linear_calls.clear()
+    result = solve_unit(points, np.array([0.3, -0.2, 1.0]), rng=412)
+    assert result.status == "optimal" and result.pivots_total > 0
+    assert len(solve_linear_calls) == result.iterations + result.pivots_total
 
 
 def test_add_constraints_rejects_block_that_is_too_close():
@@ -198,7 +206,7 @@ def test_numb_halfspace_witness_square_corner():
     points = np.eye(2)
     z = np.array([1.0, 1.0])
     facet = oracle.facet_of(points, z)
-    h = numb_halfspace_witness(points, z, facet)
+    h = make_facet(points, facet.indices).normal
     assert np.allclose(h, [1.0, 1.0])
 
     # a point strictly below the witness halfspace never changes the answer

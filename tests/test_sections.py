@@ -15,12 +15,6 @@ from shadowlp.sections import (
 from shadowlp.shadow_walk import SweepPlane
 
 
-def _plane3():
-    b1 = np.array([1.0, 0.0, 0.0])
-    b2 = np.array([0.0, 1.0, 0.0])
-    return SweepPlane(b1, b2)
-
-
 # ---------------------------------------------------------------------------
 # interior point
 
@@ -37,13 +31,13 @@ def test_interior_point_of_square_is_center(square, axis_plane):
 def test_interior_point_none_when_slice_empty():
     rng = derive_rng(701)
     points = gaussian(rng, (10, 3)) + np.array([0.0, 0.0, 25.0])
-    assert interior_point_in_slice(points, _plane3()) is None
+    assert interior_point_in_slice(points, SweepPlane.axis(3)) is None
 
 
 def test_interior_point_lies_inside_hull_random():
     for case in range(12):
         points = gaussian(derive_rng(702, case), (9, 3)) * 1.5
-        x0 = interior_point_in_slice(points, _plane3())
+        x0 = interior_point_in_slice(points, SweepPlane.axis(3))
         if x0 is None:
             continue
         assert abs(x0[2]) <= 1e-9  # inside the plane itself
@@ -52,7 +46,7 @@ def test_interior_point_lies_inside_hull_random():
 
 def test_interior_point_translates_with_the_points():
     points = gaussian(derive_rng(703), (8, 3))
-    plane = _plane3()
+    plane = SweepPlane.axis(3)
     x0 = interior_point_in_slice(points, plane)
     assert x0 is not None
     shift = 0.37 * plane.basis1 - 1.21 * plane.basis2  # stay inside the plane
@@ -74,7 +68,7 @@ def test_section_edges_square(square, axis_plane):
 def test_section_edges_reports_degenerate():
     rng = derive_rng(705)
     points = gaussian(rng, (10, 3)) + np.array([0.0, 0.0, 25.0])
-    report = section_edges(points, _plane3(), rng=706)
+    report = section_edges(points, SweepPlane.axis(3), rng=706)
     assert report.degenerate
     assert report.edge_count == 0
     assert report.interior_point is None
@@ -97,7 +91,7 @@ def test_section_edges_match_bruteforce_on_random_hulls():
         n = int(stream.integers(4, 11))
         points = gaussian(derive_rng(708, case, 1), (n, 3))
         points += 0.3 * gaussian(derive_rng(708, case, 2), (3,))
-        plane = _plane3()
+        plane = SweepPlane.axis(3)
         report = section_edges(points, plane, rng=derive_rng(708, case, 3),
                                validate=True)
         walked = 0 if report.degenerate else report.edge_count

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from shadowlp import oracle, randgen
-from shadowlp.geometry import DEFAULT_TOL, cone_coefficients, make_facet
+from shadowlp.geometry import DEFAULT_TOL, INFINITY_INDEX, cone_coefficients, make_facet
+from shadowlp.interpolate import GeneralLP, lift
 from shadowlp.shadow_walk import (
     EXHAUSTED_ARC,
     OPTIMAL_FACET,
@@ -21,10 +22,6 @@ from shadowlp.shadow_walk import (
 )
 
 
-def _plane2():
-    return SweepPlane(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-
 # ---------------------------------------------------------------------------
 # SweepPlane
 
@@ -37,7 +34,7 @@ def test_sweep_plane_requires_orthonormal_basis():
 
 
 def test_sweep_plane_parametrization_roundtrip():
-    plane = _plane2()
+    plane = SweepPlane.axis(2)
     for theta in (0.0, 0.4, math.pi / 2, 3.0, 6.0):
         q = plane.q(theta)
         assert np.linalg.norm(q) == pytest.approx(1.0)
@@ -71,7 +68,7 @@ def test_sweep_plane_through_collinear_needs_rotation_dir():
 def test_exit_angle_quarter_turn_on_basis_facet():
     points = np.eye(2)
     facet = make_facet(points, (0, 1))
-    theta_exit, leaving = exit_angle(points, facet, _plane2(), 0.0)
+    theta_exit, leaving = exit_angle(facet, SweepPlane.axis(2), 0.0)
     assert theta_exit == pytest.approx(math.pi / 2)
     assert leaving == 0
 
@@ -80,7 +77,7 @@ def test_exit_angle_matches_theta_grid_scan(triangle):
     """The analytic crossing agrees with a dense sign scan of the cone
     coefficients along the circle."""
     rng = randgen.derive_rng(202)
-    plane = _plane2()
+    plane = SweepPlane.axis(2)
     steps = 4000
     for _ in range(25):
         n = int(rng.integers(3, 8))
@@ -92,7 +89,7 @@ def test_exit_angle_matches_theta_grid_scan(triangle):
             continue
         if facet is None:
             continue
-        got = exit_angle(points, facet, plane, theta0)
+        got = exit_angle(facet, plane, theta0)
         assert got is not None
         theta_exit, leaving = got
         grid = theta0 + np.linspace(1e-9, 2 * math.pi, steps)
@@ -116,19 +113,19 @@ def test_exit_angle_rejects_unpierced_facet(triangle):
     facet = make_facet(triangle, (0, 2))
     # q(pi/2) = (0,1) is pierced by {1,2}, not {0,2}.
     with pytest.raises(WalkStateError):
-        exit_angle(triangle, facet, _plane2(), math.pi / 2)
+        exit_angle(facet, SweepPlane.axis(2), math.pi / 2)
 
 
 def test_exit_angle_rotation_equivariance(triangle):
     theta = 0.1
     facet = make_facet(triangle, (0, 2))
-    base = exit_angle(triangle, facet, _plane2(), theta)
+    base = exit_angle(facet, SweepPlane.axis(2), theta)
     rotation = randgen.haar_rotation(2, randgen.derive_rng(203))
     rotated_points = triangle @ rotation.T
     plane = SweepPlane(rotation @ np.array([1.0, 0.0]),
                        rotation @ np.array([0.0, 1.0]))
     rotated_facet = make_facet(rotated_points, (0, 2))
-    got = exit_angle(rotated_points, rotated_facet, plane, theta)
+    got = exit_angle(rotated_facet, plane, theta)
     assert got[0] == pytest.approx(base[0])
     assert got[1] == base[1]
 
@@ -148,6 +145,31 @@ def test_pivot_single_facet_has_no_entering():
     points = np.eye(2)
     facet = make_facet(points, (0, 1))
     assert pivot(points, facet, 0) is None
+
+
+def test_pivot_tie_between_duplicate_rows_enters_smaller_index():
+    # rows 1 and 3 are the same point, so their ratios tie exactly
+    points = np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.9], [0.0, 1.0]])
+    facet = make_facet(points, (0, 2))
+    entering, new_facet = pivot(points, facet, 0)
+    assert entering == 1
+    assert new_facet.indices == (1, 2)
+
+
+def test_pivot_tie_with_vertex_at_infinity_enters_infinity():
+    # Row 2 repeats row 0 with a looser right-hand side, so its lifted point
+    # lies on the line through lifted row 0 along the vertex at infinity.
+    # Rotating facet {0, 1, top} about the ridge {0, 1} reaches both at the
+    # same ratio (1, in dyadic arithmetic), and the vertex at infinity wins.
+    lp = GeneralLP(A=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+                   b=np.array([0.5, 0.5, 0.75]), z=np.array([1.0, 1.0]))
+    lifted = lift(lp)
+    facet = make_facet(lifted.points, (0, 1, lifted.top_index), lifted.infinity_dir)
+    entering, new_facet = pivot(lifted.points, facet, lifted.top_index,
+                                lifted.infinity_dir)
+    assert entering == INFINITY_INDEX
+    assert new_facet.indices == (INFINITY_INDEX, 0, 1)
+    assert float(lifted.points[2] @ new_facet.normal) == 1.0  # row 2 tied
 
 
 def test_pivot_shares_d_minus_one_indices_randomized():
@@ -176,7 +198,7 @@ def test_pivot_shares_d_minus_one_indices_randomized():
 def test_walk_target_inside_start_interval_means_zero_pivots():
     points = np.eye(2)
     facet = make_facet(points, (0, 1))
-    outcome = walk(points, _plane2(), facet, 0.2, 0.3)
+    outcome = walk(points, SweepPlane.axis(2), facet, 0.2, 0.3)
     assert outcome.status == OPTIMAL_FACET
     assert outcome.pivots == 0
     assert outcome.facet.indices == (0, 1)
@@ -196,7 +218,7 @@ def test_walk_triangle_one_pivot(triangle):
 
 def test_walk_detects_unbounded_direction(triangle):
     # Rotating toward -e1 leaves cone{(1,0),(0,1),(0.9,0.9)}.
-    plane = _plane2()
+    plane = SweepPlane.axis(2)
     start = make_facet(triangle, (0, 2))
     outcome = walk(triangle, plane, start, 0.0, math.pi, validate=True)
     assert outcome.status == UNBOUNDED
@@ -204,7 +226,7 @@ def test_walk_detects_unbounded_direction(triangle):
 
 
 def test_walk_trace_is_monotone_and_local(triangle):
-    plane = _plane2()
+    plane = SweepPlane.axis(2)
     start = make_facet(triangle, (0, 2))
     outcome = walk(triangle, plane, start, 0.0, math.pi / 2, validate=True)
     ends = [e.theta_start for e in outcome.trace]
@@ -241,6 +263,16 @@ def test_walk_terminal_facet_matches_oracle_on_random_instances():
             assert outcome.facet == want
         checked += 1
     assert checked >= 250
+
+
+def test_walk_factors_each_new_facet_once(solve_linear_calls):
+    angles = 2.0 * math.pi * np.arange(12) / 12
+    points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    start = make_facet(points, (0, 1))
+    solve_linear_calls.clear()
+    outcome = walk(points, SweepPlane.axis(2), start, 0.1, 6.0)
+    assert outcome.pivots >= 10
+    assert len(solve_linear_calls) == outcome.pivots
 
 
 def test_walk_iteration_cap_raises_cycle_suspected(triangle):
@@ -303,6 +335,6 @@ def test_exit_angle_always_finite_for_facets_of_pointed_hulls():
             for theta in np.linspace(0, 2 * math.pi, 720, endpoint=False):
                 lam = cone_coefficients(points, facet.indices, plane.q(theta))
                 if lam.min() > 1e-7:
-                    got = exit_angle(points, facet, plane, theta)
+                    got = exit_angle(facet, plane, theta)
                     assert got is not None
                     break

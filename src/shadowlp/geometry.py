@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 INFINITY_INDEX = -1
 
@@ -57,55 +58,39 @@ DEFAULT_TOL = Tolerance()
 
 def solve_linear(matrix, rhs, eps_singular=DEFAULT_TOL.eps_singular):
     """Solve matrix @ x = rhs by Gaussian elimination with scaled partial
-    pivoting.  Raises SingularSystem when a scaled pivot falls below
-    eps_singular.  rhs may be a vector or a matrix of stacked columns."""
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
+    pivoting, which is LAPACK's partially pivoted LU (dgesv) of the system
+    with each row divided by its largest |entry|.  Raises SingularSystem
+    when a pivot of that LU is at most eps_singular.  rhs may be a vector
+    or a matrix of stacked columns; x has the same shape."""
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape[0] != n:
         raise ValueError("shape mismatch in solve_linear")
-    single = b.ndim == 1
-    if single:
-        b = b[:, None]
     scale = np.max(np.abs(a), axis=1)
     if np.any(scale == 0.0):
         raise SingularSystem("zero row")
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k]) / scale[k:]))
-        if abs(a[p, k]) <= eps_singular * scale[p]:
-            raise SingularSystem("pivot below scaled threshold")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-            scale[[k, p]] = scale[[p, k]]
-        m = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(m, a[k, k:])
-        b[k + 1:] -= np.outer(m, b[k])
-    if abs(a[n - 1, n - 1]) <= eps_singular * scale[n - 1]:
+    # b.T broadcasts the row scale over a vector and a matrix alike.  Factor
+    # and solve stay one dgesv call: OpenBLAS runs dgetrs with several
+    # right-hand sides multi-threaded, which is slow when processes share cores.
+    lu, _, x, _ = dgesv(a / scale[:, None], (b.T / scale).T)
+    # "not >" also rejects a NaN pivot.
+    if not np.min(np.abs(np.diag(lu))) > eps_singular:
         raise SingularSystem("pivot below scaled threshold")
-    x = np.empty_like(b)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x[:, 0] if single else x
+    return x
 
 
 def basis_rows(points, indices, infinite_dir=None):
     """Stack the basis vectors of an index set as rows, in sorted index
     order, substituting the infinite direction for INFINITY_INDEX.
     Returns (rows, finite_mask)."""
-    idx = sorted(indices)
-    d = points.shape[1]
-    rows = np.empty((len(idx), d))
-    finite = np.empty(len(idx), dtype=bool)
-    for j, i in enumerate(idx):
-        if i == INFINITY_INDEX:
-            if infinite_dir is None:
-                raise ValueError("index set uses the vertex at infinity but no direction given")
-            rows[j] = infinite_dir
-            finite[j] = False
-        else:
-            rows[j] = points[i]
-            finite[j] = True
+    idx = np.array(sorted(indices))
+    finite = idx != INFINITY_INDEX
+    rows = points[idx]
+    if not finite[0]:  # INFINITY_INDEX sorts first; its row is overwritten
+        if infinite_dir is None:
+            raise ValueError("index set uses the vertex at infinity but no direction given")
+        rows[0] = infinite_dir
     return rows, finite
 
 

@@ -115,7 +115,7 @@ def _default_rotation_dir(target):
     d = target.shape[0]
     e = np.zeros(d)
     axis = 0
-    if abs(target[0]) >= (1.0 - 1e-9) * float(np.linalg.norm(target)):
+    if abs(target[0]) >= (1.0 - DEFAULT_TOL.eps_feas) * float(np.linalg.norm(target)):
         axis = 1
     e[axis] = 1.0
     return e

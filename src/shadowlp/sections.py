@@ -83,7 +83,7 @@ def interior_point_in_slice(points, plane, tol=DEFAULT_TOL):
     margin = float(res.x[2])
     if margin <= _MARGIN_FLOOR * tol.eps_feas:
         return None
-    slack = 1e-9
+    slack = tol.eps_feas
     res2 = _margin_stage(points, plane, objective_index=0, sense=1, eps_min=margin - slack)
     if not res2.success:
         return None

@@ -268,7 +268,7 @@ def sweep_full(points, plane, start_facet, theta_start=0.0,
     outcome.status = EXHAUSTED_ARC
     if validate:
         total = sum(e.theta_end - e.theta_start for e in outcome.trace)
-        if abs(total - TWO_PI) > 1e-9:
+        if abs(total - TWO_PI) > tol.eps_feas:
             raise WalkInvariantViolation(f"sweep intervals cover {total!r}, expected 2*pi")
         if outcome.trace[-1].facet != outcome.trace[0].facet and len(outcome.trace) > 1:
             raise WalkInvariantViolation("full sweep did not close on its start facet")

@@ -377,7 +377,7 @@ def suite_walk_invariants(prior=None, seed=VERIFY_SEED):
 
     The walk layer checks, on every pivot, that adjacent facets share exactly
     d-1 indices and that the new facet passes the validity predicate, and on
-    every full sweep that the interval lengths sum to 2*pi within 1e-9.  When
+    every full sweep that the interval lengths sum to 2*pi within eps_feas.  When
     ``prior`` holds the results of suites 1-4 this aggregates their counters;
     standalone it runs reduced versions of suites 1 and 4.
     """

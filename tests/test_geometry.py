@@ -1,6 +1,7 @@
 """Linear-algebra and planar-geometry primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from shadowlp.geometry import (
     Tolerance,
     all_below,
     angular_distance,
+    basis_rows,
     cone_coefficients,
     make_facet,
     solve_linear,
@@ -42,6 +44,82 @@ def test_solve_linear_flags_singular_matrix():
     matrix = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularSystem):
         solve_linear(matrix, np.array([1.0, 1.0]), DEFAULT_TOL.eps_singular)
+
+
+def _scaled_pivots_pass(matrix, eps_singular):
+    """Reference: Gaussian elimination with scaled partial pivoting, True
+    when every pivot exceeds eps_singular times its row's largest |entry|."""
+    a = np.array(matrix, dtype=float)
+    scale = np.max(np.abs(a), axis=1)
+    for k in range(a.shape[0]):
+        p = k + int(np.argmax(np.abs(a[k:, k]) / scale[k:]))
+        if abs(a[p, k]) <= eps_singular * scale[p]:
+            return False
+        a[[k, p]] = a[[p, k]]
+        scale[[k, p]] = scale[[p, k]]
+        a[k + 1:, k:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k:])
+    return True
+
+
+def test_solve_linear_singular_verdicts_match_scaled_elimination():
+    rng = randgen.derive_rng(107)
+    singular = 0
+    for _ in range(1000):
+        d = int(rng.integers(2, 12))
+        matrix = rng.standard_normal((d, d))
+        # near-singular: the last row is a combination of the others plus noise
+        matrix[-1] = (rng.standard_normal(d - 1) @ matrix[:-1]
+                      + 10.0 ** rng.uniform(-14.0, -6.0) * rng.standard_normal(d))
+        matrix *= 10.0 ** rng.uniform(-8.0, 8.0, size=(d, 1))
+        want = _scaled_pivots_pass(matrix, DEFAULT_TOL.eps_singular)
+        try:
+            solve_linear(matrix, np.eye(d))
+        except SingularSystem:
+            singular += 1
+            assert not want
+        else:
+            assert want
+    assert 100 < singular < 900  # both verdicts are exercised
+
+
+def test_solve_linear_is_invariant_under_row_scaling():
+    rng = randgen.derive_rng(106)
+    matrix = rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
+    rhs = rng.standard_normal((4, 3))
+    want = solve_linear(matrix, rhs)
+    row_scale = np.array([1e12, 1e-12, 1e12, 1e-12])[:, None]
+    got = solve_linear(row_scale * matrix, row_scale * rhs)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("delta, singular", [(1e-9, False), (1e-11, True)])
+def test_solve_linear_threshold_is_on_the_scaled_pivot(delta, singular):
+    # The second scaled pivot is delta / (1 + delta), against eps_singular = 1e-10.
+    matrix = np.array([[1.0, 1.0], [1.0, 1.0 + delta]])
+    rhs = np.array([2.0, 2.0 + delta])
+    if singular:
+        with pytest.raises(SingularSystem):
+            solve_linear(matrix, rhs)
+    else:
+        assert np.allclose(solve_linear(matrix, rhs), [1.0, 1.0], atol=1e-6)
+
+
+def test_solve_linear_exact_zero_pivot_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem):
+            solve_linear(np.array([[0.0, 1.0], [0.0, 2.0]]), np.array([1.0, 2.0]))
+
+
+def test_solve_linear_keeps_the_shape_of_the_right_hand_side():
+    matrix = np.array([[2.0, 1.0], [1.0, 3.0]])
+    x = solve_linear(matrix, np.array([3.0, 4.0]))
+    assert x.shape == (2,)
+    assert np.allclose(x, [1.0, 1.0])
+    inverse = solve_linear(matrix, np.eye(2))
+    assert inverse.shape == (2, 2)
+    assert np.allclose(matrix @ inverse, np.eye(2))
+    assert solve_linear(matrix, np.ones((2, 1))).shape == (2, 1)
 
 
 def test_tolerance_defaults_frozen():
@@ -125,6 +203,19 @@ def test_make_facet_orders_indices_and_validates():
     assert lifted.indices == (INFINITY_INDEX, 0)
     assert lifted.contains_infinite
     assert lifted.finite_indices == (0,)
+
+
+def test_basis_rows_sorts_and_substitutes_the_infinite_direction():
+    points = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    rows, finite = basis_rows(points, (2, 0))
+    assert np.array_equal(rows, [[1.0, 2.0], [5.0, 6.0]])
+    assert finite.tolist() == [True, True]
+    rows, finite = basis_rows(points, (1, INFINITY_INDEX), infinite_dir=np.array([0.0, -1.0]))
+    assert np.array_equal(rows, [[0.0, -1.0], [3.0, 4.0]])
+    assert finite.tolist() == [False, True]
+    assert np.array_equal(points, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])  # input untouched
+    with pytest.raises(ValueError):
+        basis_rows(points, (INFINITY_INDEX, 0))
 
 
 def test_facet_index_set_equality_ignores_normal():

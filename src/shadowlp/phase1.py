@@ -35,14 +35,11 @@ class GaveUp(Exception):
 class AddedBlock:
     """One attempt's added constraints: d smoothed vertices of a dilated
     regular simplex, its facet over indices 0..d-1 of the added points, its
-    known piercing direction z0, the norm grid value 2*m0 used for
-    dilation, and the raw rotation and centers for diagnostics."""
+    known piercing direction z0, and the unsmoothed centers for diagnostics."""
 
     added_points: np.ndarray
     facet: FacetIndexSet
     start_objective: np.ndarray
-    norm_bound: float
-    rotation: np.ndarray
     centers: np.ndarray
 
 
@@ -106,7 +103,7 @@ def add_constraints(points, norm_bound, rotation, rng, tol=DEFAULT_TOL, smoothin
     if 1.0 / float(np.linalg.norm(facet.normal)) < max_norm:
         return None  # distance check failed: block not far enough out
     return AddedBlock(added_points=added, facet=facet, start_objective=z0,
-                      norm_bound=norm_bound, rotation=rotation, centers=centers)
+                      centers=centers)
 
 
 def _default_rotation_dir(target):

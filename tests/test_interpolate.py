@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
+from shadowlp import interpolate
 from shadowlp.geometry import INFINITY_INDEX, FacetIndexSet, cone_coefficients
 from shadowlp.interpolate import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     GeneralLP,
+    NumericFailure,
     classify_final,
     initial_limit_facet,
     lift,
     solve_lp,
 )
-from shadowlp.shadow_walk import SweepPlane
+from shadowlp.shadow_walk import UNBOUNDED, SweepPlane, WalkOutcome
 
 
 def _lp_optimal():
@@ -117,6 +119,15 @@ def test_solve_lp_infeasible_fixture():
     assert result.status == STATUS_INFEASIBLE
     assert result.basis is None
     assert result.x_opt is None
+
+
+def test_solve_lp_raises_numeric_failure_when_lifted_walk_unbounded(monkeypatch):
+    # A bounded Phase I makes an unbounded lifted walk impossible in exact
+    # arithmetic; solve_lp must say so instead of returning a verdict.
+    monkeypatch.setattr(interpolate, "walk",
+                        lambda *args, **kwargs: WalkOutcome(UNBOUNDED, None, 3))
+    with pytest.raises(NumericFailure, match="lifted walk left the cone"):
+        solve_lp(_lp_optimal(), rng=501)
 
 
 def test_solve_lp_row_scaling_invariance():

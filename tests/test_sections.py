@@ -4,6 +4,8 @@ agreement with brute-force enumeration."""
 import numpy as np
 import pytest
 
+from shadowlp import phase1, sections
+from shadowlp.interpolate import NumericFailure
 from shadowlp.oracle import section_edge_count_bruteforce
 from shadowlp.randgen import derive_rng, gaussian
 from shadowlp.sections import (
@@ -54,6 +56,20 @@ def test_interior_point_translates_with_the_points():
     assert np.allclose(x1, x0 + shift, atol=1e-6)
 
 
+def test_interior_point_is_one_linprog_call(monkeypatch):
+    real = sections.linprog
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sections, "linprog", counted)
+    points = gaussian(derive_rng(703), (8, 3))
+    assert interior_point_in_slice(points, SweepPlane.axis(3)) is not None
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # edge counting
 
@@ -99,6 +115,30 @@ def test_section_edges_match_bruteforce_on_random_hulls():
         assert walked == brute
         checked += 1
     assert checked == 30
+
+
+def test_section_edges_match_bruteforce_on_small_planar_clouds():
+    """The margin LP's optimal vertex often puts a slice vertex on one of its
+    corner directions x0 +- eps*basis1, x0 +- eps*basis2; the sweep must
+    start off those rays on every cloud."""
+    plane = SweepPlane.axis(2)
+    n = 20
+    for s in range(300):
+        points = gaussian(derive_rng(900, n, s), (n, 2))
+        report = section_edges(points, plane, rng=s)
+        assert not report.degenerate
+        assert report.edge_count == section_edge_count_bruteforce(points, plane), s
+
+
+def test_section_edges_raises_numeric_failure_when_unit_unbounded(monkeypatch, square,
+                                                                 axis_plane):
+    # The origin is interior after recentering, so an unbounded unit program
+    # contradicts exact arithmetic.
+    monkeypatch.setattr(
+        phase1, "solve_unit",
+        lambda *args, **kwargs: phase1.UnitResult(phase1.UNIT_UNBOUNDED, None, 0, 1))
+    with pytest.raises(NumericFailure, match="sweep start"):
+        section_edges(square, axis_plane(2), rng=704)
 
 
 def test_section_report_shape():

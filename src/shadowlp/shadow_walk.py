@@ -126,11 +126,13 @@ class WalkOutcome:
 
 
 def exit_angle(facet, plane, theta_now, tol=DEFAULT_TOL):
-    """First angle strictly after theta_now at which some cone coefficient of
-    the facet crosses zero downward, together with the crossing index.
-    Returns None when no coefficient ever crosses (never happens for genuine
-    facets of pointed cones).  Raises WalkStateError when q(theta_now) does
-    not pierce the facet."""
+    """First angle at or after theta_now at which some cone coefficient of
+    the facet crosses zero downward, together with the crossing index.  A
+    crossing at theta_now, or within eps_angle of a full turn ahead (a
+    rounding error before theta_now), is an exit now: a vertex on the ray
+    q(theta_now) leaves the facet at once.  Returns None when no coefficient
+    ever crosses (never happens for genuine facets of pointed cones).  Raises
+    WalkStateError when q(theta_now) does not pierce the facet."""
     # The coefficients of q solve B^T lam = q, so lam = q @ B^-1.
     v, w = plane.basis1 @ facet.inverse, plane.basis2 @ facet.inverse
     lam_now = v * math.cos(theta_now) + w * math.sin(theta_now)
@@ -148,8 +150,8 @@ def exit_angle(facet, plane, theta_now, tol=DEFAULT_TOL):
         # lam_j(theta) = r cos(theta - phi); downward crossing at phi + pi/2.
         down = math.atan2(w[j], v[j]) + 0.5 * math.pi
         delta = (down - theta_now) % TWO_PI
-        if delta == 0.0:
-            delta = TWO_PI
+        if delta >= TWO_PI - tol.eps_angle:
+            delta = 0.0
         if best_delta is None or delta < best_delta:
             best_delta = delta
             best_index = i
@@ -252,6 +254,21 @@ def walk(points, plane, start_facet, theta_start, theta_target,
             raise CycleSuspected(f"pivot cap {max_pivots} exceeded")
 
 
+def _closes(points, plane, trace, tol):
+    """The sweep ends on its start facet, or one pivot at the end angle
+    reaches it: with a vertex on the start ray the trace may begin on the
+    facet just past that vertex."""
+    first, last = trace[0].facet, trace[-1].facet
+    if last == first:
+        return True
+    end = trace[-1].theta_end
+    hit = exit_angle(last, plane, end, tol)
+    if hit is None or hit[0] > end + tol.eps_angle:
+        return False
+    step = pivot(points, last, hit[1], tol=tol)
+    return step is not None and step[1] == first
+
+
 def sweep_full(points, plane, start_facet, theta_start=0.0,
                tol=DEFAULT_TOL, max_pivots=None, validate=False):
     """Sweep q through a full circle starting inside start_facet's interval.
@@ -270,7 +287,7 @@ def sweep_full(points, plane, start_facet, theta_start=0.0,
         total = sum(e.theta_end - e.theta_start for e in outcome.trace)
         if abs(total - TWO_PI) > tol.eps_feas:
             raise WalkInvariantViolation(f"sweep intervals cover {total!r}, expected 2*pi")
-        if outcome.trace[-1].facet != outcome.trace[0].facet and len(outcome.trace) > 1:
+        if not _closes(points, plane, outcome.trace, tol):
             raise WalkInvariantViolation("full sweep did not close on its start facet")
         runs = []
         for e in outcome.trace:

@@ -3,13 +3,17 @@ agreement with brute-force enumeration."""
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from shadowlp import phase1, sections
 from shadowlp.interpolate import NumericFailure
 from shadowlp.oracle import section_edge_count_bruteforce
 from shadowlp.randgen import derive_rng, gaussian
 from shadowlp.sections import (
+    _THETA0,
     SectionReport,
+    _margin_constraints,
     convex_membership,
     interior_point_in_slice,
     section_edges,
@@ -70,6 +74,72 @@ def test_interior_point_is_one_linprog_call(monkeypatch):
     assert len(calls) == 1
 
 
+def _count_calls(monkeypatch, module, name):
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _full_margin_x0(points, plane):
+    """The margin LP over every point, as solved before the hull reduction."""
+    a_eq, b_eq, nvar = _margin_constraints(points, plane)
+    c = np.zeros(nvar)
+    c[2] = -1.0
+    bounds = [(None, None), (None, None), (0.0, None)] + [(0, None)] * (nvar - 3)
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    assert res.success
+    return float(res.x[0]) * plane.basis1 + float(res.x[1]) * plane.basis2
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hull_reduction_keeps_the_interior_point(d):
+    plane = SweepPlane.axis(d)
+    for case in range(5):
+        points = gaussian(derive_rng(710, d, case), (200, d))
+        x0 = interior_point_in_slice(points, plane)
+        assert x0 is not None
+        assert np.allclose(x0, _full_margin_x0(points, plane), rtol=0.0, atol=1e-9)
+
+
+def test_margin_lp_gets_only_the_hull_vertices_in_the_plane(monkeypatch):
+    calls = _count_calls(monkeypatch, sections, "linprog")
+    points = gaussian(derive_rng(711), (3000, 2))
+    assert interior_point_in_slice(points, SweepPlane.axis(2)) is not None
+    assert len(calls) == 1
+    (c,), _ = calls[0]
+    assert len(c) == 3 + 4 * len(ConvexHull(points).vertices)
+
+
+def test_no_hull_reduction_above_dimension_four(monkeypatch):
+    hulls = _count_calls(monkeypatch, sections, "ConvexHull")
+    lps = _count_calls(monkeypatch, sections, "linprog")
+    points = gaussian(derive_rng(712), (60, 6))
+    assert interior_point_in_slice(points, SweepPlane.axis(6)) is not None
+    assert hulls == []
+    (c,), _ = lps[0]
+    assert len(c) == 3 + 4 * 60
+
+
+def test_flat_point_set_falls_back_to_all_points(monkeypatch):
+    # Six points in the plane x3 = 0 span no 3-d hull: Qhull refuses them.
+    hulls = _count_calls(monkeypatch, sections, "ConvexHull")
+    lps = _count_calls(monkeypatch, sections, "linprog")
+    points = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                       [0.0, -1.0, 0.0], [0.7, 0.7, 0.0], [-0.6, -0.8, 0.0]])
+    x0 = interior_point_in_slice(points, SweepPlane.axis(3))
+    assert x0 is not None
+    assert convex_membership(points, x0)
+    assert len(hulls) == 1
+    (c,), _ = lps[0]
+    assert len(c) == 3 + 4 * 6
+
+
 # ---------------------------------------------------------------------------
 # edge counting
 
@@ -128,6 +198,17 @@ def test_section_edges_match_bruteforce_on_small_planar_clouds():
         report = section_edges(points, plane, rng=s)
         assert not report.degenerate
         assert report.edge_count == section_edge_count_bruteforce(points, plane), s
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_section_edges_regular_polygon_with_vertex_on_start_ray(k):
+    # Centered at the origin, so x0 = 0 and the start ray q(theta0) passes
+    # through a vertex: the facet before it exits at theta0 itself.
+    angles = _THETA0 + 2.0 * np.pi * np.arange(k) / k
+    points = np.column_stack([np.cos(angles), np.sin(angles)])
+    for seed in range(3):
+        report = section_edges(points, SweepPlane.axis(2), rng=seed, validate=True)
+        assert report.edge_count == k, seed
 
 
 def test_section_edges_raises_numeric_failure_when_unit_unbounded(monkeypatch, square,

@@ -101,13 +101,15 @@ class FacetIndexSet:
 
     The basis B stacks the facet's vectors as rows in index order (the
     direction u for the vertex at infinity), so column j of ``inverse`` =
-    B^-1 belongs to indices[j].  Equality and hashing use the index tuple
-    only; two facets are the same facet exactly when their index sets
-    coincide."""
+    B^-1 belongs to indices[j].  ``updates`` counts the rank-one updates
+    since B^-1 was last factored from the points (0 for a facet from
+    make_facet).  Equality and hashing use the index tuple only; two facets
+    are the same facet exactly when their index sets coincide."""
 
     indices: tuple
     normal: np.ndarray = field(compare=False, repr=False)
     inverse: np.ndarray = field(compare=False, repr=False)
+    updates: int = field(default=0, compare=False, repr=False)
 
     @property
     def contains_infinite(self):
@@ -122,7 +124,9 @@ def make_facet(points, indices, infinite_dir=None, tol=DEFAULT_TOL):
     """Build a FacetIndexSet from one factorization of its basis B: the
     normal h solves B h = (1 for finite members, 0 for the vertex at
     infinity), so <h, a_i> = 1 and <h, u> = 0, and the inverse is B^-1.
-    Raises SingularSystem for degenerate index sets."""
+    The walk's pivots update these in place of a factorization and call
+    this every d-th pivot (see shadow_walk.pivot).  Raises SingularSystem
+    for degenerate index sets."""
     points = np.asarray(points, dtype=float)
     d = points.shape[1]
     if len(set(indices)) != d:

@@ -7,7 +7,11 @@ inside a fixed 2-plane; each time a cone coefficient of the current facet
 crosses zero the walk pivots to the unique adjacent facet across that ridge.
 Exit angles are found analytically: each cone coefficient is a sinusoid
 lam_j(theta) = v_j cos(theta) + w_j sin(theta), so its next downward zero
-crossing is available in closed form from one factorization per facet.
+crossing is available in closed form from the facet's basis inverse B^-1.
+A pivot changes one row of the basis, so it builds the next facet's normal
+and B^-1 by a rank-one update of the current ones; B^-1 is factored afresh
+from the points every d-th pivot and whenever the update cannot certify
+that the new basis is nonsingular.
 """
 
 from __future__ import annotations
@@ -17,7 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, INFINITY_INDEX, FacetIndexSet, all_below, make_facet
+from .geometry import (
+    DEFAULT_TOL,
+    INFINITY_INDEX,
+    FacetIndexSet,
+    all_below,
+    basis_rows,
+    make_facet,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,11 +146,11 @@ def exit_angle(facet, plane, theta_now, tol=DEFAULT_TOL):
     WalkStateError when q(theta_now) does not pierce the facet."""
     # The coefficients of q solve B^T lam = q, so lam = q @ B^-1.
     v, w = plane.basis1 @ facet.inverse, plane.basis2 @ facet.inverse
-    lam_now = v * math.cos(theta_now) + w * math.sin(theta_now)
-    if np.min(lam_now) < -tol.eps_feas:
+    lam_min = float((v * math.cos(theta_now) + w * math.sin(theta_now)).min())
+    if lam_min < -tol.eps_feas:
         raise WalkStateError(
             f"facet {facet.indices} is not pierced at theta={theta_now!r} "
-            f"(min coefficient {np.min(lam_now):.3e})"
+            f"(min coefficient {lam_min:.3e})"
         )
     best_delta = None
     best_index = None
@@ -170,21 +181,27 @@ def pivot(points, facet, leaving, infinite_dir=None, tol=DEFAULT_TOL):
     the vertex at infinity), ties broken by smallest index, so the vertex at
     infinity (index -1) wins a tie.  Returns (entering, new_facet) or None
     when no candidate exists, which certifies unboundedness beyond the exit
-    angle."""
+    angle.
+
+    The new facet comes from a rank-one update of the current normal and
+    B^-1 (see _updated_facet).  It is factored from the points by
+    make_facet instead on every d-th consecutive pivot, and whenever the
+    updated inverse cannot certify that make_facet would accept the new
+    basis; make_facet then raises SingularSystem for a degenerate one."""
     points = np.asarray(points, dtype=float)
-    if leaving not in facet.indices:
+    indices = facet.indices
+    if leaving not in indices:
         raise ValueError("leaving index must belong to the facet")
-    g = -facet.inverse[:, facet.indices.index(leaving)]
+    j = indices.index(leaving)
+    g = -facet.inverse[:, j]
     h = facet.normal
 
     den = points @ g
     mask = den > tol.eps_feas
-    mask[list(facet.finite_indices)] = False
-    best = None  # (ratio, index)
-    if np.any(mask):
-        ratios = np.divide(1.0 - points @ h, den, out=np.full(den.shape, np.inf), where=mask)
-        k = int(np.argmin(ratios))  # first occurrence: smallest index on a tie
-        best = (float(ratios[k]), k)
+    mask[list(indices[1:] if facet.contains_infinite else indices)] = False
+    ratios = np.divide(1.0 - points @ h, den, out=np.full(den.shape, np.inf), where=mask)
+    k = int(ratios.argmin())  # first occurrence: smallest index on a tie
+    best = (float(ratios[k]), k) if mask[k] else None
     if infinite_dir is not None and not facet.contains_infinite:
         den_inf = float(np.dot(g, infinite_dir))
         if den_inf > tol.eps_feas:
@@ -193,10 +210,52 @@ def pivot(points, facet, leaving, infinite_dir=None, tol=DEFAULT_TOL):
                 best = (ratio_inf, INFINITY_INDEX)
     if best is None:
         return None
-    entering = best[1]
-    new_indices = [i for i in facet.indices if i != leaving] + [entering]
-    new_facet = make_facet(points, new_indices, infinite_dir, tol)
+    ratio, entering = best
+    new_indices = tuple(sorted(indices[:j] + indices[j + 1:] + (entering,)))
+    new_facet = None
+    if facet.updates + 1 < len(indices):
+        new_facet = _updated_facet(points, facet, j, entering, ratio, new_indices,
+                                   infinite_dir, tol)
+    if new_facet is None:
+        new_facet = make_facet(points, new_indices, infinite_dir, tol)
     return entering, new_facet
+
+
+def _updated_facet(points, facet, j, entering, ratio, new_indices, infinite_dir, tol):
+    """The facet over new_indices, which replaces indices[j] of the given
+    facet by entering, from its normal and B^-1 without a factorization.
+
+    Normal: h' = h + ratio * g with g = -B^-1 e_j, so <h', a> is unchanged
+    on the ridge and 1 at the entering point (0 at the vertex at infinity).
+    Inverse (Sherman-Morrison): the basis changes in row j to a_k, so with
+    u = a_k B^-1 and pivot element u_j = -<g, a_k>, column j of B'^-1 is
+    col_j / u_j and every other column m is col_m - col_j u_m / u_j; the
+    columns are then put in the order of new_indices.
+
+    Returns None, so that the caller factors the basis instead, unless
+    ||B'^-1 diag(s)||_inf < 1 / eps_singular, where s holds the largest
+    |entry| of each row of the new basis.  That product is the inverse of
+    the row-equilibrated basis make_facet factors, and every pivot of a
+    partially pivoted LU is at least 1 / ||A^-1||_inf, so a basis that
+    passes would pass make_facet's singularity test too."""
+    inverse = facet.inverse
+    a_k = infinite_dir if entering == INFINITY_INDEX else points[entering]
+    u = a_k @ inverse
+    col = inverse[:, j] / u[j]
+    new_inverse = inverse - col[:, None] * u
+    # Column j moves to the entering index's place p in new_indices; the
+    # columns in between shift by one over it.
+    p = new_indices.index(entering)
+    if p > j:
+        new_inverse[:, j:p] = new_inverse[:, j + 1:p + 1]
+    else:
+        new_inverse[:, p + 1:j + 1] = new_inverse[:, p:j]
+    new_inverse[:, p] = col
+    rows, _ = basis_rows(points, new_indices, infinite_dir)
+    if not (np.abs(new_inverse) @ np.abs(rows).max(axis=1)).max() < 1.0 / tol.eps_singular:
+        return None
+    return FacetIndexSet(new_indices, facet.normal - ratio * inverse[:, j], new_inverse,
+                         facet.updates + 1)
 
 
 def _validate_step(points, old, new, infinite_dir, tol):
@@ -205,6 +264,16 @@ def _validate_step(points, old, new, infinite_dir, tol):
         raise WalkInvariantViolation("adjacent facets must share all but one index")
     if not all_below(points, new.normal, infinite_dir, tol):
         raise WalkInvariantViolation(f"facet {new.indices} is not valid (some point above)")
+    if not new.updates:
+        return
+    # An updated normal and B^-1 must match a fresh factorization to within
+    # eps_feas relative to the fresh one's largest entry.
+    fresh = make_facet(points, new.indices, infinite_dir, tol)
+    for name, got, want in (("normal", new.normal, fresh.normal),
+                            ("inverse", new.inverse, fresh.inverse)):
+        if not np.max(np.abs(got - want)) <= tol.eps_feas * np.max(np.abs(want)):
+            raise WalkInvariantViolation(
+                f"facet {new.indices}: updated {name} departs from a fresh factorization")
 
 
 def walk(points, plane, start_facet, theta_start, theta_target,

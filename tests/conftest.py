@@ -1,10 +1,12 @@
-"""Shared fixtures: small hand-checkable point sets, sweep planes and a
-factorization counter."""
+"""Shared fixtures: small hand-checkable point sets, sweep planes, programs
+feasible by construction and a factorization counter."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shadowlp import experiments, geometry, interpolate, phase1, shadow_walk
+from shadowlp import experiments, geometry, interpolate, phase1, randgen, shadow_walk
 from shadowlp.shadow_walk import SweepPlane
 
 
@@ -23,6 +25,20 @@ def square():
 def axis_plane():
     """Factory for the span(e1, e2) sweep plane in any ambient dimension."""
     return SweepPlane.axis
+
+
+@pytest.fixture
+def feasible_lp():
+    """Factory for smoothed programs (sigma = 0.1) whose b-centres are
+    |b| + 1 before normalizing, so the origin is strictly feasible and the
+    program has an optimum: feasible_lp(n, d, seed) -> GeneralLP."""
+
+    def make(n, d, seed):
+        spec = randgen.random_spec(n, d, 0.1, randgen.derive_rng(seed, 0))
+        spec = replace(spec, centers_b=np.abs(spec.centers_b) + 1.0)
+        return randgen.sample_instance(randgen.normalize(spec), randgen.derive_rng(seed, 1))
+
+    return make
 
 
 @pytest.fixture

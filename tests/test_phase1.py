@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from shadowlp import oracle, randgen
+from shadowlp import oracle, phase1, randgen
 from shadowlp.geometry import cone_coefficients, make_facet
 from shadowlp.phase1 import GaveUp, add_constraints, simplex_vertices, solve_unit
 from shadowlp.randgen import derive_rng, gaussian, haar_rotation, norm_ceiling
@@ -74,19 +74,33 @@ def test_add_constraints_unsmoothed_block_geometry():
     assert float(np.min(lam)) > 0.0
 
 
-def test_add_constraints_and_solve_unit_factor_each_facet_once(solve_linear_calls):
+def test_add_constraints_factors_once_and_solve_unit_every_d_th_pivot(
+        solve_linear_calls, monkeypatch):
     rng = derive_rng(401)
     points = _unit_points(30, 3, rng)
     m0 = norm_ceiling(float(np.max(np.linalg.norm(points, axis=1))))
     block = add_constraints(points, m0, haar_rotation(3, rng), rng)
     assert block is not None
     assert len(solve_linear_calls) == 1
-    # one factorization per attempt's block and one per pivot: the start
-    # facet is the block's facet relabelled, the answer is the walk's last
+    # One factorization per attempt's block, and one every d-th pivot of each
+    # attempt's walk: the start facet is the block's facet relabelled, the
+    # other pivots update B^-1, and none of them needs a guarded refactor.
+    walk_pivots = []
+    real_walk = phase1.walk
+
+    def recorded(*args, **kwargs):
+        outcome = real_walk(*args, **kwargs)
+        walk_pivots.append(outcome.pivots)
+        return outcome
+
+    monkeypatch.setattr(phase1, "walk", recorded)
     solve_linear_calls.clear()
+    points = _unit_points(200, 3, derive_rng(403))
     result = solve_unit(points, np.array([0.3, -0.2, 1.0]), rng=412)
-    assert result.status == "optimal" and result.pivots_total > 0
-    assert len(solve_linear_calls) == result.iterations + result.pivots_total
+    assert result.status == "optimal" and result.pivots_total >= 6
+    assert len(walk_pivots) == result.iterations == 2
+    assert sum(walk_pivots) == result.pivots_total
+    assert len(solve_linear_calls) == result.iterations + sum(p // 3 for p in walk_pivots)
 
 
 def test_add_constraints_rejects_block_that_is_too_close():

@@ -1,12 +1,19 @@
 """Parametric facet walk: exit angles, pivots, arcs, and full sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shadowlp import oracle, randgen
-from shadowlp.geometry import DEFAULT_TOL, INFINITY_INDEX, cone_coefficients, make_facet
+from shadowlp import interpolate, oracle, phase1, randgen, shadow_walk
+from shadowlp.geometry import (
+    DEFAULT_TOL,
+    INFINITY_INDEX,
+    SingularSystem,
+    cone_coefficients,
+    make_facet,
+)
 from shadowlp.interpolate import GeneralLP, lift
 from shadowlp.shadow_walk import (
     EXHAUSTED_ARC,
@@ -14,6 +21,7 @@ from shadowlp.shadow_walk import (
     UNBOUNDED,
     CycleSuspected,
     SweepPlane,
+    WalkInvariantViolation,
     WalkStateError,
     exit_angle,
     pivot,
@@ -265,14 +273,22 @@ def test_walk_terminal_facet_matches_oracle_on_random_instances():
     assert checked >= 250
 
 
-def test_walk_factors_each_new_facet_once(solve_linear_calls):
+def _dodecagon():
     angles = 2.0 * math.pi * np.arange(12) / 12
-    points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def test_walk_refactors_every_d_th_pivot(solve_linear_calls):
+    # Pivots update B^-1; every d-th one (here every second) factors the
+    # basis afresh, and no pivot of this well-conditioned polygon needs a
+    # guarded refactor.
+    points = _dodecagon()
     start = make_facet(points, (0, 1))
     solve_linear_calls.clear()
     outcome = walk(points, SweepPlane.axis(2), start, 0.1, 6.0)
-    assert outcome.pivots >= 10
-    assert len(solve_linear_calls) == outcome.pivots
+    assert outcome.pivots == 11
+    assert len(solve_linear_calls) == outcome.pivots // 2
+    assert [e.facet.updates for e in outcome.trace] == [0, 1] * 6
 
 
 def test_walk_iteration_cap_raises_cycle_suspected(triangle):
@@ -281,6 +297,147 @@ def test_walk_iteration_cap_raises_cycle_suspected(triangle):
     with pytest.raises(CycleSuspected):
         walk(triangle, plane, start, plane.theta_of(np.array([1.0, 0.1])),
              plane.theta_of(np.array([0.1, 1.0])), max_pivots=0)
+
+
+# ---------------------------------------------------------------------------
+# rank-one updates of the facet
+
+
+def _near_singular_pivot_points():
+    # Facet {0, 1} of e1, e2; leaving 0 rotates about the ridge {e2} with
+    # g = -e1.  Row 2 has a large norm and lies almost on the ridge's line:
+    # <g, a_2> = 2e-9 just clears eps_feas, but the row-equilibrated basis
+    # {a_1, a_2} has an LU pivot of about 2e-12, below eps_singular.
+    return np.array([[1.0, 0.0], [0.0, 1.0], [-2e-9, -1e3]])
+
+
+def test_pivot_raises_singular_system_on_near_ridge_entering_point():
+    points = _near_singular_pivot_points()
+    facet = make_facet(points, (0, 1))
+    assert float(points[2] @ -facet.inverse[:, 0]) > DEFAULT_TOL.eps_feas
+    with pytest.raises(SingularSystem):
+        make_facet(points, (1, 2))
+    with pytest.raises(SingularSystem):
+        pivot(points, facet, 0)
+
+
+def test_walk_raises_singular_system_on_near_ridge_entering_point():
+    # The first exit is at pi/2, where the coefficient of e1 crosses zero.
+    points = _near_singular_pivot_points()
+    with pytest.raises(SingularSystem):
+        walk(points, SweepPlane.axis(2), make_facet(points, (0, 1)), 0.1, 3.0)
+
+
+def test_update_guard_refuses_every_basis_make_facet_refuses():
+    # Random rank-one replacements of accepted, often ill-conditioned and
+    # badly row-scaled bases: whenever make_facet refuses the new basis, the
+    # update must decline it too (and leave the refusal to make_facet).
+    rng = randgen.derive_rng(208)
+    refused = 0
+    for _ in range(3000):
+        d = int(rng.choice([2, 3, 4, 10]))
+        u, s, vt = np.linalg.svd(rng.standard_normal((d, d)))
+        s[-int(rng.integers(1, d + 1)):] *= 10.0 ** rng.uniform(-10, 0)
+        basis = (u * s) @ vt * (10.0 ** rng.uniform(-6, 6, size=d))[:, None]
+        j = int(rng.integers(d))
+        entering = rng.standard_normal(d - 1) @ np.delete(basis, j, axis=0)
+        entering = entering / np.max(np.abs(entering)) \
+            + 10.0 ** rng.uniform(-14, -6) * rng.standard_normal(d)
+        points = np.vstack([basis, entering * 10.0 ** rng.uniform(-6, 6)])
+        try:
+            facet = make_facet(points, range(d))
+        except SingularSystem:
+            continue
+        new_indices = tuple(i for i in range(d + 1) if i != j)
+        try:
+            make_facet(points, new_indices)
+        except SingularSystem:
+            refused += 1
+            assert shadow_walk._updated_facet(points, facet, j, d, 0.0, new_indices,
+                                              None, DEFAULT_TOL) is None
+    assert refused >= 300
+
+
+def _assert_matches_fresh_factorization(points, facet, infinite_dir):
+    fresh = make_facet(points, facet.indices, infinite_dir)
+    for got, want in ((facet.normal, fresh.normal), (facet.inverse, fresh.inverse)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def _recorded_walks(monkeypatch):
+    """Record (points, infinite_dir, outcome) of every walk solve_lp makes,
+    Phase I's and the lifted one's."""
+    walks = []
+
+    def recorded(points, *args, **kwargs):
+        outcome = walk(points, *args, **kwargs)
+        walks.append((points, kwargs.get("infinite_dir"), outcome))
+        return outcome
+
+    monkeypatch.setattr(phase1, "walk", recorded)
+    monkeypatch.setattr(interpolate, "walk", recorded)
+    return walks
+
+
+@pytest.mark.parametrize("n,d", [(40, 2), (60, 3), (200, 10), (400, 40)])
+def test_updated_facets_match_a_fresh_factorization(n, d, feasible_lp, monkeypatch):
+    walks = _recorded_walks(monkeypatch)
+    for seed in range(3):
+        interpolate.solve_lp(feasible_lp(n, d, 300 + seed), rng=seed)
+    updated = from_infinite = 0
+    for points, infinite_dir, outcome in walks:
+        for prev, entry in zip([None] + outcome.trace, outcome.trace):
+            _assert_matches_fresh_factorization(points, entry.facet, infinite_dir)
+            updated += entry.facet.updates > 0
+            # the lifted walk's first pivot updates a basis holding the
+            # vertex at infinity's direction
+            from_infinite += (entry.facet.updates > 0 and prev is not None
+                              and prev.facet.contains_infinite)
+    assert updated >= 10 and from_infinite == 3
+
+
+def test_pivots_from_every_facet_of_lifted_polytopes_match_a_fresh_factorization():
+    # Every facet and every leaving index of small lifted programs, so the
+    # vertex at infinity enters, leaves and stays in updated bases.
+    rng = randgen.derive_rng(209)
+    entered = stayed = 0
+    for _ in range(30):
+        n, d = int(rng.integers(4, 8)), int(rng.integers(2, 4))
+        lifted = lift(GeneralLP(A=rng.standard_normal((n, d)),
+                                b=rng.standard_normal(n), z=rng.standard_normal(d)))
+        for facet in oracle.enumerate_facets(lifted.points, lifted.infinity_dir):
+            for leaving in facet.indices:
+                step = pivot(lifted.points, facet, leaving, lifted.infinity_dir)
+                if step is None:
+                    continue
+                entering, new_facet = step
+                assert new_facet.updates == 1
+                _assert_matches_fresh_factorization(lifted.points, new_facet,
+                                                    lifted.infinity_dir)
+                entered += entering == INFINITY_INDEX
+                stayed += facet.contains_infinite and leaving != INFINITY_INDEX
+    assert entered >= 20 and stayed >= 20
+
+
+@pytest.mark.parametrize("sabotage", [
+    # the columns left out of index order, as a skipped permutation leaves them
+    lambda f: replace(f, inverse=f.inverse[:, ::-1]),
+    # a normal shrunk toward the origin, which keeps every point below it
+    lambda f: replace(f, normal=f.normal * (1.0 - 1e-6)),
+], ids=["unpermuted-inverse", "shrunk-normal"])
+def test_validated_walk_detects_sabotaged_update(sabotage, monkeypatch):
+    points = _dodecagon()
+    start = make_facet(points, (0, 1))
+    assert walk(points, SweepPlane.axis(2), start, 0.1, 6.0, validate=True).pivots == 11
+    real = shadow_walk._updated_facet
+
+    def sabotaged(*args):
+        facet = real(*args)
+        return None if facet is None else sabotage(facet)
+
+    monkeypatch.setattr(shadow_walk, "_updated_facet", sabotaged)
+    with pytest.raises(WalkInvariantViolation, match="fresh factorization"):
+        walk(points, SweepPlane.axis(2), start, 0.1, 6.0, validate=True)
 
 
 # ---------------------------------------------------------------------------

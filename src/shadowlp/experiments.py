@@ -329,13 +329,6 @@ def write_csv(path, header, rows, include_timing=True):
         handle.write(text)
 
 
-def read_csv(path):
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader))
-        return header, [list(row) for row in reader]
-
-
 def rows_as_dicts(header, rows, kind=None):
     """Rows as {column: string} dicts, optionally filtered by kind."""
     out = [dict(zip(header, row)) for row in rows]

@@ -101,15 +101,20 @@ class FacetIndexSet:
 
     The basis B stacks the facet's vectors as rows in index order (the
     direction u for the vertex at infinity), so column j of ``inverse`` =
-    B^-1 belongs to indices[j].  ``updates`` counts the rank-one updates
-    since B^-1 was last factored from the points (0 for a facet from
-    make_facet).  Equality and hashing use the index tuple only; two facets
-    are the same facet exactly when their index sets coincide."""
+    B^-1 belongs to indices[j], and so does ``scales[j]``, the largest
+    |entry| of that row: the row scales of the nonsingularity certificate,
+    carried so that a pivot's update never gathers the basis rows (make_facet
+    and the oracle set them; a facet built without them cannot be pivoted).
+    ``updates`` counts the rank-one updates since B^-1 was last factored
+    from the points (0 for a facet from make_facet).  Equality and hashing
+    use the index tuple only; two facets are the same facet exactly when
+    their index sets coincide."""
 
     indices: tuple
     normal: np.ndarray = field(compare=False, repr=False)
     inverse: np.ndarray = field(compare=False, repr=False)
     updates: int = field(default=0, compare=False, repr=False)
+    scales: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def contains_infinite(self):
@@ -134,7 +139,7 @@ def make_facet(points, indices, infinite_dir=None, tol=DEFAULT_TOL):
     rows, finite = basis_rows(points, indices, infinite_dir)
     solution = solve_linear(rows, np.column_stack([finite, np.eye(d)]), tol.eps_singular)
     return FacetIndexSet(indices=tuple(sorted(indices)), normal=solution[:, 0],
-                         inverse=solution[:, 1:])
+                         inverse=solution[:, 1:], scales=np.abs(rows).max(axis=1))
 
 
 def all_below(points, normal, infinite_dir=None, tol=DEFAULT_TOL):
@@ -146,16 +151,6 @@ def all_below(points, normal, infinite_dir=None, tol=DEFAULT_TOL):
     if infinite_dir is not None and float(np.dot(normal, infinite_dir)) > tol.eps_feas:
         return False
     return True
-
-
-def cone_coefficients(points, indices, direction, infinite_dir=None, tol=DEFAULT_TOL):
-    """Coefficients lam solving sum_i lam_i a_i = direction over the index
-    set's basis vectors (infinite vertex contributes its direction u).
-    Returned in sorted index order.  A direction pierces the facet exactly
-    when all coefficients are >= -eps_feas."""
-    points = np.asarray(points, dtype=float)
-    rows, _ = basis_rows(points, indices, infinite_dir)
-    return solve_linear(rows.T, np.asarray(direction, dtype=float), tol.eps_singular)
 
 
 def angular_distance(x, y):

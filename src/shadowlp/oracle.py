@@ -99,7 +99,8 @@ def _facet_candidates(points, infinite_dir, tol, cap):
 
 
 def _facet(ids, normal, mat):
-    return FacetIndexSet(indices=ids, normal=normal, inverse=np.linalg.inv(mat))
+    return FacetIndexSet(indices=ids, normal=normal, inverse=np.linalg.inv(mat),
+                         scales=np.abs(mat).max(axis=1))
 
 
 def enumerate_facets(points, infinite_dir=None, tol=DEFAULT_TOL, cap=ENUMERATION_CAP):

@@ -73,7 +73,8 @@ def simplex_vertices(d, radius):
     return anchor, vertices
 
 
-def add_constraints(points, norm_bound, rotation, rng, tol=DEFAULT_TOL, smoothing_sigma=None):
+def add_constraints(points, norm_bound, rotation, rng, tol=DEFAULT_TOL, smoothing_sigma=None,
+                    max_norm=None):
     """One attempt at the added block.
 
     The unit simplex around e_d is rotated by the given orthogonal matrix,
@@ -84,10 +85,12 @@ def add_constraints(points, norm_bound, rotation, rng, tol=DEFAULT_TOL, smoothin
       distance check — dist(0, aff(added points)) = 1/|h| must be at least
           max_i |a_i|.
     Both checks always run; their failure probability is tiny but the walk's
-    correctness depends on them."""
+    correctness depends on them.  max_norm is max_i |a_i|, computed from the
+    points when not given (solve_unit passes it to every attempt)."""
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    max_norm = float(np.max(np.linalg.norm(points, axis=1)))
+    if max_norm is None:
+        max_norm = float(np.max(np.linalg.norm(points, axis=1)))
     anchor, vertices = simplex_vertices(d, randgen.simplex_radius(d))
     z0 = 2.0 * norm_bound * (rotation @ anchor)
     centers = 2.0 * norm_bound * (vertices @ rotation.T)
@@ -132,14 +135,15 @@ def solve_unit(points, objective, rng=None, tol=DEFAULT_TOL,
     if not (n > d >= 2):
         raise ValueError("need n > d >= 2")
     z = np.asarray(objective, dtype=float)
-    norm_bound = randgen.norm_ceiling(float(np.max(np.linalg.norm(points, axis=1))))
+    max_norm = float(np.max(np.linalg.norm(points, axis=1)))
+    norm_bound = randgen.norm_ceiling(max_norm)
     if isinstance(rng, np.random.Generator):
         rng = int(rng.integers(0, 2 ** 63))
     pivots_total = 0
     for attempt in range(max_retries):
         stream = randgen.derive_rng(rng, attempt)
         rotation = randgen.haar_rotation(d, stream)
-        block = add_constraints(points, norm_bound, rotation, stream, tol)
+        block = add_constraints(points, norm_bound, rotation, stream, tol, max_norm=max_norm)
         if block is None:
             continue
         full = np.vstack([points, block.added_points])

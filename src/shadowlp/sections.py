@@ -88,17 +88,6 @@ def interior_point_in_slice(points, plane, tol=DEFAULT_TOL):
     return float(res.x[0]) * plane.basis1 + float(res.x[1]) * plane.basis2
 
 
-def convex_membership(points, x, tol=DEFAULT_TOL):
-    """Independent re-check: is x a convex combination of the points?"""
-    points = np.asarray(points, dtype=float)
-    n, d = points.shape
-    a_eq = np.vstack([points.T, np.ones(n)])
-    b_eq = np.append(np.asarray(x, dtype=float), 1.0)
-    res = linprog(np.zeros(n), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * n, method="highs")
-    return bool(res.success)
-
-
 def section_edges(points, plane, rng=None, tol=DEFAULT_TOL, validate=False):
     """Count the edges of Conv(points) intersect E by a full shadow sweep.
 

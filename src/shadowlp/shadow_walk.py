@@ -179,15 +179,17 @@ def pivot(points, facet, leaving, infinite_dir=None, tol=DEFAULT_TOL):
     Among candidates k outside the facet with <g, a_k> > eps_feas, the
     entering index minimizes (1 - <h, a_k>) / <g, a_k> (0 replaces 1 for
     the vertex at infinity), ties broken by smallest index, so the vertex at
-    infinity (index -1) wins a tie.  Returns (entering, new_facet) or None
-    when no candidate exists, which certifies unboundedness beyond the exit
-    angle.
+    infinity (index -1) wins a tie.  Only the candidates' ratios are
+    divided; they are taken in ascending index order, so the first minimum
+    is the smallest index.  Returns (entering, new_facet) or None when no
+    candidate exists, which certifies unboundedness beyond the exit angle.
 
-    The new facet comes from a rank-one update of the current normal and
-    B^-1 (see _updated_facet).  It is factored from the points by
-    make_facet instead on every d-th consecutive pivot, and whenever the
-    updated inverse cannot certify that make_facet would accept the new
-    basis; make_facet then raises SingularSystem for a degenerate one."""
+    The new facet comes from a rank-one update of the current normal,
+    B^-1 and row scales (see _updated_facet).  It is factored from the
+    points by make_facet instead on every d-th consecutive pivot, and
+    whenever the updated inverse cannot certify that make_facet would accept
+    the new basis; make_facet then raises SingularSystem for a degenerate
+    one."""
     points = np.asarray(points, dtype=float)
     indices = facet.indices
     if leaving not in indices:
@@ -199,9 +201,12 @@ def pivot(points, facet, leaving, infinite_dir=None, tol=DEFAULT_TOL):
     den = points @ g
     mask = den > tol.eps_feas
     mask[list(indices[1:] if facet.contains_infinite else indices)] = False
-    ratios = np.divide(1.0 - points @ h, den, out=np.full(den.shape, np.inf), where=mask)
-    k = int(ratios.argmin())  # first occurrence: smallest index on a tie
-    best = (float(ratios[k]), k) if mask[k] else None
+    cand = mask.nonzero()[0]
+    best = None
+    if cand.size:
+        ratios = (1.0 - (points @ h)[cand]) / den[cand]
+        m = int(ratios.argmin())  # first occurrence: smallest index on a tie
+        best = (float(ratios[m]), int(cand[m]))
     if infinite_dir is not None and not facet.contains_infinite:
         den_inf = float(np.dot(g, infinite_dir))
         if den_inf > tol.eps_feas:
@@ -223,19 +228,20 @@ def pivot(points, facet, leaving, infinite_dir=None, tol=DEFAULT_TOL):
 
 def _updated_facet(points, facet, j, entering, ratio, new_indices, infinite_dir, tol):
     """The facet over new_indices, which replaces indices[j] of the given
-    facet by entering, from its normal and B^-1 without a factorization.
+    facet by entering, from its normal, B^-1 and row scales without a
+    factorization.
 
     Normal: h' = h + ratio * g with g = -B^-1 e_j, so <h', a> is unchanged
     on the ridge and 1 at the entering point (0 at the vertex at infinity).
     Inverse (Sherman-Morrison): the basis changes in row j to a_k, so with
     u = a_k B^-1 and pivot element u_j = -<g, a_k>, column j of B'^-1 is
     col_j / u_j and every other column m is col_m - col_j u_m / u_j; the
-    columns are then put in the order of new_indices.
+    columns are then put in the order of new_indices.  The row scales s
+    shift the same way, with max|a_k| in the entering index's place.
 
     Returns None, so that the caller factors the basis instead, unless
-    ||B'^-1 diag(s)||_inf < 1 / eps_singular, where s holds the largest
-    |entry| of each row of the new basis.  That product is the inverse of
-    the row-equilibrated basis make_facet factors, and every pivot of a
+    ||B'^-1 diag(s)||_inf < 1 / eps_singular.  That product is the inverse
+    of the row-equilibrated basis make_facet factors, and every pivot of a
     partially pivoted LU is at least 1 / ||A^-1||_inf, so a basis that
     passes would pass make_facet's singularity test too."""
     inverse = facet.inverse
@@ -243,19 +249,22 @@ def _updated_facet(points, facet, j, entering, ratio, new_indices, infinite_dir,
     u = a_k @ inverse
     col = inverse[:, j] / u[j]
     new_inverse = inverse - col[:, None] * u
+    scales = facet.scales.copy()
     # Column j moves to the entering index's place p in new_indices; the
     # columns in between shift by one over it.
     p = new_indices.index(entering)
     if p > j:
         new_inverse[:, j:p] = new_inverse[:, j + 1:p + 1]
+        scales[j:p] = scales[j + 1:p + 1]
     else:
         new_inverse[:, p + 1:j + 1] = new_inverse[:, p:j]
+        scales[p + 1:j + 1] = scales[p:j]
     new_inverse[:, p] = col
-    rows, _ = basis_rows(points, new_indices, infinite_dir)
-    if not (np.abs(new_inverse) @ np.abs(rows).max(axis=1)).max() < 1.0 / tol.eps_singular:
+    scales[p] = np.abs(a_k).max()
+    if not (np.abs(new_inverse) @ scales).max() < 1.0 / tol.eps_singular:
         return None
     return FacetIndexSet(new_indices, facet.normal - ratio * inverse[:, j], new_inverse,
-                         facet.updates + 1)
+                         facet.updates + 1, scales)
 
 
 def _validate_step(points, old, new, infinite_dir, tol):
@@ -266,6 +275,9 @@ def _validate_step(points, old, new, infinite_dir, tol):
         raise WalkInvariantViolation(f"facet {new.indices} is not valid (some point above)")
     if not new.updates:
         return
+    rows, _ = basis_rows(points, new.indices, infinite_dir)
+    if not np.array_equal(new.scales, np.abs(rows).max(axis=1)):
+        raise WalkInvariantViolation(f"facet {new.indices}: carried row scales are stale")
     # An updated normal and B^-1 must match a fresh factorization to within
     # eps_feas relative to the fresh one's largest entry.
     fresh = make_facet(points, new.indices, infinite_dir, tol)

@@ -119,13 +119,13 @@ def suite_oracle_equivalence(seed=VERIFY_SEED, instances=1000, validate=True):
 
 
 def _in_cone(points, direction):
-    """Independent boundedness screen: direction in cone(points)?"""
-    from scipy.optimize import linprog
+    """Independent boundedness screen: direction in cone(points)?  It is
+    exactly when the nonnegative least-squares residual of
+    sum_i x_i a_i = direction is zero, here at most eps_feas |direction|."""
+    from scipy.optimize import nnls
 
-    n = points.shape[0]
-    res = linprog(np.zeros(n), A_eq=points.T, b_eq=direction,
-                  bounds=(0, None), method="highs")
-    return res.status == 0
+    _, residual = nnls(points.T, direction)
+    return bool(residual <= DEFAULT_TOL.eps_feas * float(np.linalg.norm(direction)))
 
 
 def suite_phase1_statistics(seed=VERIFY_SEED, iterations=2000, n=50,

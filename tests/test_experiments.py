@@ -11,7 +11,6 @@ from shadowlp.experiments import (
     ExperimentConfig,
     csv_text,
     fit_log_slope,
-    read_csv,
     replay_pivot_trial,
     replay_section_trial,
     rows_as_dicts,
@@ -21,6 +20,8 @@ from shadowlp.experiments import (
     trial_seed,
     write_csv,
 )
+
+from helpers import read_csv
 
 
 def _small_config(**overrides):

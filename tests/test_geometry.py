@@ -18,11 +18,12 @@ from shadowlp.geometry import (
     all_below,
     angular_distance,
     basis_rows,
-    cone_coefficients,
     make_facet,
     solve_linear,
     viewpoint_for_edge,
 )
+
+from helpers import cone_coefficients
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shadowlp import interpolate
-from shadowlp.geometry import INFINITY_INDEX, FacetIndexSet, cone_coefficients
+from shadowlp.geometry import INFINITY_INDEX, FacetIndexSet
 from shadowlp.interpolate import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -17,6 +17,8 @@ from shadowlp.interpolate import (
     solve_lp,
 )
 from shadowlp.shadow_walk import UNBOUNDED, SweepPlane, WalkOutcome
+
+from helpers import cone_coefficients
 
 
 def _lp_optimal():

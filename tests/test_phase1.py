@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from shadowlp import oracle, phase1, randgen
-from shadowlp.geometry import cone_coefficients, make_facet
+from shadowlp.geometry import make_facet
 from shadowlp.phase1 import GaveUp, add_constraints, simplex_vertices, solve_unit
 from shadowlp.randgen import derive_rng, gaussian, haar_rotation, norm_ceiling
+
+from helpers import cone_coefficients
 
 
 # ---------------------------------------------------------------------------

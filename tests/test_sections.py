@@ -14,11 +14,12 @@ from shadowlp.sections import (
     _THETA0,
     SectionReport,
     _margin_constraints,
-    convex_membership,
     interior_point_in_slice,
     section_edges,
 )
 from shadowlp.shadow_walk import SweepPlane
+
+from helpers import convex_membership
 
 
 # ---------------------------------------------------------------------------

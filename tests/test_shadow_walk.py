@@ -11,7 +11,6 @@ from shadowlp.geometry import (
     DEFAULT_TOL,
     INFINITY_INDEX,
     SingularSystem,
-    cone_coefficients,
     make_facet,
 )
 from shadowlp.interpolate import GeneralLP, lift
@@ -28,6 +27,8 @@ from shadowlp.shadow_walk import (
     sweep_full,
     walk,
 )
+
+from helpers import cone_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +438,27 @@ def test_validated_walk_detects_sabotaged_update(sabotage, monkeypatch):
 
     monkeypatch.setattr(shadow_walk, "_updated_facet", sabotaged)
     with pytest.raises(WalkInvariantViolation, match="fresh factorization"):
+        walk(points, SweepPlane.axis(2), start, 0.1, 6.0, validate=True)
+
+
+@pytest.mark.parametrize("stale", [
+    # the current facet's scales, as an update that never shifts them leaves
+    lambda old, new: old.scales,
+    # one unit in the last place above the true row maxima
+    lambda old, new: np.nextafter(new.scales, np.inf),
+], ids=["unshifted", "one-ulp"])
+def test_validated_walk_detects_stale_row_scales(stale, monkeypatch):
+    points = _dodecagon()
+    start = make_facet(points, (0, 1))
+    real = shadow_walk._updated_facet
+
+    def sabotaged(points, facet, *args):
+        new = real(points, facet, *args)
+        return None if new is None else replace(new, scales=stale(facet, new))
+
+    monkeypatch.setattr(shadow_walk, "_updated_facet", sabotaged)
+    assert walk(points, SweepPlane.axis(2), start, 0.1, 6.0).pivots == 11
+    with pytest.raises(WalkInvariantViolation, match="row scales are stale"):
         walk(points, SweepPlane.axis(2), start, 0.1, 6.0, validate=True)
 
 

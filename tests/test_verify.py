@@ -3,8 +3,9 @@ really detects a broken pivot rule."""
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from shadowlp import shadow_walk, verify
+from shadowlp import randgen, shadow_walk, verify
 from shadowlp.geometry import DEFAULT_TOL, make_facet
 from shadowlp.verify import SuiteResult, format_line, run_all, summary
 
@@ -80,3 +81,29 @@ def test_oracle_equivalence_detects_sabotaged_pivot(monkeypatch):
         detected = True  # crashing on impossible states also counts as detection
     assert detected
     assert calls["count"] > 0
+
+
+def test_in_cone_screen_separates_directions_inside_and_outside():
+    # Hand-built: the positive orthant's generators.
+    orthant = np.eye(3)
+    assert verify._in_cone(orthant, np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0))
+    assert verify._in_cone(orthant, np.array([1.0, 0.0, 0.0]))  # on the boundary
+    assert not verify._in_cone(orthant, np.array([-1.0, 1.0, 1.0]) / np.sqrt(3.0))
+    # Suite-2-like clouds pushed off the origin along e_d, so their cones
+    # range from the whole space to a narrow one: the screen must agree with
+    # the feasibility LP sum_i x_i a_i = z, x >= 0 on every unit direction.
+    rng = randgen.derive_rng(210)
+    inside = outside = 0
+    for d in (3, 4):
+        for shift in (0.0, 1.0, 3.0):
+            for _ in range(40):
+                points = rng.standard_normal((50, d)) * 0.3
+                points[:, -1] += shift
+                z = rng.standard_normal(d)
+                z /= np.linalg.norm(z)
+                lp = linprog(np.zeros(50), A_eq=points.T, b_eq=z, bounds=(0, None),
+                             method="highs")
+                assert verify._in_cone(points, z) == (lp.status == 0)
+                inside += lp.status == 0
+                outside += lp.status != 0
+    assert inside >= 60 and outside >= 60

@@ -5,16 +5,17 @@ edges of the polygon P intersect E, where E is the sweep plane.  This module
 counts those edges directly: it finds a point x0 deep inside the slice,
 recenters there, asks Phase I for the facet pierced by q(theta0), and sweeps
 the full circle; each distinct facet in the trace contributes exactly one edge.
-Since Conv(points) = Conv(hull vertices), the margin LP that places x0 sees
-only the Qhull hull vertices when d <= 4; Phase I and the sweep see all points.
+Since Conv(points) = Conv(hull vertices), all three stages (the margin LP
+that places x0, Phase I and the sweep) run on the Qhull hull vertices when
+d <= 4, computed once per section.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.spatial import ConvexHull, QhullError
 
 from . import phase1
@@ -23,7 +24,7 @@ from .interpolate import NumericFailure
 from .shadow_walk import sweep_full
 
 _MARGIN_FLOOR = 10.0  # times eps_feas: below this the slice is Degenerate
-# Largest d at which the margin LP gets only the hull vertices.  Full LP
+# Largest d at which a section runs on the hull vertices only.  Full LP
 # against Qhull + reduced LP on Gaussian points (2-vCPU host): d=2, n=3000:
 # 98 vs 0.7 + 3.0 ms; d=3, n=1e4: 408 vs 3.4 + 5.4 ms; d=4, n=1e4: 496 vs
 # 8.2 + 9.7 ms.  d=5 breaks even at n=100; Qhull alone costs more than the
@@ -69,23 +70,29 @@ def interior_point_in_slice(points, plane, tol=DEFAULT_TOL):
     with x0 +- eps*basis1 and x0 +- eps*basis2 all inside Conv(points).
     Returns None (Degenerate) when the slice is empty or its margin is below
     10 * eps_feas.  When several points attain the margin, the optimal vertex
-    HiGHS returns decides among them.  For d <= 4 the LP's columns come from
-    the hull vertices only (one Qhull call; all points when Qhull refuses a
-    flat or too small set)."""
-    points = np.asarray(points, dtype=float)
-    if points.shape[1] <= _HULL_MAX_DIM:
-        try:
-            points = points[ConvexHull(points).vertices]
-        except QhullError:
-            pass  # flat or too few points: the LP takes them all
+    HiGHS returns decides among them.  The LP takes one column block per
+    given point; section_edges hands it the hull vertices when d <= 4."""
     a_eq, b_eq, nvar = _margin_constraints(points, plane)
     c = np.zeros(nvar)
     c[2] = -1.0
-    bounds = [(None, None), (None, None), (0.0, None)] + [(0, None)] * (nvar - 3)
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    lower = np.zeros(nvar)
+    lower[:2] = -np.inf
+    res = milp(c, constraints=LinearConstraint(a_eq, b_eq, b_eq),
+               bounds=Bounds(lower, np.inf))
     if not res.success or float(res.x[2]) <= _MARGIN_FLOOR * tol.eps_feas:
         return None
     return float(res.x[0]) * plane.basis1 + float(res.x[1]) * plane.basis2
+
+
+def _hull_rows(points):
+    """Ascending row indices of the hull vertices when d <= 4; every row when
+    d > 4 or Qhull refuses a flat or too small set."""
+    if points.shape[1] <= _HULL_MAX_DIM:
+        try:
+            return np.sort(ConvexHull(points).vertices)
+        except QhullError:
+            pass
+    return np.arange(len(points))
 
 
 def section_edges(points, plane, rng=None, tol=DEFAULT_TOL, validate=False):
@@ -94,16 +101,27 @@ def section_edges(points, plane, rng=None, tol=DEFAULT_TOL, validate=False):
     Recenter at the slice's interior point, get the starting facet
     facet(q(theta0)) from Phase I, sweep the circle from theta0, and count
     distinct facets in the trace.  A slice with margin below 10 * eps_feas
-    (or no slice at all) is reported as degenerate with edge_count 0."""
+    (or no slice at all) is reported as degenerate with edge_count 0.
+
+    When d <= 4 all three stages see only the hull vertices, so the count
+    is the number of geometric edges of the slice: a point inside a hull
+    edge or face never becomes a facet member, and the count does not depend
+    on row order.  Facet indices refer to the rows of ``points``; of
+    duplicate rows, any copy may be the one reported."""
     points = np.asarray(points, dtype=float)
-    x0 = interior_point_in_slice(points, plane, tol)
+    keep = _hull_rows(points)
+    hull = points[keep]
+    x0 = interior_point_in_slice(hull, plane, tol)
     if x0 is None:
         return SectionReport(edge_count=0, interior_point=None, facets=[], degenerate=True)
-    shifted = points - x0
+    shifted = hull - x0
     unit = phase1.solve_unit(shifted, plane.q(_THETA0), rng=rng, tol=tol, validate=validate)
     if unit.status != phase1.OPTIMAL:
         raise NumericFailure("sweep start: unit program unbounded despite interior origin")
     outcome = sweep_full(shifted, plane, unit.facet, _THETA0, tol=tol, validate=validate)
-    facets = outcome.distinct_facets()
+    # keep ascends, so the mapped indices stay sorted and the columns of
+    # each facet's inverse and scales stay aligned with them.
+    facets = [replace(f, indices=tuple(int(keep[i]) for i in f.indices))
+              for f in outcome.distinct_facets()]
     return SectionReport(edge_count=len(facets), interior_point=x0,
                          facets=facets, degenerate=False)

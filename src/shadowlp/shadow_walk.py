@@ -129,11 +129,7 @@ class WalkOutcome:
 
     def distinct_facets(self):
         """Facets of the trace in first-visit order, each once."""
-        seen = []
-        for entry in self.trace:
-            if entry.facet not in seen:
-                seen.append(entry.facet)
-        return seen
+        return list(dict.fromkeys(e.facet for e in self.trace))
 
 
 def exit_angle(facet, plane, theta_now, tol=DEFAULT_TOL):

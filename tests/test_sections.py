@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from shadowlp import phase1, sections
+from shadowlp.geometry import DEFAULT_TOL
 from shadowlp.interpolate import NumericFailure
 from shadowlp.oracle import section_edge_count_bruteforce
 from shadowlp.randgen import derive_rng, gaussian
@@ -61,20 +62,6 @@ def test_interior_point_translates_with_the_points():
     assert np.allclose(x1, x0 + shift, atol=1e-6)
 
 
-def test_interior_point_is_one_linprog_call(monkeypatch):
-    real = sections.linprog
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sections, "linprog", counted)
-    points = gaussian(derive_rng(703), (8, 3))
-    assert interior_point_in_slice(points, SweepPlane.axis(3)) is not None
-    assert len(calls) == 1
-
-
 def _count_calls(monkeypatch, module, name):
     real = getattr(module, name)
     calls = []
@@ -85,6 +72,15 @@ def _count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_section_is_one_hull_and_one_milp_call(monkeypatch):
+    hulls = _count_calls(monkeypatch, sections, "ConvexHull")
+    calls = _count_calls(monkeypatch, sections, "milp")
+    points = gaussian(derive_rng(703), (8, 3))
+    assert not section_edges(points, SweepPlane.axis(3), rng=703).degenerate
+    assert len(hulls) == 1
+    assert len(calls) == 1
 
 
 def _full_margin_x0(points, plane):
@@ -103,39 +99,65 @@ def test_hull_reduction_keeps_the_interior_point(d):
     plane = SweepPlane.axis(d)
     for case in range(5):
         points = gaussian(derive_rng(710, d, case), (200, d))
-        x0 = interior_point_in_slice(points, plane)
+        x0 = section_edges(points, plane, rng=case).interior_point
         assert x0 is not None
         assert np.allclose(x0, _full_margin_x0(points, plane), rtol=0.0, atol=1e-9)
 
 
 def test_margin_lp_gets_only_the_hull_vertices_in_the_plane(monkeypatch):
-    calls = _count_calls(monkeypatch, sections, "linprog")
+    calls = _count_calls(monkeypatch, sections, "milp")
     points = gaussian(derive_rng(711), (3000, 2))
-    assert interior_point_in_slice(points, SweepPlane.axis(2)) is not None
+    assert not section_edges(points, SweepPlane.axis(2), rng=711).degenerate
     assert len(calls) == 1
     (c,), _ = calls[0]
     assert len(c) == 3 + 4 * len(ConvexHull(points).vertices)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_phase1_and_sweep_get_only_the_hull_vertices(monkeypatch, d):
+    units = _count_calls(monkeypatch, phase1, "solve_unit")
+    sweeps = _count_calls(monkeypatch, sections, "sweep_full")
+    points = gaussian(derive_rng(713, d), (300, d))
+    report = section_edges(points, SweepPlane.axis(d), rng=713)
+    assert not report.degenerate
+    expected = points[np.sort(ConvexHull(points).vertices)] - report.interior_point
+    for calls in (units, sweeps):
+        assert len(calls) == 1
+        (rows, *_), _ = calls[0]
+        assert np.array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_reported_facets_index_the_original_rows(d):
+    points = gaussian(derive_rng(714, d), (300, d))
+    report = section_edges(points, SweepPlane.axis(d), rng=714)
+    assert report.edge_count > 0
+    for facet in report.facets:
+        assert list(facet.indices) == sorted(facet.indices)
+        rows = points[list(facet.indices)] - report.interior_point
+        assert np.allclose(rows @ facet.normal, 1.0, rtol=0.0, atol=DEFAULT_TOL.eps_feas)
+
+
 def test_no_hull_reduction_above_dimension_four(monkeypatch):
     hulls = _count_calls(monkeypatch, sections, "ConvexHull")
-    lps = _count_calls(monkeypatch, sections, "linprog")
+    lps = _count_calls(monkeypatch, sections, "milp")
     points = gaussian(derive_rng(712), (60, 6))
-    assert interior_point_in_slice(points, SweepPlane.axis(6)) is not None
+    assert not section_edges(points, SweepPlane.axis(6), rng=712).degenerate
     assert hulls == []
     (c,), _ = lps[0]
     assert len(c) == 3 + 4 * 60
 
 
 def test_flat_point_set_falls_back_to_all_points(monkeypatch):
-    # Six points in the plane x3 = 0 span no 3-d hull: Qhull refuses them.
+    # Six points in the plane x1 = 0 span no 3-d hull: Qhull refuses them,
+    # and the margin LP takes them all.  The plane meets the sweep plane
+    # x3 = 0 in a line, so the slice is a segment: degenerate.
     hulls = _count_calls(monkeypatch, sections, "ConvexHull")
-    lps = _count_calls(monkeypatch, sections, "linprog")
-    points = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                       [0.0, -1.0, 0.0], [0.7, 0.7, 0.0], [-0.6, -0.8, 0.0]])
-    x0 = interior_point_in_slice(points, SweepPlane.axis(3))
-    assert x0 is not None
-    assert convex_membership(points, x0)
+    lps = _count_calls(monkeypatch, sections, "milp")
+    points = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                       [0.0, 0.0, -1.0], [0.0, 0.7, 0.7], [0.0, -0.6, -0.8]])
+    report = section_edges(points, SweepPlane.axis(3), rng=715)
+    assert report.degenerate
     assert len(hulls) == 1
     (c,), _ = lps[0]
     assert len(c) == 3 + 4 * 6
@@ -160,6 +182,17 @@ def test_section_edges_reports_degenerate():
     assert report.edge_count == 0
     assert report.interior_point is None
     assert report.facets == []
+
+
+@pytest.mark.parametrize("first", [False, True])
+def test_point_inside_a_hull_edge_is_not_counted(square, axis_plane, first):
+    # (1, 0.3) lies inside the square's edge x = 1; the count must not
+    # depend on whether it comes first or last.  The brute-force oracle
+    # counts every supporting pair (6 here), so it is no reference.
+    extra = np.array([[1.0, 0.3]])
+    points = np.vstack([extra, square] if first else [square, extra])
+    report = section_edges(points, axis_plane(2), rng=716)
+    assert report.edge_count == len(ConvexHull(points).vertices) == 4
 
 
 def test_section_edges_translation_consistency(square, axis_plane):

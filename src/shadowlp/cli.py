@@ -28,7 +28,7 @@ from . import experiments, verify
 from .geometry import SingularSystem
 from .interpolate import GeneralLP, NumericFailure, solve_lp
 from .phase1 import GaveUp
-from .shadow_walk import CycleSuspected
+from .shadow_walk import CycleSuspected, WalkInvariantViolation, WalkStateError
 
 
 class CLIError(Exception):
@@ -85,7 +85,8 @@ def cmd_solve(args):
     lp = _load_instance(args.instance)
     try:
         result = solve_lp(lp, rng=args.seed, validate=args.validate)
-    except (NumericFailure, GaveUp, CycleSuspected, SingularSystem) as exc:
+    except (NumericFailure, GaveUp, CycleSuspected, SingularSystem, WalkStateError,
+            WalkInvariantViolation) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     report = {

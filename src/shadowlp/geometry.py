@@ -36,12 +36,15 @@ class NoViewpoint(Exception):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric thresholds shared by the walker, the oracle and the tests.
+    """Numeric thresholds, fixed constants of the program: every layer reads
+    DEFAULT_TOL, and no function takes a threshold as an argument.
 
     eps_singular: scaled-pivot threshold below which a linear system is
         declared singular.
     eps_feas: slack allowed in feasibility / cone-membership / below tests.
     eps_angle: slack used when comparing sweep angles.
+    band: ten times eps_feas; a decision within it of a boundary is refused
+        as ambiguous or degenerate rather than guessed.
     """
 
     eps_singular: float = 1e-10
@@ -52,11 +55,15 @@ class Tolerance:
         if not (self.eps_singular > 0 and self.eps_feas > 0 and self.eps_angle > 0):
             raise ValueError("tolerances must be positive")
 
+    @property
+    def band(self):
+        return self.eps_feas * 10.0
+
 
 DEFAULT_TOL = Tolerance()
 
 
-def solve_linear(matrix, rhs, eps_singular=DEFAULT_TOL.eps_singular):
+def solve_linear(matrix, rhs):
     """Solve matrix @ x = rhs by Gaussian elimination with scaled partial
     pivoting, which is LAPACK's partially pivoted LU (dgesv) of the system
     with each row divided by its largest |entry|.  Raises SingularSystem
@@ -75,7 +82,7 @@ def solve_linear(matrix, rhs, eps_singular=DEFAULT_TOL.eps_singular):
     # right-hand sides multi-threaded, which is slow when processes share cores.
     lu, _, x, _ = dgesv(a / scale[:, None], (b.T / scale).T)
     # "not >" also rejects a NaN pivot.
-    if not np.min(np.abs(np.diag(lu))) > eps_singular:
+    if not np.min(np.abs(np.diag(lu))) > DEFAULT_TOL.eps_singular:
         raise SingularSystem("pivot below scaled threshold")
     return x
 
@@ -120,12 +127,8 @@ class FacetIndexSet:
     def contains_infinite(self):
         return bool(self.indices) and self.indices[0] == INFINITY_INDEX
 
-    @property
-    def finite_indices(self):
-        return tuple(i for i in self.indices if i != INFINITY_INDEX)
 
-
-def make_facet(points, indices, infinite_dir=None, tol=DEFAULT_TOL):
+def make_facet(points, indices, infinite_dir=None):
     """Build a FacetIndexSet from one factorization of its basis B: the
     normal h solves B h = (1 for finite members, 0 for the vertex at
     infinity), so <h, a_i> = 1 and <h, u> = 0, and the inverse is B^-1.
@@ -137,18 +140,18 @@ def make_facet(points, indices, infinite_dir=None, tol=DEFAULT_TOL):
     if len(set(indices)) != d:
         raise ValueError("index set must contain exactly d distinct indices")
     rows, finite = basis_rows(points, indices, infinite_dir)
-    solution = solve_linear(rows, np.column_stack([finite, np.eye(d)]), tol.eps_singular)
+    solution = solve_linear(rows, np.column_stack([finite, np.eye(d)]))
     return FacetIndexSet(indices=tuple(sorted(indices)), normal=solution[:, 0],
                          inverse=solution[:, 1:], scales=np.abs(rows).max(axis=1))
 
 
-def all_below(points, normal, infinite_dir=None, tol=DEFAULT_TOL):
+def all_below(points, normal, infinite_dir=None):
     """True when every point satisfies <h, a_i> <= 1 + eps_feas and, if a
     vertex at infinity is present, <h, u> <= eps_feas."""
     points = np.asarray(points, dtype=float)
-    if np.max(points @ normal) > 1.0 + tol.eps_feas:
+    if np.max(points @ normal) > 1.0 + DEFAULT_TOL.eps_feas:
         return False
-    if infinite_dir is not None and float(np.dot(normal, infinite_dir)) > tol.eps_feas:
+    if infinite_dir is not None and float(np.dot(normal, infinite_dir)) > DEFAULT_TOL.eps_feas:
         return False
     return True
 
@@ -174,7 +177,7 @@ _VIEWPOINT_ANGLES = np.deg2rad([90.0, 210.0, 330.0])
 VIEWPOINTS = 4.0 * np.stack([np.cos(_VIEWPOINT_ANGLES), np.sin(_VIEWPOINT_ANGLES)], axis=1)
 
 
-def viewpoint_for_edge(polygon, edge, tol=DEFAULT_TOL):
+def viewpoint_for_edge(polygon, edge):
     """Pick a viewpoint (label 1, 2 or 3) that keeps the given hull edge an
     edge of Conv(viewpoint, polygon) and sits at distance >= 1 from the edge
     line.  polygon is an (n, 2) array of points with norms <= 1; edge is a
@@ -183,22 +186,22 @@ def viewpoint_for_edge(polygon, edge, tol=DEFAULT_TOL):
     polygon = np.asarray(polygon, dtype=float)
     if polygon.ndim != 2 or polygon.shape[1] != 2 or polygon.shape[0] < 3:
         raise ValueError("polygon must be an (n, 2) array with n >= 3")
-    if np.max(np.linalg.norm(polygon, axis=1)) > 1.0 + tol.eps_feas:
+    if np.max(np.linalg.norm(polygon, axis=1)) > 1.0 + DEFAULT_TOL.eps_feas:
         raise ValueError("polygon vertices must have norm at most 1")
     k, m = edge
     a, b = polygon[k], polygon[m]
     t = b - a
     nt = float(np.linalg.norm(t))
-    if nt <= tol.eps_feas:
+    if nt <= DEFAULT_TOL.eps_feas:
         raise ValueError("degenerate edge")
     nu = np.array([-t[1], t[0]]) / nt
     c = float(np.dot(nu, a))
     side = polygon @ nu - c
     smax = float(np.max(side))
     smin = float(np.min(side))
-    if smax > tol.eps_feas and smin < -tol.eps_feas:
+    if smax > DEFAULT_TOL.eps_feas and smin < -DEFAULT_TOL.eps_feas:
         raise ValueError("edge is not a hull edge")
-    sign = 1.0 if smax > tol.eps_feas else -1.0
+    sign = 1.0 if smax > DEFAULT_TOL.eps_feas else -1.0
     signed = sign * (VIEWPOINTS @ nu - c)
     best = -np.inf
     best_label = 0

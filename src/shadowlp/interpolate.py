@@ -20,7 +20,6 @@ import numpy as np
 
 from . import phase1
 from .geometry import (
-    DEFAULT_TOL,
     INFINITY_INDEX,
     SingularSystem,
     make_facet,
@@ -101,12 +100,12 @@ def lift(lp):
                      rotation_dir=rot)
 
 
-def initial_limit_facet(lifted, unit_indices, tol=DEFAULT_TOL):
+def initial_limit_facet(lifted, unit_indices):
     """Start facet for the lifted walk: the Phase-I facet joined with the
     vertex at infinity.  It is the limit of facet(q) as q rotates off the
     bottom of the arc."""
     indices = tuple(sorted(unit_indices)) + (INFINITY_INDEX,)
-    return make_facet(lifted.points, indices, lifted.infinity_dir, tol)
+    return make_facet(lifted.points, indices, lifted.infinity_dir)
 
 
 def classify_final(facet, lifted):
@@ -134,7 +133,7 @@ class LPResult:
         return float(np.dot(lp.z, self.x_opt))
 
 
-def solve_lp(lp, rng=None, tol=DEFAULT_TOL, validate=False):
+def solve_lp(lp, rng=None, validate=False):
     """Two-phase shadow-vertex solve of a GeneralLP.
 
     Phase I solves the unit program on the rows of A; unboundedness there is
@@ -144,21 +143,21 @@ def solve_lp(lp, rng=None, tol=DEFAULT_TOL, validate=False):
     when the walk or the solution recovery contradicts exact-arithmetic
     theory (degenerate input); raises shadow_walk.CycleSuspected or
     phase1.GaveUp if those caps trip."""
-    unit = phase1.solve_unit(lp.A, lp.z, rng=rng, tol=tol, validate=validate)
+    unit = phase1.solve_unit(lp.A, lp.z, rng=rng, validate=validate)
     if unit.status == phase1.UNIT_UNBOUNDED:
         return LPResult(STATUS_UNBOUNDED, None, None,
                         unit.pivots_total, 0, unit.iterations)
 
     lifted = lift(lp)
     try:
-        start = initial_limit_facet(lifted, unit.facet.indices, tol)
+        start = initial_limit_facet(lifted, unit.facet.indices)
     except SingularSystem as exc:
         raise NumericFailure(f"degenerate lifted start facet: {exc}") from exc
     plane = SweepPlane.through(lifted.objective_low, lifted.objective_high,
                                rotation_dir=lifted.rotation_dir)
     theta_target = plane.theta_of(lifted.objective_high)  # half-turn arc
     outcome = walk(lifted.points, plane, start, 0.0, theta_target,
-                   infinite_dir=lifted.infinity_dir, tol=tol, validate=validate)
+                   infinite_dir=lifted.infinity_dir, validate=validate)
     if outcome.status != OPTIMAL_FACET:
         raise NumericFailure("lifted walk left the cone; impossible when Phase I is bounded")
     status, basis = classify_final(outcome.facet, lifted)
@@ -168,7 +167,7 @@ def solve_lp(lp, rng=None, tol=DEFAULT_TOL, validate=False):
     if any(i < 0 or i >= lp.n for i in basis):
         raise NumericFailure("optimal basis contains a non-constraint index")
     try:
-        x_opt = solve_linear(lp.A[list(basis)], lp.b[list(basis)], tol.eps_singular)
+        x_opt = solve_linear(lp.A[list(basis)], lp.b[list(basis)])
     except SingularSystem as exc:
         raise NumericFailure(f"singular recovery system for basis {basis}: {exc}") from exc
     return LPResult(STATUS_OPTIMAL, basis, x_opt,

@@ -3,9 +3,9 @@
 Everything here enumerates d-subsets and decides by direct predicate
 evaluation; nothing reuses the walker's pivot path, so agreement between the
 two is evidence, not tautology.  Enumeration refuses instances with more than
-`cap` candidate subsets.  Tolerance discipline: the same Tolerance type as
-the solver, but any decision landing within 10 * eps_feas of a boundary is
-refused as Ambiguous rather than guessed."""
+`cap` candidate subsets.  Tolerance discipline: the same fixed thresholds as
+the solver (geometry.DEFAULT_TOL), and any decision landing within
+Tolerance.band of a boundary is refused as Ambiguous rather than guessed."""
 
 from __future__ import annotations
 
@@ -45,20 +45,20 @@ def _check_cap(n, d, infinite, cap):
         raise ValueError(f"{total} candidate subsets exceed the enumeration cap {cap}")
 
 
-def _screened_solve(mats, rhs, tol):
+def _screened_solve(mats, rhs):
     """Batched solve with a condition screen standing in for the scaled-pivot
     singularity threshold: subsets with cond >= 1/eps_singular are dropped.
     Returns (solutions, ok_mask)."""
     with np.errstate(all="ignore"):
         conds = np.linalg.cond(mats)
-    ok = np.isfinite(conds) & (conds < 1.0 / tol.eps_singular)
+    ok = np.isfinite(conds) & (conds < 1.0 / DEFAULT_TOL.eps_singular)
     out = np.full(rhs.shape, np.nan)
     if np.any(ok):
         out[ok] = np.linalg.solve(mats[ok], rhs[ok][:, :, None])[:, :, 0]
     return out, ok
 
 
-def _facet_candidates(points, infinite_dir, tol, cap):
+def _facet_candidates(points, infinite_dir, cap):
     """All nonsingular d-subsets with their normals and below-masks.
     Yields (indices, normal) for subsets that are facets."""
     points = np.asarray(points, dtype=float)
@@ -82,13 +82,13 @@ def _facet_candidates(points, infinite_dir, tol, cap):
 
     results = []
     for idx, extra, mats, rhs in groups:
-        normals, ok = _screened_solve(mats, rhs, tol)
+        normals, ok = _screened_solve(mats, rhs)
         if not np.any(ok):
             continue
         dots = normals[ok] @ points.T
-        below = np.all(dots <= 1.0 + tol.eps_feas, axis=1)
+        below = np.all(dots <= 1.0 + DEFAULT_TOL.eps_feas, axis=1)
         if infinite_dir is not None:
-            below &= (normals[ok] @ infinite_dir) <= tol.eps_feas
+            below &= (normals[ok] @ infinite_dir) <= DEFAULT_TOL.eps_feas
         kept_rows = np.flatnonzero(ok)[below]
         for row in kept_rows:
             ids = idx[row].tolist()
@@ -103,27 +103,27 @@ def _facet(ids, normal, mat):
                          scales=np.abs(mat).max(axis=1))
 
 
-def enumerate_facets(points, infinite_dir=None, tol=DEFAULT_TOL, cap=ENUMERATION_CAP):
+def enumerate_facets(points, infinite_dir=None, cap=ENUMERATION_CAP):
     """Every index set whose affine hull supports the polytope from below:
     the complete facet list of Conv(0, points [, +ray])."""
-    cands = _facet_candidates(points, infinite_dir, tol, cap)
+    cands = _facet_candidates(points, infinite_dir, cap)
     return [_facet(*cand) for cand in cands]
 
 
-def facet_of(points, direction, infinite_dir=None, tol=DEFAULT_TOL, cap=ENUMERATION_CAP):
+def facet_of(points, direction, infinite_dir=None, cap=ENUMERATION_CAP):
     """The facet pierced by the ray through `direction`, found by scanning
     every enumerated facet's cone.  None when no facet is pierced (the
     direction leaves the cone of the polytope: unbounded).  Raises Ambiguous
     when more than one facet claims the direction within tolerance."""
     direction = np.asarray(direction, dtype=float)
-    cands = _facet_candidates(points, infinite_dir, tol, cap)
+    cands = _facet_candidates(points, infinite_dir, cap)
     matches = []
     for ids, normal, mat in cands:
         try:
             lam = np.linalg.solve(mat.T, direction)
         except np.linalg.LinAlgError:
             continue
-        if float(np.min(lam)) >= -tol.eps_feas:
+        if float(np.min(lam)) >= -DEFAULT_TOL.eps_feas:
             matches.append(_facet(ids, normal, mat))
     if not matches:
         return None
@@ -132,14 +132,14 @@ def facet_of(points, direction, infinite_dir=None, tol=DEFAULT_TOL, cap=ENUMERAT
     return matches[0]
 
 
-def _cone_margin(A, z, tol, cap):
+def _cone_margin(A, z, cap):
     """max over d-subsets of the minimum cone coefficient expressing z;
     nonnegative exactly when z lies in cone(rows of A)."""
     n, d = A.shape
     _check_cap(n, d, False, cap)
     idx = np.array(list(combinations(range(n), d)), dtype=int)
     mats = A[idx].transpose(0, 2, 1)  # columns are the subset rows
-    lams, ok = _screened_solve(mats, np.broadcast_to(z, (len(idx), d)).copy(), tol)
+    lams, ok = _screened_solve(mats, np.broadcast_to(z, (len(idx), d)).copy())
     if not np.any(ok):
         return -np.inf, None
     mins = np.where(ok, np.min(lams, axis=1), -np.inf)
@@ -150,7 +150,7 @@ def _cone_margin(A, z, tol, cap):
 _FALLBACK_SCALES = (0.0, 0.5, 1.0, 10.0, 100.0, 1000.0)
 
 
-def _fallback_feasible(A, b, tol):
+def _fallback_feasible(A, b):
     """Coarse interior search for feasible sets without vertices: maximize
     the minimum slack over axis points at several scales."""
     n, d = A.shape
@@ -165,20 +165,20 @@ def _fallback_feasible(A, b, tol):
     return best
 
 
-def classify_lp(lp, tol=DEFAULT_TOL, cap=ENUMERATION_CAP):
+def classify_lp(lp, cap=ENUMERATION_CAP):
     """Exhaustive classification of a GeneralLP.
 
     Order of decisions matches the two-phase solver's convention: the
     objective direction is tested against cone(rows) first (outside means
     unbounded, regardless of b), then feasibility by vertex enumeration
     with a coarse interior fallback, then the optimal vertex by direct
-    argmax with a cone certificate.  Any margin within 10 * eps_feas of a
+    argmax with a cone certificate.  Any margin within Tolerance.band of a
     boundary yields status "ambiguous"."""
     A, b, z = lp.A, lp.b, lp.z
     n, d = A.shape
-    band = 10.0 * tol.eps_feas
+    band = DEFAULT_TOL.band
 
-    cone_best, _ = _cone_margin(A, z, tol, cap)
+    cone_best, _ = _cone_margin(A, z, cap)
     if abs(cone_best) <= band:
         return OracleVerdict(STATUS_AMBIGUOUS)
     if cone_best < 0.0:
@@ -186,22 +186,22 @@ def classify_lp(lp, tol=DEFAULT_TOL, cap=ENUMERATION_CAP):
 
     idx = np.array(list(combinations(range(n), d)), dtype=int)
     mats = A[idx]
-    xs, ok = _screened_solve(mats, b[idx], tol)
+    xs, ok = _screened_solve(mats, b[idx])
     ok_rows = np.flatnonzero(ok)
     feasible_rows = []
     marginal = False
     if ok_rows.size:
         viol = np.max(A @ xs[ok_rows].T - b[:, None], axis=0)
         for row, v in zip(ok_rows, viol):
-            if v <= tol.eps_feas:
+            if v <= DEFAULT_TOL.eps_feas:
                 feasible_rows.append(int(row))
             elif v <= band:
                 marginal = True
     if not feasible_rows:
         if marginal:
             return OracleVerdict(STATUS_AMBIGUOUS)
-        slack = _fallback_feasible(A, b, tol)
-        if slack >= -tol.eps_feas:
+        slack = _fallback_feasible(A, b)
+        if slack >= -DEFAULT_TOL.eps_feas:
             # Feasible but vertex-free: degenerate for a pointed formulation.
             return OracleVerdict(STATUS_AMBIGUOUS)
         return OracleVerdict(STATUS_INFEASIBLE)
@@ -225,7 +225,7 @@ def classify_lp(lp, tol=DEFAULT_TOL, cap=ENUMERATION_CAP):
     return OracleVerdict(STATUS_OPTIMAL, basis=basis, x_opt=best_x, value=best_value)
 
 
-def section_edge_count_bruteforce(points, plane, tol=DEFAULT_TOL, cap=ENUMERATION_CAP):
+def section_edge_count_bruteforce(points, plane, cap=ENUMERATION_CAP):
     """Number of hull facets of Conv(points) whose intersection with the
     plane's 2-subspace is a nondegenerate segment.
 
@@ -249,16 +249,16 @@ def section_edge_count_bruteforce(points, plane, tol=DEFAULT_TOL, cap=ENUMERATIO
         hc = vt[-1]
         h, c = hc[:d], hc[d]
         nh = float(np.linalg.norm(h))
-        if nh <= tol.eps_feas:
+        if nh <= DEFAULT_TOL.eps_feas:
             continue  # degenerate subset (affinely dependent points)
         h, c = h / nh, c / nh
         side = points @ h - c
-        if np.max(side) > tol.eps_feas and np.min(side) < -tol.eps_feas:
+        if np.max(side) > DEFAULT_TOL.eps_feas and np.min(side) < -DEFAULT_TOL.eps_feas:
             continue  # not supporting
         alpha = float(np.dot(h, b1))
         beta = float(np.dot(h, b2))
         denom = alpha * alpha + beta * beta
-        if denom <= tol.eps_feas ** 2:
+        if denom <= DEFAULT_TOL.eps_feas ** 2:
             continue  # plane parallel to the hyperplane
         # Intersection line of the plane with the hyperplane, unit speed.
         x0 = (c / denom) * (alpha * b1 + beta * b2)
@@ -276,15 +276,15 @@ def section_edge_count_bruteforce(points, plane, tol=DEFAULT_TOL, cap=ENUMERATIO
         lo, hi = -np.inf, np.inf
         empty = False
         for u0, du in zip(mu0, slope):
-            if abs(du) <= tol.eps_feas:
-                if u0 < -tol.eps_feas:
+            if abs(du) <= DEFAULT_TOL.eps_feas:
+                if u0 < -DEFAULT_TOL.eps_feas:
                     empty = True
                     break
             elif du > 0:
-                lo = max(lo, (-tol.eps_feas - u0) / du)
+                lo = max(lo, (-DEFAULT_TOL.eps_feas - u0) / du)
             else:
-                hi = min(hi, (-tol.eps_feas - u0) / du)
-        if empty or not (hi - lo > 10.0 * tol.eps_feas):
+                hi = min(hi, (-DEFAULT_TOL.eps_feas - u0) / du)
+        if empty or not (hi - lo > DEFAULT_TOL.band):
             continue
         count += 1
     return count

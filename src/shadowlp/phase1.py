@@ -73,8 +73,7 @@ def simplex_vertices(d, radius):
     return anchor, vertices
 
 
-def add_constraints(points, norm_bound, rotation, rng, tol=DEFAULT_TOL, smoothing_sigma=None,
-                    max_norm=None):
+def add_constraints(points, norm_bound, rotation, rng, smoothing_sigma=None, max_norm=None):
     """One attempt at the added block.
 
     The unit simplex around e_d is rotated by the given orthogonal matrix,
@@ -98,10 +97,10 @@ def add_constraints(points, norm_bound, rotation, rng, tol=DEFAULT_TOL, smoothin
         smoothing_sigma = randgen.added_sigma(d, n)
     added = randgen.gaussian(rng, (d, d), center=centers, sigma=2.0 * norm_bound * smoothing_sigma)
     try:
-        facet = make_facet(added, range(d), tol=tol)
+        facet = make_facet(added, range(d))
     except SingularSystem:
         return None
-    if float(np.min(z0 @ facet.inverse)) < -tol.eps_feas:
+    if float(np.min(z0 @ facet.inverse)) < -DEFAULT_TOL.eps_feas:
         return None  # cone check failed: z0 escaped the cone of the added block
     if 1.0 / float(np.linalg.norm(facet.normal)) < max_norm:
         return None  # distance check failed: block not far enough out
@@ -121,8 +120,7 @@ def _default_rotation_dir(target):
     return e
 
 
-def solve_unit(points, objective, rng=None, tol=DEFAULT_TOL,
-               validate=False, max_retries=MAX_RETRIES):
+def solve_unit(points, objective, rng=None, validate=False, max_retries=MAX_RETRIES):
     """Solve the unit program max <z, x> s.t. <a_i, x> <= 1 for all i.
 
     Returns UnitResult with status "optimal" and facet(z) over the original
@@ -143,7 +141,7 @@ def solve_unit(points, objective, rng=None, tol=DEFAULT_TOL,
     for attempt in range(max_retries):
         stream = randgen.derive_rng(rng, attempt)
         rotation = randgen.haar_rotation(d, stream)
-        block = add_constraints(points, norm_bound, rotation, stream, tol, max_norm=max_norm)
+        block = add_constraints(points, norm_bound, rotation, stream, max_norm=max_norm)
         if block is None:
             continue
         full = np.vstack([points, block.added_points])
@@ -152,10 +150,9 @@ def solve_unit(points, objective, rng=None, tol=DEFAULT_TOL,
         z0 = block.start_objective
         plane = SweepPlane.through(z0, z, rotation_dir=_default_rotation_dir(z))
         theta_target = plane.theta_of(z)
-        if theta_target <= tol.eps_angle:
+        if theta_target <= DEFAULT_TOL.eps_angle:
             continue  # z parallel to the random z0: the start facet would be the answer
-        outcome = walk(full, plane, start, 0.0, theta_target,
-                       tol=tol, validate=validate)
+        outcome = walk(full, plane, start, 0.0, theta_target, validate=validate)
         pivots_total += outcome.pivots
         if outcome.status == UNBOUNDED:
             return UnitResult(UNIT_UNBOUNDED, None, pivots_total, attempt + 1)

@@ -23,7 +23,6 @@ from .geometry import DEFAULT_TOL
 from .interpolate import NumericFailure
 from .shadow_walk import sweep_full
 
-_MARGIN_FLOOR = 10.0  # times eps_feas: below this the slice is Degenerate
 # Largest d at which a section runs on the hull vertices only.  Full LP
 # against Qhull + reduced LP on Gaussian points (2-vCPU host): d=2, n=3000:
 # 98 vs 0.7 + 3.0 ms; d=3, n=1e4: 408 vs 3.4 + 5.4 ms; d=4, n=1e4: 496 vs
@@ -65,13 +64,13 @@ def _margin_constraints(points, plane):
     return a_eq, b_eq, nvar
 
 
-def interior_point_in_slice(points, plane, tol=DEFAULT_TOL):
+def interior_point_in_slice(points, plane):
     """Point x0 in the plane maximizing the inradius margin: the largest eps
     with x0 +- eps*basis1 and x0 +- eps*basis2 all inside Conv(points).
-    Returns None (Degenerate) when the slice is empty or its margin is below
-    10 * eps_feas.  When several points attain the margin, the optimal vertex
-    HiGHS returns decides among them.  The LP takes one column block per
-    given point; section_edges hands it the hull vertices when d <= 4."""
+    Returns None (Degenerate) when the slice is empty or its margin is at
+    most Tolerance.band.  When several points attain the margin, the optimal
+    vertex HiGHS returns decides among them.  The LP takes one column block
+    per given point; section_edges hands it the hull vertices when d <= 4."""
     a_eq, b_eq, nvar = _margin_constraints(points, plane)
     c = np.zeros(nvar)
     c[2] = -1.0
@@ -79,7 +78,7 @@ def interior_point_in_slice(points, plane, tol=DEFAULT_TOL):
     lower[:2] = -np.inf
     res = milp(c, constraints=LinearConstraint(a_eq, b_eq, b_eq),
                bounds=Bounds(lower, np.inf))
-    if not res.success or float(res.x[2]) <= _MARGIN_FLOOR * tol.eps_feas:
+    if not res.success or float(res.x[2]) <= DEFAULT_TOL.band:
         return None
     return float(res.x[0]) * plane.basis1 + float(res.x[1]) * plane.basis2
 
@@ -95,12 +94,12 @@ def _hull_rows(points):
     return np.arange(len(points))
 
 
-def section_edges(points, plane, rng=None, tol=DEFAULT_TOL, validate=False):
+def section_edges(points, plane, rng=None, validate=False):
     """Count the edges of Conv(points) intersect E by a full shadow sweep.
 
     Recenter at the slice's interior point, get the starting facet
     facet(q(theta0)) from Phase I, sweep the circle from theta0, and count
-    distinct facets in the trace.  A slice with margin below 10 * eps_feas
+    distinct facets in the trace.  A slice with margin at most Tolerance.band
     (or no slice at all) is reported as degenerate with edge_count 0.
 
     When d <= 4 all three stages see only the hull vertices, so the count
@@ -111,14 +110,14 @@ def section_edges(points, plane, rng=None, tol=DEFAULT_TOL, validate=False):
     points = np.asarray(points, dtype=float)
     keep = _hull_rows(points)
     hull = points[keep]
-    x0 = interior_point_in_slice(hull, plane, tol)
+    x0 = interior_point_in_slice(hull, plane)
     if x0 is None:
         return SectionReport(edge_count=0, interior_point=None, facets=[], degenerate=True)
     shifted = hull - x0
-    unit = phase1.solve_unit(shifted, plane.q(_THETA0), rng=rng, tol=tol, validate=validate)
+    unit = phase1.solve_unit(shifted, plane.q(_THETA0), rng=rng, validate=validate)
     if unit.status != phase1.OPTIMAL:
         raise NumericFailure("sweep start: unit program unbounded despite interior origin")
-    outcome = sweep_full(shifted, plane, unit.facet, _THETA0, tol=tol, validate=validate)
+    outcome = sweep_full(shifted, plane, unit.facet, _THETA0, validate=validate)
     # keep ascends, so the mapped indices stay sorted and the columns of
     # each facet's inverse and scales stay aligned with them.
     facets = [replace(f, indices=tuple(int(keep[i]) for i in f.indices))

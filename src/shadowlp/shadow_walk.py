@@ -60,6 +60,9 @@ class SweepPlane:
     def __post_init__(self):
         b1 = np.asarray(self.basis1, dtype=float)
         b2 = np.asarray(self.basis2, dtype=float)
+        # Keep the float arrays: q() scales the basis by floats.
+        object.__setattr__(self, "basis1", b1)
+        object.__setattr__(self, "basis2", b2)
         eps = DEFAULT_TOL.eps_feas
         if abs(np.linalg.norm(b1) - 1.0) > eps or abs(np.linalg.norm(b2) - 1.0) > eps:
             raise ValueError("sweep plane basis must be unit vectors")
@@ -98,14 +101,13 @@ class SweepPlane:
         b1 = start / ns
         w = target - float(np.dot(target, b1)) * b1
         nw = float(np.linalg.norm(w))
-        collinear_eps = DEFAULT_TOL.eps_angle
-        if nw <= collinear_eps * max(1.0, float(np.linalg.norm(target))):
+        if nw <= DEFAULT_TOL.eps_angle * max(1.0, float(np.linalg.norm(target))):
             if rotation_dir is None:
                 raise ValueError("start and target collinear: rotation direction required")
             w = np.asarray(rotation_dir, dtype=float)
             w = w - float(np.dot(w, b1)) * b1
             nw = float(np.linalg.norm(w))
-            if nw <= collinear_eps:
+            if nw <= DEFAULT_TOL.eps_angle:
                 raise ValueError("rotation direction is collinear with the start direction")
         return cls(basis1=b1, basis2=w / nw)
 
@@ -132,7 +134,7 @@ class WalkOutcome:
         return list(dict.fromkeys(e.facet for e in self.trace))
 
 
-def exit_angle(facet, plane, theta_now, tol=DEFAULT_TOL):
+def exit_angle(facet, plane, theta_now):
     """First angle at or after theta_now at which some cone coefficient of
     the facet crosses zero downward, together with the crossing index.  A
     crossing at theta_now, or within eps_angle of a full turn ahead (a
@@ -143,7 +145,7 @@ def exit_angle(facet, plane, theta_now, tol=DEFAULT_TOL):
     # The coefficients of q solve B^T lam = q, so lam = q @ B^-1.
     v, w = plane.basis1 @ facet.inverse, plane.basis2 @ facet.inverse
     lam_min = float((v * math.cos(theta_now) + w * math.sin(theta_now)).min())
-    if lam_min < -tol.eps_feas:
+    if lam_min < -DEFAULT_TOL.eps_feas:
         raise WalkStateError(
             f"facet {facet.indices} is not pierced at theta={theta_now!r} "
             f"(min coefficient {lam_min:.3e})"
@@ -157,7 +159,7 @@ def exit_angle(facet, plane, theta_now, tol=DEFAULT_TOL):
         # lam_j(theta) = r cos(theta - phi); downward crossing at phi + pi/2.
         down = math.atan2(w[j], v[j]) + 0.5 * math.pi
         delta = (down - theta_now) % TWO_PI
-        if delta >= TWO_PI - tol.eps_angle:
+        if delta >= TWO_PI - DEFAULT_TOL.eps_angle:
             delta = 0.0
         if best_delta is None or delta < best_delta:
             best_delta = delta
@@ -167,7 +169,7 @@ def exit_angle(facet, plane, theta_now, tol=DEFAULT_TOL):
     return theta_now + best_delta, best_index
 
 
-def pivot(points, facet, leaving, infinite_dir=None, tol=DEFAULT_TOL):
+def pivot(points, facet, leaving, infinite_dir=None):
     """Minimal-ratio pivot across the ridge facet.indices minus {leaving}.
 
     g is the hyperplane rotation direction: <g, a_i> = 0 on the ridge and
@@ -195,7 +197,7 @@ def pivot(points, facet, leaving, infinite_dir=None, tol=DEFAULT_TOL):
     h = facet.normal
 
     den = points @ g
-    mask = den > tol.eps_feas
+    mask = den > DEFAULT_TOL.eps_feas
     mask[list(indices[1:] if facet.contains_infinite else indices)] = False
     cand = mask.nonzero()[0]
     best = None
@@ -205,7 +207,7 @@ def pivot(points, facet, leaving, infinite_dir=None, tol=DEFAULT_TOL):
         best = (float(ratios[m]), int(cand[m]))
     if infinite_dir is not None and not facet.contains_infinite:
         den_inf = float(np.dot(g, infinite_dir))
-        if den_inf > tol.eps_feas:
+        if den_inf > DEFAULT_TOL.eps_feas:
             ratio_inf = -float(np.dot(h, infinite_dir)) / den_inf
             if best is None or ratio_inf <= best[0]:
                 best = (ratio_inf, INFINITY_INDEX)
@@ -215,14 +217,13 @@ def pivot(points, facet, leaving, infinite_dir=None, tol=DEFAULT_TOL):
     new_indices = tuple(sorted(indices[:j] + indices[j + 1:] + (entering,)))
     new_facet = None
     if facet.updates + 1 < len(indices):
-        new_facet = _updated_facet(points, facet, j, entering, ratio, new_indices,
-                                   infinite_dir, tol)
+        new_facet = _updated_facet(points, facet, j, entering, ratio, new_indices, infinite_dir)
     if new_facet is None:
-        new_facet = make_facet(points, new_indices, infinite_dir, tol)
+        new_facet = make_facet(points, new_indices, infinite_dir)
     return entering, new_facet
 
 
-def _updated_facet(points, facet, j, entering, ratio, new_indices, infinite_dir, tol):
+def _updated_facet(points, facet, j, entering, ratio, new_indices, infinite_dir):
     """The facet over new_indices, which replaces indices[j] of the given
     facet by entering, from its normal, B^-1 and row scales without a
     factorization.
@@ -257,17 +258,17 @@ def _updated_facet(points, facet, j, entering, ratio, new_indices, infinite_dir,
         scales[p + 1:j + 1] = scales[p:j]
     new_inverse[:, p] = col
     scales[p] = np.abs(a_k).max()
-    if not (np.abs(new_inverse) @ scales).max() < 1.0 / tol.eps_singular:
+    if not (np.abs(new_inverse) @ scales).max() < 1.0 / DEFAULT_TOL.eps_singular:
         return None
     return FacetIndexSet(new_indices, facet.normal - ratio * inverse[:, j], new_inverse,
                          facet.updates + 1, scales)
 
 
-def _validate_step(points, old, new, infinite_dir, tol):
+def _validate_step(points, old, new, infinite_dir):
     shared = set(old.indices) & set(new.indices)
     if len(shared) != len(old.indices) - 1:
         raise WalkInvariantViolation("adjacent facets must share all but one index")
-    if not all_below(points, new.normal, infinite_dir, tol):
+    if not all_below(points, new.normal, infinite_dir):
         raise WalkInvariantViolation(f"facet {new.indices} is not valid (some point above)")
     if not new.updates:
         return
@@ -276,16 +277,16 @@ def _validate_step(points, old, new, infinite_dir, tol):
         raise WalkInvariantViolation(f"facet {new.indices}: carried row scales are stale")
     # An updated normal and B^-1 must match a fresh factorization to within
     # eps_feas relative to the fresh one's largest entry.
-    fresh = make_facet(points, new.indices, infinite_dir, tol)
+    fresh = make_facet(points, new.indices, infinite_dir)
     for name, got, want in (("normal", new.normal, fresh.normal),
                             ("inverse", new.inverse, fresh.inverse)):
-        if not np.max(np.abs(got - want)) <= tol.eps_feas * np.max(np.abs(want)):
+        if not np.max(np.abs(got - want)) <= DEFAULT_TOL.eps_feas * np.max(np.abs(want)):
             raise WalkInvariantViolation(
                 f"facet {new.indices}: updated {name} departs from a fresh factorization")
 
 
 def walk(points, plane, start_facet, theta_start, theta_target,
-         infinite_dir=None, tol=DEFAULT_TOL, max_pivots=None, validate=False):
+         infinite_dir=None, max_pivots=None, validate=False):
     """Walk facet(q(theta)) from theta_start until the current facet's
     interval reaches theta_target.
 
@@ -300,7 +301,7 @@ def walk(points, plane, start_facet, theta_start, theta_target,
         raise ValueError("theta_target must exceed theta_start")
     if max_pivots is None:
         max_pivots = 10 * points.shape[0] * points.shape[1] + 1_000_000
-    if validate and not all_below(points, start_facet.normal, infinite_dir, tol):
+    if validate and not all_below(points, start_facet.normal, infinite_dir):
         raise WalkInvariantViolation("start facet is not valid")
 
     trace = []
@@ -308,21 +309,21 @@ def walk(points, plane, start_facet, theta_start, theta_target,
     theta = theta_start
     pivots = 0
     while True:
-        hit = exit_angle(current, plane, theta, tol)
+        hit = exit_angle(current, plane, theta)
         if hit is None:
             trace.append(TraceEntry(current, theta, theta_target))
             return WalkOutcome(OPTIMAL_FACET, current, pivots, trace)
         theta_exit, leaving = hit
-        if theta_exit >= theta_target - tol.eps_angle:
+        if theta_exit >= theta_target - DEFAULT_TOL.eps_angle:
             trace.append(TraceEntry(current, theta, theta_target))
             return WalkOutcome(OPTIMAL_FACET, current, pivots, trace)
-        step = pivot(points, current, leaving, infinite_dir, tol)
+        step = pivot(points, current, leaving, infinite_dir)
         if step is None:
             trace.append(TraceEntry(current, theta, theta_exit))
             return WalkOutcome(UNBOUNDED, None, pivots, trace)
         _, new_facet = step
         if validate:
-            _validate_step(points, current, new_facet, infinite_dir, tol)
+            _validate_step(points, current, new_facet, infinite_dir)
         trace.append(TraceEntry(current, theta, theta_exit))
         current = new_facet
         theta = theta_exit
@@ -331,7 +332,7 @@ def walk(points, plane, start_facet, theta_start, theta_target,
             raise CycleSuspected(f"pivot cap {max_pivots} exceeded")
 
 
-def _closes(points, plane, trace, tol):
+def _closes(points, plane, trace):
     """The sweep ends on its start facet, or one pivot at the end angle
     reaches it: with a vertex on the start ray the trace may begin on the
     facet just past that vertex."""
@@ -339,15 +340,14 @@ def _closes(points, plane, trace, tol):
     if last == first:
         return True
     end = trace[-1].theta_end
-    hit = exit_angle(last, plane, end, tol)
-    if hit is None or hit[0] > end + tol.eps_angle:
+    hit = exit_angle(last, plane, end)
+    if hit is None or hit[0] > end + DEFAULT_TOL.eps_angle:
         return False
-    step = pivot(points, last, hit[1], tol=tol)
+    step = pivot(points, last, hit[1])
     return step is not None and step[1] == first
 
 
-def sweep_full(points, plane, start_facet, theta_start=0.0,
-               tol=DEFAULT_TOL, max_pivots=None, validate=False):
+def sweep_full(points, plane, start_facet, theta_start=0.0, max_pivots=None, validate=False):
     """Sweep q through a full circle starting inside start_facet's interval.
 
     Requires the origin in the relative interior of the polytope's slice by
@@ -356,15 +356,15 @@ def sweep_full(points, plane, start_facet, theta_start=0.0,
     wrap-around facet may appear twice, once at each end.  pivots equals
     len(trace) - 1."""
     outcome = walk(points, plane, start_facet, theta_start, theta_start + TWO_PI,
-                   infinite_dir=None, tol=tol, max_pivots=max_pivots, validate=validate)
+                   infinite_dir=None, max_pivots=max_pivots, validate=validate)
     if outcome.status == UNBOUNDED:
         raise WalkStateError("unbounded during a full sweep: origin not interior to the slice")
     outcome.status = EXHAUSTED_ARC
     if validate:
         total = sum(e.theta_end - e.theta_start for e in outcome.trace)
-        if abs(total - TWO_PI) > tol.eps_feas:
+        if abs(total - TWO_PI) > DEFAULT_TOL.eps_feas:
             raise WalkInvariantViolation(f"sweep intervals cover {total!r}, expected 2*pi")
-        if not _closes(points, plane, outcome.trace, tol):
+        if not _closes(points, plane, outcome.trace):
             raise WalkInvariantViolation("full sweep did not close on its start facet")
         runs = []
         for e in outcome.trace:

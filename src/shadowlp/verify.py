@@ -139,7 +139,7 @@ def suite_phase1_statistics(seed=VERIFY_SEED, iterations=2000, n=50,
     """
     start = time.perf_counter()
     threshold = 0.25 - 3.0 * math.sqrt(0.1875 / iterations)
-    band = 10.0 * DEFAULT_TOL.eps_feas
+    band = DEFAULT_TOL.band
     successes = collected = skipped_unbounded = skipped_solver = 0
     iter_sum = 0
     per_d = {d: [0, 0] for d in dims}  # d -> [successes, trials]
@@ -314,7 +314,7 @@ def suite_planar_bounds(seed=VERIFY_SEED, line_configs=10000, polygons=1000):
     from scipy.spatial import ConvexHull, QhullError
 
     start = time.perf_counter()
-    band = 10.0 * DEFAULT_TOL.eps_feas
+    band = DEFAULT_TOL.band
     c = 1.0 / 101.0
     angular_violations = 0
     for i in range(line_configs):

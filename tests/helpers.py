@@ -6,17 +6,17 @@ import csv
 import numpy as np
 from scipy.optimize import linprog
 
-from shadowlp.geometry import DEFAULT_TOL, basis_rows, solve_linear
+from shadowlp.geometry import basis_rows, solve_linear
 
 
-def cone_coefficients(points, indices, direction, infinite_dir=None, tol=DEFAULT_TOL):
+def cone_coefficients(points, indices, direction, infinite_dir=None):
     """Coefficients lam solving sum_i lam_i a_i = direction over the index
     set's basis vectors (infinite vertex contributes its direction u).
     Returned in sorted index order.  A direction pierces the facet exactly
     when all coefficients are >= -eps_feas."""
     points = np.asarray(points, dtype=float)
     rows, _ = basis_rows(points, indices, infinite_dir)
-    return solve_linear(rows.T, np.asarray(direction, dtype=float), tol.eps_singular)
+    return solve_linear(rows.T, np.asarray(direction, dtype=float))
 
 
 def convex_membership(points, x):

@@ -8,7 +8,10 @@ import json
 import pytest
 
 from shadowlp import cli, verify
+from shadowlp.geometry import SingularSystem
 from shadowlp.interpolate import NumericFailure
+from shadowlp.phase1 import GaveUp
+from shadowlp.shadow_walk import CycleSuspected, WalkInvariantViolation, WalkStateError
 
 
 OPTIMAL_INSTANCE = {
@@ -98,9 +101,12 @@ def test_solve_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_solve_numeric_failure_exits_one(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("error", [NumericFailure, GaveUp, CycleSuspected, SingularSystem,
+                                   WalkStateError, WalkInvariantViolation],
+                         ids=lambda error: error.__name__)
+def test_solve_numeric_failure_exits_one(tmp_path, capsys, monkeypatch, error):
     def boom(lp, rng=None, validate=False):
-        raise NumericFailure("synthetic degenerate state")
+        raise error("synthetic degenerate state")
 
     monkeypatch.setattr(cli, "solve_lp", boom)
     path = _write(tmp_path, "opt.json", OPTIMAL_INSTANCE)

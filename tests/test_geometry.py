@@ -1,11 +1,15 @@
 """Linear-algebra and planar-geometry primitives."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 import warnings
 
 import numpy as np
 import pytest
 
+import shadowlp
 from shadowlp import randgen
 from shadowlp.geometry import (
     DEFAULT_TOL,
@@ -36,7 +40,7 @@ def test_solve_linear_matches_numpy_on_well_conditioned_systems():
         d = int(rng.integers(2, 7))
         matrix = rng.standard_normal((d, d)) + 3.0 * np.eye(d)
         rhs = rng.standard_normal((d, 2))
-        got = solve_linear(matrix, rhs, DEFAULT_TOL.eps_singular)
+        got = solve_linear(matrix, rhs)
         want = np.linalg.solve(matrix, rhs)
         assert np.allclose(got, want, atol=1e-9)
 
@@ -44,7 +48,7 @@ def test_solve_linear_matches_numpy_on_well_conditioned_systems():
 def test_solve_linear_flags_singular_matrix():
     matrix = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularSystem):
-        solve_linear(matrix, np.array([1.0, 1.0]), DEFAULT_TOL.eps_singular)
+        solve_linear(matrix, np.array([1.0, 1.0]))
 
 
 def _scaled_pivots_pass(matrix, eps_singular):
@@ -126,8 +130,38 @@ def test_solve_linear_keeps_the_shape_of_the_right_hand_side():
 def test_tolerance_defaults_frozen():
     assert DEFAULT_TOL == Tolerance(eps_singular=1e-10, eps_feas=1e-9,
                                     eps_angle=1e-12)
+    assert DEFAULT_TOL.band == 10.0 * DEFAULT_TOL.eps_feas
     with pytest.raises(ValueError):
         Tolerance(eps_singular=0.0, eps_feas=1e-9, eps_angle=1e-12)
+
+
+def _package_functions():
+    """(qualified name, function) for every function and method whose code
+    is written in one of the package's modules."""
+    for info in pkgutil.iter_modules(shadowlp.__path__):
+        module = importlib.import_module(f"shadowlp.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj):
+                members = {name: obj}
+            elif inspect.isclass(obj):
+                members = {f"{name}.{attr}": getattr(m, "__func__", getattr(m, "fget", m))
+                           for attr, m in vars(obj).items()}
+            else:
+                continue
+            for qualname, fn in members.items():
+                if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
+                    yield f"{module.__name__}.{qualname}", fn
+
+
+def test_no_function_takes_a_tolerance():
+    """The thresholds are program constants read from DEFAULT_TOL."""
+    functions = dict(_package_functions())
+    assert {"shadowlp.shadow_walk.walk", "shadowlp.shadow_walk.SweepPlane.q",
+            "shadowlp.geometry.Tolerance.band",
+            "shadowlp.oracle._screened_solve"} <= set(functions)
+    taking = [(name, param) for name, fn in functions.items()
+              for param in inspect.signature(fn).parameters if param in ("tol", "eps_singular")]
+    assert taking == []
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +232,10 @@ def test_make_facet_orders_indices_and_validates():
     facet = make_facet(points, (2, 0))
     assert facet.indices == (0, 2)
     assert not facet.contains_infinite
-    assert facet.finite_indices == (0, 2)
     lifted = make_facet(points, (0, INFINITY_INDEX),
                         infinite_dir=np.array([0.0, -1.0]))
     assert lifted.indices == (INFINITY_INDEX, 0)
     assert lifted.contains_infinite
-    assert lifted.finite_indices == (0,)
 
 
 def test_basis_rows_sorts_and_substitutes_the_infinite_direction():
@@ -340,7 +372,7 @@ def test_angular_vs_euclidean_distance_on_admissible_lines():
     line at distance >= 1 from the origin with norms <= 10 satisfy
     dist/101 <= ang <= dist."""
     rng = randgen.derive_rng(105)
-    band = 10.0 * DEFAULT_TOL.eps_feas
+    band = DEFAULT_TOL.band
     for _ in range(2000):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         normal = np.array([math.cos(phi), math.sin(phi)])

@@ -36,7 +36,7 @@ def _walks(n, seed):
     return walks
 
 
-def _reference_ratio_test(points, facet, leaving, infinite_dir, tol=DEFAULT_TOL):
+def _reference_ratio_test(points, facet, leaving, infinite_dir):
     """(ratio, entering) by one pass over the points in index order, or None.
     It takes the same two matrix-vector products as pivot, so that their
     rounding is shared and only the selection is under test."""
@@ -46,14 +46,14 @@ def _reference_ratio_test(points, facet, leaving, infinite_dir, tol=DEFAULT_TOL)
     den, dots = points @ g, points @ h
     best = None
     for i in range(points.shape[0]):
-        if i in facet.indices or not den[i] > tol.eps_feas:
+        if i in facet.indices or not den[i] > DEFAULT_TOL.eps_feas:
             continue
         ratio = float((1.0 - dots[i]) / den[i])
         if best is None or ratio < best[0]:  # strict: the smaller index keeps a tie
             best = (ratio, i)
     if infinite_dir is not None and not facet.contains_infinite:
         den_inf = float(np.dot(g, infinite_dir))
-        if den_inf > tol.eps_feas:
+        if den_inf > DEFAULT_TOL.eps_feas:
             ratio_inf = -float(np.dot(h, infinite_dir)) / den_inf
             if best is None or ratio_inf <= best[0]:
                 best = (ratio_inf, INFINITY_INDEX)

@@ -50,6 +50,13 @@ def test_sweep_plane_parametrization_roundtrip():
         assert plane.theta_of(q) == pytest.approx(theta % (2 * math.pi))
 
 
+def test_sweep_plane_from_lists_stores_float_arrays():
+    plane = SweepPlane([1.0, 0.0], [0.0, 1.0])
+    assert isinstance(plane.basis1, np.ndarray) and plane.basis1.dtype == float
+    assert isinstance(plane.basis2, np.ndarray) and plane.basis2.dtype == float
+    assert np.array_equal(plane.q(0.5), [math.cos(0.5), math.sin(0.5)])
+
+
 def test_sweep_plane_through_builds_plane_containing_both():
     rng = randgen.derive_rng(201)
     for _ in range(30):
@@ -354,8 +361,7 @@ def test_update_guard_refuses_every_basis_make_facet_refuses():
             make_facet(points, new_indices)
         except SingularSystem:
             refused += 1
-            assert shadow_walk._updated_facet(points, facet, j, d, 0.0, new_indices,
-                                              None, DEFAULT_TOL) is None
+            assert shadow_walk._updated_facet(points, facet, j, d, 0.0, new_indices, None) is None
     assert refused >= 300
 
 

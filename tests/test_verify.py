@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from shadowlp import randgen, shadow_walk, verify
-from shadowlp.geometry import DEFAULT_TOL, make_facet
+from shadowlp.geometry import make_facet
 from shadowlp.verify import SuiteResult, format_line, run_all, summary
 
 
@@ -54,11 +54,11 @@ def test_oracle_equivalence_detects_sabotaged_pivot(monkeypatch):
     real_pivot = shadow_walk.pivot
     calls = {"count": 0}
 
-    def bad_pivot(points, facet, leaving, infinite_dir=None, tol=DEFAULT_TOL):
+    def bad_pivot(points, facet, leaving, infinite_dir=None):
         calls["count"] += 1
         if calls["count"] > 200:
             raise RuntimeError("sabotage budget exhausted")
-        out = real_pivot(points, facet, leaving, infinite_dir, tol)
+        out = real_pivot(points, facet, leaving, infinite_dir)
         if out is None:
             return None
         entering, new_facet = out
@@ -67,7 +67,7 @@ def test_oracle_equivalence_detects_sabotaged_pivot(monkeypatch):
         for fake in others:
             kept = tuple(i for i in facet.indices if i != leaving) + (fake,)
             try:
-                return fake, make_facet(points, kept, infinite_dir, tol)
+                return fake, make_facet(points, kept, infinite_dir)
             except Exception:
                 continue
         return out

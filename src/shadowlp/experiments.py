@@ -30,8 +30,8 @@ CSV, and the trial consumes only streams derived from it, so any single row
 can be replayed in isolation (``replay_pivot_trial`` / ``replay_section_trial``).
 
 ``wall_time_s`` is the only timing column; it is excluded from the
-determinism contract and can be stripped with ``strip_timing`` or omitted at
-write time (``include_timing=False``).
+determinism contract and can be stripped with ``strip_timing`` or omitted
+when rendering (``csv_text(..., include_timing=False)``).
 """
 
 from __future__ import annotations
@@ -323,8 +323,8 @@ def csv_text(header, rows, include_timing=True):
     return buf.getvalue()
 
 
-def write_csv(path, header, rows, include_timing=True):
-    text = csv_text(header, rows, include_timing=include_timing)
+def write_csv(path, header, rows):
+    text = csv_text(header, rows)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
 

@@ -141,8 +141,8 @@ def solve_lp(lp, rng=None, validate=False):
     such.  Phase II walks the lifted polytope from the Phase-I limit facet to
     the top of the arc and classifies the final facet.  Raises NumericFailure
     when the walk or the solution recovery contradicts exact-arithmetic
-    theory (degenerate input); raises shadow_walk.CycleSuspected or
-    phase1.GaveUp if those caps trip."""
+    theory (degenerate input); raises shadow_walk.CycleSuspected when a walk
+    repeats a facet and phase1.GaveUp when Phase I runs out of attempts."""
     unit = phase1.solve_unit(lp.A, lp.z, rng=rng, validate=validate)
     if unit.status == phase1.UNIT_UNBOUNDED:
         return LPResult(STATUS_UNBOUNDED, None, None,

@@ -3,8 +3,8 @@
 Everything here enumerates d-subsets and decides by direct predicate
 evaluation; nothing reuses the walker's pivot path, so agreement between the
 two is evidence, not tautology.  Enumeration refuses instances with more than
-`cap` candidate subsets.  Tolerance discipline: the same fixed thresholds as
-the solver (geometry.DEFAULT_TOL), and any decision landing within
+ENUMERATION_CAP candidate subsets.  Tolerance discipline: the solver's fixed
+thresholds (geometry.DEFAULT_TOL), and any decision landing within
 Tolerance.band of a boundary is refused as Ambiguous rather than guessed."""
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ class OracleVerdict:
     value: float | None = None
 
 
-def _check_cap(n, d, infinite, cap):
+def _check_cap(n, d, infinite):
     total = comb(n, d) + (comb(n, d - 1) if infinite else 0)
-    if total > cap:
-        raise ValueError(f"{total} candidate subsets exceed the enumeration cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise ValueError(f"{total} candidate subsets exceed the cap {ENUMERATION_CAP}")
 
 
 def _screened_solve(mats, rhs):
@@ -58,12 +58,12 @@ def _screened_solve(mats, rhs):
     return out, ok
 
 
-def _facet_candidates(points, infinite_dir, cap):
+def _facet_candidates(points, infinite_dir):
     """All nonsingular d-subsets with their normals and below-masks.
     Yields (indices, normal) for subsets that are facets."""
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    _check_cap(n, d, infinite_dir is not None, cap)
+    _check_cap(n, d, infinite_dir is not None)
 
     groups = []
     finite_idx = np.array(list(combinations(range(n), d)), dtype=int)
@@ -103,20 +103,20 @@ def _facet(ids, normal, mat):
                          scales=np.abs(mat).max(axis=1))
 
 
-def enumerate_facets(points, infinite_dir=None, cap=ENUMERATION_CAP):
+def enumerate_facets(points, infinite_dir=None):
     """Every index set whose affine hull supports the polytope from below:
     the complete facet list of Conv(0, points [, +ray])."""
-    cands = _facet_candidates(points, infinite_dir, cap)
+    cands = _facet_candidates(points, infinite_dir)
     return [_facet(*cand) for cand in cands]
 
 
-def facet_of(points, direction, infinite_dir=None, cap=ENUMERATION_CAP):
+def facet_of(points, direction, infinite_dir=None):
     """The facet pierced by the ray through `direction`, found by scanning
     every enumerated facet's cone.  None when no facet is pierced (the
     direction leaves the cone of the polytope: unbounded).  Raises Ambiguous
     when more than one facet claims the direction within tolerance."""
     direction = np.asarray(direction, dtype=float)
-    cands = _facet_candidates(points, infinite_dir, cap)
+    cands = _facet_candidates(points, infinite_dir)
     matches = []
     for ids, normal, mat in cands:
         try:
@@ -132,11 +132,11 @@ def facet_of(points, direction, infinite_dir=None, cap=ENUMERATION_CAP):
     return matches[0]
 
 
-def _cone_margin(A, z, cap):
+def _cone_margin(A, z):
     """max over d-subsets of the minimum cone coefficient expressing z;
     nonnegative exactly when z lies in cone(rows of A)."""
     n, d = A.shape
-    _check_cap(n, d, False, cap)
+    _check_cap(n, d, False)
     idx = np.array(list(combinations(range(n), d)), dtype=int)
     mats = A[idx].transpose(0, 2, 1)  # columns are the subset rows
     lams, ok = _screened_solve(mats, np.broadcast_to(z, (len(idx), d)).copy())
@@ -165,7 +165,7 @@ def _fallback_feasible(A, b):
     return best
 
 
-def classify_lp(lp, cap=ENUMERATION_CAP):
+def classify_lp(lp):
     """Exhaustive classification of a GeneralLP.
 
     Order of decisions matches the two-phase solver's convention: the
@@ -178,7 +178,7 @@ def classify_lp(lp, cap=ENUMERATION_CAP):
     n, d = A.shape
     band = DEFAULT_TOL.band
 
-    cone_best, _ = _cone_margin(A, z, cap)
+    cone_best, _ = _cone_margin(A, z)
     if abs(cone_best) <= band:
         return OracleVerdict(STATUS_AMBIGUOUS)
     if cone_best < 0.0:
@@ -225,7 +225,7 @@ def classify_lp(lp, cap=ENUMERATION_CAP):
     return OracleVerdict(STATUS_OPTIMAL, basis=basis, x_opt=best_x, value=best_value)
 
 
-def section_edge_count_bruteforce(points, plane, cap=ENUMERATION_CAP):
+def section_edge_count_bruteforce(points, plane):
     """Number of hull facets of Conv(points) whose intersection with the
     plane's 2-subspace is a nondegenerate segment.
 
@@ -237,7 +237,7 @@ def section_edge_count_bruteforce(points, plane, cap=ENUMERATION_CAP):
     is an interval intersection."""
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    _check_cap(n, d, False, cap)
+    _check_cap(n, d, False)
     b1, b2 = plane.basis1, plane.basis2
     count = 0
     for subset in combinations(range(n), d):

@@ -73,12 +73,12 @@ def simplex_vertices(d, radius):
     return anchor, vertices
 
 
-def add_constraints(points, norm_bound, rotation, rng, smoothing_sigma=None, max_norm=None):
+def add_constraints(points, norm_bound, rotation, rng, max_norm=None):
     """One attempt at the added block.
 
     The unit simplex around e_d is rotated by the given orthogonal matrix,
     dilated by 2*norm_bound, and its vertices are smoothed with deviation
-    2*norm_bound*added_sigma(d, n) (overridable for tests).  Returns None
+    2*norm_bound*added_sigma(d, n).  Returns None
     (Failure) when either postcondition check fails:
       cone check — z0 must lie in the cone of the added points,
       distance check — dist(0, aff(added points)) = 1/|h| must be at least
@@ -93,9 +93,8 @@ def add_constraints(points, norm_bound, rotation, rng, smoothing_sigma=None, max
     anchor, vertices = simplex_vertices(d, randgen.simplex_radius(d))
     z0 = 2.0 * norm_bound * (rotation @ anchor)
     centers = 2.0 * norm_bound * (vertices @ rotation.T)
-    if smoothing_sigma is None:
-        smoothing_sigma = randgen.added_sigma(d, n)
-    added = randgen.gaussian(rng, (d, d), center=centers, sigma=2.0 * norm_bound * smoothing_sigma)
+    sigma = 2.0 * norm_bound * randgen.added_sigma(d, n)
+    added = randgen.gaussian(rng, (d, d), center=centers, sigma=sigma)
     try:
         facet = make_facet(added, range(d))
     except SingularSystem:
@@ -120,14 +119,15 @@ def _default_rotation_dir(target):
     return e
 
 
-def solve_unit(points, objective, rng=None, validate=False, max_retries=MAX_RETRIES):
+def solve_unit(points, objective, rng=None, validate=False):
     """Solve the unit program max <z, x> s.t. <a_i, x> <= 1 for all i.
 
     Returns UnitResult with status "optimal" and facet(z) over the original
     indices, or status "unbounded" when z leaves the cone of the a_i.
     pivots_total sums the pivots of every walk including failed attempts;
     iterations counts attempts.  rng follows derive_rng's seed contract; each
-    retry uses an independent substream."""
+    retry uses an independent substream.  Raises GaveUp after MAX_RETRIES
+    attempts without a clean terminal facet."""
     points = np.asarray(points, dtype=float)
     n, d = points.shape
     if not (n > d >= 2):
@@ -138,7 +138,7 @@ def solve_unit(points, objective, rng=None, validate=False, max_retries=MAX_RETR
     if isinstance(rng, np.random.Generator):
         rng = int(rng.integers(0, 2 ** 63))
     pivots_total = 0
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         stream = randgen.derive_rng(rng, attempt)
         rotation = randgen.haar_rotation(d, stream)
         block = add_constraints(points, norm_bound, rotation, stream, max_norm=max_norm)
@@ -159,5 +159,5 @@ def solve_unit(points, objective, rng=None, validate=False, max_retries=MAX_RETR
         terminal = outcome.facet
         if all(i < n for i in terminal.indices):
             return UnitResult(OPTIMAL, terminal, pivots_total, attempt + 1)
-    raise GaveUp(f"no clean solution in {max_retries} attempts")
+    raise GaveUp(f"no clean solution in {MAX_RETRIES} attempts")
 

@@ -42,7 +42,8 @@ class WalkStateError(Exception):
 
 
 class CycleSuspected(Exception):
-    """The pivot cap was exceeded; the walk is assumed to be cycling."""
+    """A walk entered a facet twice; theta never decreases and each facet's
+    cone meets the sweep plane in one arc, so only numerical trouble can."""
 
 
 class WalkInvariantViolation(Exception):
@@ -286,7 +287,7 @@ def _validate_step(points, old, new, infinite_dir):
 
 
 def walk(points, plane, start_facet, theta_start, theta_target,
-         infinite_dir=None, max_pivots=None, validate=False):
+         infinite_dir=None, validate=False):
     """Walk facet(q(theta)) from theta_start until the current facet's
     interval reaches theta_target.
 
@@ -295,16 +296,18 @@ def walk(points, plane, start_facet, theta_start, theta_target,
     the cone of the polytope before reaching the target.  The trace records
     each visited facet with its half-open interval; intervals are contiguous
     and increasing and the final one is clipped at theta_target.
+
+    Raises CycleSuspected when a pivot enters a facet entered before; the
+    start facet may come back once, as it does at the end of a full sweep.
     """
     points = np.asarray(points, dtype=float)
     if not theta_target > theta_start:
         raise ValueError("theta_target must exceed theta_start")
-    if max_pivots is None:
-        max_pivots = 10 * points.shape[0] * points.shape[1] + 1_000_000
     if validate and not all_below(points, start_facet.normal, infinite_dir):
         raise WalkInvariantViolation("start facet is not valid")
 
     trace = []
+    entered = set()  # facets entered by a pivot; the start facet is not one yet
     current = start_facet
     theta = theta_start
     pivots = 0
@@ -325,11 +328,14 @@ def walk(points, plane, start_facet, theta_start, theta_target,
         if validate:
             _validate_step(points, current, new_facet, infinite_dir)
         trace.append(TraceEntry(current, theta, theta_exit))
+        if new_facet.indices in entered:
+            recent = ", ".join(f"{e.facet.indices}@{e.theta_start:.9g}" for e in trace[-4:])
+            raise CycleSuspected(f"facet {new_facet.indices} entered again at "
+                                 f"theta={theta_exit:.9g}; last facets@theta: {recent}")
+        entered.add(new_facet.indices)
         current = new_facet
         theta = theta_exit
         pivots += 1
-        if pivots > max_pivots:
-            raise CycleSuspected(f"pivot cap {max_pivots} exceeded")
 
 
 def _closes(points, plane, trace):
@@ -347,16 +353,17 @@ def _closes(points, plane, trace):
     return step is not None and step[1] == first
 
 
-def sweep_full(points, plane, start_facet, theta_start=0.0, max_pivots=None, validate=False):
+def sweep_full(points, plane, start_facet, theta_start=0.0, validate=False):
     """Sweep q through a full circle starting inside start_facet's interval.
 
     Requires the origin in the relative interior of the polytope's slice by
     the plane (every direction then pierces some facet, so unboundedness is
     impossible).  The trace partitions [theta_start, theta_start + 2*pi); the
-    wrap-around facet may appear twice, once at each end.  pivots equals
+    start facet may appear twice, once at each end, and walk raises
+    CycleSuspected when any other facet would.  pivots equals
     len(trace) - 1."""
     outcome = walk(points, plane, start_facet, theta_start, theta_start + TWO_PI,
-                   infinite_dir=None, max_pivots=max_pivots, validate=validate)
+                   infinite_dir=None, validate=validate)
     if outcome.status == UNBOUNDED:
         raise WalkStateError("unbounded during a full sweep: origin not interior to the slice")
     outcome.status = EXHAUSTED_ARC
@@ -366,11 +373,4 @@ def sweep_full(points, plane, start_facet, theta_start=0.0, max_pivots=None, val
             raise WalkInvariantViolation(f"sweep intervals cover {total!r}, expected 2*pi")
         if not _closes(points, plane, outcome.trace):
             raise WalkInvariantViolation("full sweep did not close on its start facet")
-        runs = []
-        for e in outcome.trace:
-            if not runs or runs[-1] != e.facet:
-                runs.append(e.facet)
-        interior_runs = runs[1:-1] if len(runs) > 1 else runs
-        if len(set(interior_runs)) != len(interior_runs):
-            raise WalkInvariantViolation("a facet appeared in two separate angular intervals")
     return outcome

@@ -60,7 +60,7 @@ def _sub_seed(seed, *key):
 # 1. Oracle equivalence
 
 
-def suite_oracle_equivalence(seed=VERIFY_SEED, instances=1000, validate=True):
+def suite_oracle_equivalence(seed=VERIFY_SEED, instances=1000):
     """Two-phase solver vs. exhaustive classifier on small smoothed programs."""
     start = time.perf_counter()
     dims = (2, 3, 4)
@@ -82,7 +82,7 @@ def suite_oracle_equivalence(seed=VERIFY_SEED, instances=1000, validate=True):
             continue
         checked += 1
         try:
-            result = solve_lp(lp, rng=_sub_seed(seed, 1, i, 1), validate=validate)
+            result = solve_lp(lp, rng=_sub_seed(seed, 1, i, 1), validate=True)
         except WalkInvariantViolation:
             violations += 1
             mismatches += 1
@@ -128,8 +128,7 @@ def _in_cone(points, direction):
     return bool(residual <= DEFAULT_TOL.eps_feas * float(np.linalg.norm(direction)))
 
 
-def suite_phase1_statistics(seed=VERIFY_SEED, iterations=2000, n=50,
-                            sigma=0.3, dims=(3, 4), validate=True):
+def suite_phase1_statistics(seed=VERIFY_SEED):
     """Success rate of one constraint-addition attempt on bounded unit programs.
 
     An iteration samples a bounded smoothed unit program, solves it to get the
@@ -138,6 +137,7 @@ def suite_phase1_statistics(seed=VERIFY_SEED, iterations=2000, n=50,
     lies below the witness halfspace.
     """
     start = time.perf_counter()
+    iterations, n, sigma, dims = 2000, 50, 0.3, (3, 4)
     threshold = 0.25 - 3.0 * math.sqrt(0.1875 / iterations)
     band = DEFAULT_TOL.band
     successes = collected = skipped_unbounded = skipped_solver = 0
@@ -156,8 +156,7 @@ def suite_phase1_statistics(seed=VERIFY_SEED, iterations=2000, n=50,
         if not _in_cone(points, z):
             skipped_unbounded += 1
             continue
-        result = solve_unit(points, z, rng=_sub_seed(seed, 2, i, 1),
-                            validate=validate)
+        result = solve_unit(points, z, rng=_sub_seed(seed, 2, i, 1), validate=True)
         if result.status != UNIT_OPTIMAL:
             skipped_solver += 1
             continue
@@ -196,13 +195,13 @@ def suite_phase1_statistics(seed=VERIFY_SEED, iterations=2000, n=50,
 # 3. Pivot growth
 
 
-def suite_pivot_growth(seed=VERIFY_SEED, ns=(16, 64, 256, 1024, 4096),
-                       trials=100, validate=True):
+def suite_pivot_growth(seed=VERIFY_SEED):
     """Slope of log(mean total pivots) against log n at d=3, sigma=0.1."""
     start = time.perf_counter()
+    ns, trials = (16, 64, 256, 1024, 4096), 100
     config = experiments.ExperimentConfig(n=list(ns), d=[3], sigma=[0.1],
                                           trials=trials, seed=_sub_seed(seed, 3))
-    header, rows = experiments.run_pivot_experiment(config, validate=validate)
+    header, rows = experiments.run_pivot_experiment(config, validate=True)
     trial_rows = experiments.rows_as_dicts(header, rows, kind="trial")
     errors = [r for r in trial_rows if r["status"].startswith("error:")]
     mean_rows = experiments.rows_as_dicts(header, rows, kind="mean")
@@ -225,7 +224,7 @@ def suite_pivot_growth(seed=VERIFY_SEED, ns=(16, 64, 256, 1024, 4096),
 # 4. Section counting agreement
 
 
-def suite_section_agreement(seed=VERIFY_SEED, instances=200, validate=True):
+def suite_section_agreement(seed=VERIFY_SEED, instances=200):
     """Walked section edge counts vs. brute-force hyperplane enumeration."""
     start = time.perf_counter()
     plane = SweepPlane.axis(3)
@@ -238,8 +237,7 @@ def suite_section_agreement(seed=VERIFY_SEED, instances=200, validate=True):
         points = center + randgen.gaussian(stream, (n, 3))
         try:
             report = sections.section_edges(points, plane,
-                                            rng=_sub_seed(seed, 4, i, 1),
-                                            validate=validate)
+                                            rng=_sub_seed(seed, 4, i, 1), validate=True)
         except WalkInvariantViolation:
             violations += 1
             continue
@@ -251,8 +249,7 @@ def suite_section_agreement(seed=VERIFY_SEED, instances=200, validate=True):
             if len(first_bad) < 5:
                 first_bad.append({"instance": i, "walked": walked, "brute": brute})
     square = sections.section_edges(experiments.SQUARE_POINTS, SweepPlane.axis(2),
-                                    rng=_sub_seed(seed, 4, instances),
-                                    validate=validate)
+                                    rng=_sub_seed(seed, 4, instances), validate=True)
     details = {
         "instances": instances, "mismatches": mismatches,
         "violations": violations, "degenerate_slices": degenerate,
@@ -271,9 +268,10 @@ def suite_section_agreement(seed=VERIFY_SEED, instances=200, validate=True):
 # 5. d=2 growth sanity
 
 
-def suite_polygon_growth(seed=VERIFY_SEED, trials=50, small=100, large=10000):
+def suite_polygon_growth(seed=VERIFY_SEED):
     """Mean hull-edge count of standard Gaussian polygons grows with n."""
     start = time.perf_counter()
+    trials, small, large = 50, 100, 10000
     plane = SweepPlane.axis(2)
     means = {}
     for n in (small, large):
@@ -303,7 +301,7 @@ def suite_polygon_growth(seed=VERIFY_SEED, trials=50, small=100, large=10000):
 # 6. Planar bounds
 
 
-def suite_planar_bounds(seed=VERIFY_SEED, line_configs=10000, polygons=1000):
+def suite_planar_bounds(seed=VERIFY_SEED):
     """Monte Carlo checks of the two planar geometry bounds the walk relies on.
 
     Distance comparison: for points x1, x2 on a line at distance >= 1 from
@@ -314,6 +312,7 @@ def suite_planar_bounds(seed=VERIFY_SEED, line_configs=10000, polygons=1000):
     from scipy.spatial import ConvexHull, QhullError
 
     start = time.perf_counter()
+    line_configs, polygons = 10000, 1000
     band = DEFAULT_TOL.band
     c = 1.0 / 101.0
     angular_violations = 0
@@ -411,11 +410,11 @@ def suite_walk_invariants(prior=None, seed=VERIFY_SEED):
 # 8. Determinism
 
 
-def suite_determinism(seed=VERIFY_SEED, trials=100):
+def suite_determinism(seed=VERIFY_SEED):
     """Byte-identical non-timing CSV when the first growth cell repeats."""
     start = time.perf_counter()
     config = experiments.ExperimentConfig(n=[16], d=[3], sigma=[0.1],
-                                          trials=trials, seed=_sub_seed(seed, 3))
+                                          trials=100, seed=_sub_seed(seed, 3))
     runs = [experiments.run_pivot_experiment(config) for _ in range(2)]
     texts = [experiments.csv_text(h, r, include_timing=False) for h, r in runs]
     import dataclasses
@@ -425,7 +424,7 @@ def suite_determinism(seed=VERIFY_SEED, trials=100):
     identical = texts[0] == texts[1]
     parallel_identical = texts[0] == texts[2]
     details = {
-        "trials": trials, "identical": identical,
+        "trials": config.trials, "identical": identical,
         "parallel_identical": parallel_identical,
         "bytes": len(texts[0].encode()),
         "elapsed_s": round(time.perf_counter() - start, 3),

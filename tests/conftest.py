@@ -1,13 +1,18 @@
 """Shared fixtures: small hand-checkable point sets, sweep planes, programs
-feasible by construction and a factorization counter."""
+feasible by construction and a factorization counter; and the hypothesis
+settings every property test runs under (each sets only max_examples)."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from shadowlp import experiments, geometry, interpolate, phase1, randgen, shadow_walk
 from shadowlp.shadow_walk import SweepPlane
+
+settings.register_profile("shadowlp", deadline=None, derandomize=True, database=None)
+settings.load_profile("shadowlp")
 
 
 @pytest.fixture
@@ -31,7 +36,9 @@ def axis_plane():
 def feasible_lp():
     """Factory for smoothed programs (sigma = 0.1) whose b-centres are
     |b| + 1 before normalizing, so the origin is strictly feasible and the
-    program has an optimum: feasible_lp(n, d, seed) -> GeneralLP."""
+    verdict is optimal or unbounded: feasible_lp(n, d, seed) -> GeneralLP.
+    At n in the hundreds the objective stays inside the cone of the rows;
+    at n = 8, d = 2 it leaves it for 13 seeds in 200."""
 
     def make(n, d, seed):
         spec = randgen.random_spec(n, d, 0.1, randgen.derive_rng(seed, 0))

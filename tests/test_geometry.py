@@ -164,6 +164,33 @@ def test_no_function_takes_a_tolerance():
     assert taking == []
 
 
+def test_no_function_takes_a_budget_or_a_scale_that_no_caller_sets():
+    """Pivot and retry budgets, the enumeration cap and the added block's
+    smoothing are program constants; each suite fixes its contract scale."""
+    functions = dict(_package_functions())
+    taking = [(name, param) for name, fn in functions.items()
+              for param in inspect.signature(fn).parameters
+              if param in ("max_pivots", "max_retries", "smoothing_sigma", "cap")]
+    assert taking == []
+
+    def params(name):
+        return list(inspect.signature(functions[f"shadowlp.{name}"]).parameters)
+
+    assert params("experiments.write_csv") == ["path", "header", "rows"]
+    suites = {name.rsplit(".", 1)[1] for name in functions
+              if name.startswith("shadowlp.verify.suite_")}
+    assert {name: params(f"verify.{name}") for name in suites} == {
+        "suite_oracle_equivalence": ["seed", "instances"],
+        "suite_phase1_statistics": ["seed"],
+        "suite_pivot_growth": ["seed"],
+        "suite_section_agreement": ["seed", "instances"],
+        "suite_polygon_growth": ["seed"],
+        "suite_planar_bounds": ["seed"],
+        "suite_walk_invariants": ["prior", "seed"],
+        "suite_determinism": ["seed"],
+    }
+
+
 # ---------------------------------------------------------------------------
 # make_facet / all_below / cone_coefficients
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from shadowlp import oracle
 from shadowlp.geometry import INFINITY_INDEX
 from shadowlp.interpolate import GeneralLP, solve_lp
 from shadowlp.oracle import (
@@ -48,9 +49,10 @@ def test_enumerate_facets_with_downward_ray():
     assert got == {(0, 1), (INFINITY_INDEX, 0)}
 
 
-def test_enumerate_facets_refuses_beyond_cap(triangle):
+def test_enumerate_facets_refuses_beyond_cap(triangle, monkeypatch):
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", 1)
     with pytest.raises(ValueError):
-        enumerate_facets(triangle, cap=1)
+        enumerate_facets(triangle)
 
 
 # ---------------------------------------------------------------------------

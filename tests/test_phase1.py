@@ -53,13 +53,14 @@ def _unit_points(n, d, rng, scale=0.9):
     return scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def test_add_constraints_unsmoothed_block_geometry():
+def test_add_constraints_unsmoothed_block_geometry(monkeypatch):
     rng = derive_rng(401)
     points = _unit_points(30, 3, rng)
     m0 = norm_ceiling(float(np.max(np.linalg.norm(points, axis=1))))
     assert m0 == pytest.approx(1.0)
     rotation = haar_rotation(3, rng)
-    block = add_constraints(points, m0, rotation, rng, smoothing_sigma=0.0)
+    monkeypatch.setattr(randgen, "added_sigma", lambda d, n: 0.0)
+    block = add_constraints(points, m0, rotation, rng)
     assert block is not None
     assert np.array_equal(block.added_points, block.centers)
     # start objective on the 2*m0 sphere, centers at 2*m0*sqrt(1+r^2)
@@ -105,24 +106,25 @@ def test_add_constraints_factors_once_and_solve_unit_every_d_th_pivot(
     assert len(solve_linear_calls) == result.iterations + sum(p // 3 for p in walk_pivots)
 
 
-def test_add_constraints_rejects_block_that_is_too_close():
+def test_add_constraints_rejects_block_that_is_too_close(monkeypatch):
     rng = derive_rng(402)
     points = _unit_points(20, 3, rng)
     max_norm = float(np.max(np.linalg.norm(points, axis=1)))
     rotation = haar_rotation(3, rng)
     # dilation 2*(max_norm/4) < max_norm violates the distance check
-    block = add_constraints(points, max_norm / 4.0, rotation, rng,
-                            smoothing_sigma=0.0)
+    monkeypatch.setattr(randgen, "added_sigma", lambda d, n: 0.0)
+    block = add_constraints(points, max_norm / 4.0, rotation, rng)
     assert block is None
 
 
-def test_add_constraints_fails_under_absurd_smoothing():
+def test_add_constraints_fails_under_absurd_smoothing(monkeypatch):
     rng = derive_rng(403)
     points = _unit_points(20, 3, rng)
+    monkeypatch.setattr(randgen, "added_sigma", lambda d, n: 5.0)
     outcomes = set()
     for _ in range(200):
         rotation = haar_rotation(3, rng)
-        block = add_constraints(points, 1.0, rotation, rng, smoothing_sigma=5.0)
+        block = add_constraints(points, 1.0, rotation, rng)
         outcomes.add(block is None)
     assert True in outcomes  # scattering that wide must break a check sometimes
 
@@ -204,9 +206,10 @@ def test_solve_unit_mean_iterations_small_on_smoothed_inputs():
     assert np.mean(iterations) <= 6.0
 
 
-def test_solve_unit_gives_up_when_budget_exhausted(triangle):
+def test_solve_unit_gives_up_when_budget_exhausted(triangle, monkeypatch):
+    monkeypatch.setattr(phase1, "MAX_RETRIES", 0)
     with pytest.raises(GaveUp):
-        solve_unit(triangle, np.array([0.1, 1.0]), rng=410, max_retries=0)
+        solve_unit(triangle, np.array([0.1, 1.0]), rng=410)
 
 
 def test_solve_unit_rejects_underdetermined_inputs():

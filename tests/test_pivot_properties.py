@@ -60,8 +60,7 @@ def _reference_ratio_test(points, facet, leaving, infinite_dir):
     return best
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 @given(n=st.sampled_from([20, 4096]), seed=st.integers(0, 3), lifted=st.booleans(),
        duplicated=st.booleans(), reset_updates=st.booleans(), data=st.data())
 def test_pivot_matches_a_per_point_reference(n, seed, lifted, duplicated, reset_updates, data):

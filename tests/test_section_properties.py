@@ -13,7 +13,7 @@ from shadowlp.randgen import derive_rng, gaussian
 from shadowlp.sections import section_edges
 from shadowlp.shadow_walk import SweepPlane
 
-_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+_SETTINGS = settings(max_examples=40)
 _SHIFT = st.floats(-2.0, 2.0, allow_nan=False)
 
 

@@ -299,12 +299,29 @@ def test_walk_refactors_every_d_th_pivot(solve_linear_calls):
     assert [e.facet.updates for e in outcome.trace] == [0, 1] * 6
 
 
-def test_walk_iteration_cap_raises_cycle_suspected(triangle):
-    plane = SweepPlane.through(np.array([1.0, 0.1]), np.array([0.1, 1.0]))
-    start = make_facet(triangle, (0, 2))
-    with pytest.raises(CycleSuspected):
-        walk(triangle, plane, start, plane.theta_of(np.array([1.0, 0.1])),
-             plane.theta_of(np.array([0.1, 1.0])), max_pivots=0)
+@pytest.mark.parametrize("honest", [0, 1, 3])
+def test_walk_raises_cycle_suspected_when_a_pivot_returns_to_its_facet(monkeypatch, honest):
+    # After `honest` true pivots the sabotaged pivot sends the walk back into
+    # the facet it is leaving.  Its exit is then due at the same angle, so a
+    # walk that did not detect the repeat would spin until the budget runs out.
+    real_pivot = shadow_walk.pivot
+    left = []
+
+    def bad_pivot(points, facet, leaving, infinite_dir=None):
+        left.append(facet.indices)
+        if len(left) > 50:
+            raise RuntimeError("sabotage budget exhausted")
+        if len(left) <= honest:
+            return real_pivot(points, facet, leaving, infinite_dir)
+        return leaving, facet
+
+    monkeypatch.setattr(shadow_walk, "pivot", bad_pivot)
+    points = _dodecagon()
+    with pytest.raises(CycleSuspected) as info:
+        walk(points, SweepPlane.axis(2), make_facet(points, (0, 1)), 0.1, 6.0)
+    # The start facet may be re-entered once, any other facet not at all.
+    assert len(left) == max(honest, 1) + 1
+    assert f"facet {left[-1]} entered again" in str(info.value)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ lifted = lift(lp)
 print("\nlifted points (rows (a_i, 1 - b_i), then the top constraint):")
 print(lifted.points)
 print("vertex at infinity points along", lifted.infinity_dir)
-print("the sweep rotates the objective from", lifted.objective_low,
+print("the sweep rotates the objective from", lifted.infinity_dir,
       "to", lifted.objective_high)
 
 # --- the full pipeline -------------------------------------------------------

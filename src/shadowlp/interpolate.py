@@ -30,7 +30,6 @@ from .shadow_walk import OPTIMAL_FACET, SweepPlane, walk
 STATUS_OPTIMAL = "optimal"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_INFEASIBLE = "infeasible"
-STATUS_AMBIGUOUS = "ambiguous"
 
 
 class NumericFailure(Exception):
@@ -73,12 +72,12 @@ class GeneralLP:
 class IntLPLift:
     """Lifted point set: rows 0..n-1 are (a_i, 1 - b_i), row n (top_index)
     is the unit vector along the lifted axis, and the vertex at infinity
-    points straight down."""
+    points straight down.  The sweep runs from infinity_dir to
+    objective_high."""
 
     points: np.ndarray
     top_index: int
     infinity_dir: np.ndarray
-    objective_low: np.ndarray
     objective_high: np.ndarray
     rotation_dir: np.ndarray
 
@@ -95,8 +94,7 @@ def lift(lp):
     up = -down
     rot = np.zeros(d + 1)
     rot[:d] = lp.z
-    return IntLPLift(points=pts, top_index=n, infinity_dir=down,
-                     objective_low=down.copy(), objective_high=up,
+    return IntLPLift(points=pts, top_index=n, infinity_dir=down, objective_high=up,
                      rotation_dir=rot)
 
 
@@ -153,7 +151,7 @@ def solve_lp(lp, rng=None, validate=False):
         start = initial_limit_facet(lifted, unit.facet.indices)
     except SingularSystem as exc:
         raise NumericFailure(f"degenerate lifted start facet: {exc}") from exc
-    plane = SweepPlane.through(lifted.objective_low, lifted.objective_high,
+    plane = SweepPlane.through(lifted.infinity_dir, lifted.objective_high,
                                rotation_dir=lifted.rotation_dir)
     theta_target = plane.theta_of(lifted.objective_high)  # half-turn arc
     outcome = walk(lifted.points, plane, start, 0.0, theta_target,

@@ -16,12 +16,11 @@ from math import comb
 import numpy as np
 
 from .geometry import DEFAULT_TOL, INFINITY_INDEX, FacetIndexSet
-from .interpolate import (
-    STATUS_AMBIGUOUS,
-    STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
-)
+from .interpolate import STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED
+
+# The oracle's own verdict for an instance it refuses to call; the solver
+# never returns it.
+STATUS_AMBIGUOUS = "ambiguous"
 
 ENUMERATION_CAP = 1_000_000
 

@@ -11,6 +11,7 @@ walk's terminal facet uses no added index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -51,14 +52,19 @@ class UnitResult:
     iterations: int
 
 
+@functools.cache
 def simplex_vertices(d, radius):
     """Vertices of a regular (d-1)-simplex with centroid at the last
     coordinate axis unit vector and circumradius `radius`, lying in the
-    affine hyperplane {x : x_d = 1}.
+    affine hyperplane {x : x_d = 1}.  Returns (anchor, vertices).
 
     Construction: take f_i = e_i - (1/d) * ones (the centered coordinate
     frame inside the hyperplane ones-perp), scale each to norm `radius`, and
-    rotate ones/sqrt(d) onto e_d."""
+    rotate ones/sqrt(d) onto e_d.
+
+    Every Phase-I attempt at dimension d asks for the same simplex, so each
+    (d, radius) is built once per process and the same two arrays are
+    returned to every caller, marked read-only."""
     anchor = np.zeros(d)
     anchor[d - 1] = 1.0
     f = np.eye(d) - np.full((d, d), 1.0 / d)
@@ -70,6 +76,8 @@ def simplex_vertices(d, radius):
     s = u + v
     rot = np.eye(d) - np.outer(s, s) / (1.0 + float(np.dot(u, v))) + 2.0 * np.outer(v, u)
     vertices = anchor + f @ rot.T
+    anchor.flags.writeable = False
+    vertices.flags.writeable = False
     return anchor, vertices
 
 

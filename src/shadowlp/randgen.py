@@ -59,15 +59,20 @@ def derive_rng(seed, *key):
 
     seed may be an int, a SeedSequence, a Generator (an entropy word is drawn
     from it), or None (fresh OS entropy).  Integer keys extend the spawn key,
-    so derive_rng(s, a, b) and derive_rng(s, a, c) never collide."""
+    so derive_rng(s, a, b) and derive_rng(s, a, c) never collide.
+
+    The stream is that of SeedSequence(entropy=E, spawn_key=K + key), with
+    E and K the entropy and spawn key of the seed taken as a SeedSequence.
+    An int seed is its own E with K = (), so it goes in as the entropy with
+    no SeedSequence built from it first; a negative one raises ValueError."""
     if isinstance(seed, np.random.SeedSequence):
-        base = seed
+        entropy, spawn_key = seed.entropy, tuple(seed.spawn_key)
     elif isinstance(seed, np.random.Generator):
-        base = np.random.SeedSequence(int(seed.integers(0, 2 ** 63)))
+        entropy, spawn_key = int(seed.integers(0, 2 ** 63)), ()
     else:
-        base = np.random.SeedSequence(seed)
-    spawn_key = tuple(base.spawn_key) + tuple(int(k) for k in key)
-    return np.random.default_rng(np.random.SeedSequence(entropy=base.entropy, spawn_key=spawn_key))
+        entropy, spawn_key = seed, ()
+    spawn_key += tuple(int(k) for k in key)
+    return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key))
 
 
 def _open_uniform(rng, shape):

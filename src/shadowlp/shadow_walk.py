@@ -16,6 +16,7 @@ that the new basis is nonsingular.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -34,7 +35,6 @@ TWO_PI = 2.0 * math.pi
 
 OPTIMAL_FACET = "optimal_facet"
 UNBOUNDED = "unbounded"
-EXHAUSTED_ARC = "exhausted_arc"
 
 
 class WalkStateError(Exception):
@@ -142,29 +142,41 @@ def exit_angle(facet, plane, theta_now):
     rounding error before theta_now), is an exit now: a vertex on the ray
     q(theta_now) leaves the facet at once.  Returns None when no coefficient
     ever crosses (never happens for genuine facets of pointed cones).  Raises
-    WalkStateError when q(theta_now) does not pierce the facet."""
+    WalkStateError when q(theta_now) does not pierce the facet.
+
+    v = b1 B^-1 and w = b2 B^-1 are read once as Python floats, and one pass
+    over them makes both the pierce check and the crossing search.  Each
+    lam_j(theta_now) = v_j cos(theta_now) + w_j sin(theta_now) rounds its two
+    products and its sum as the elementwise numpy expression does, and a NaN
+    coefficient makes the minimum NaN as numpy's min does, so a NaN never
+    fails the pierce check."""
     # The coefficients of q solve B^T lam = q, so lam = q @ B^-1.
-    v, w = plane.basis1 @ facet.inverse, plane.basis2 @ facet.inverse
-    lam_min = float((v * math.cos(theta_now) + w * math.sin(theta_now)).min())
-    if lam_min < -DEFAULT_TOL.eps_feas:
-        raise WalkStateError(
-            f"facet {facet.indices} is not pierced at theta={theta_now!r} "
-            f"(min coefficient {lam_min:.3e})"
-        )
+    v = (plane.basis1 @ facet.inverse).tolist()
+    w = (plane.basis2 @ facet.inverse).tolist()
+    cos_now, sin_now = math.cos(theta_now), math.sin(theta_now)
+    lam_min = math.inf
     best_delta = None
     best_index = None
-    for j, i in enumerate(facet.indices):
-        r = math.hypot(v[j], w[j])
+    for i, vj, wj in zip(facet.indices, v, w):
+        lam = vj * cos_now + wj * sin_now
+        if lam < lam_min or lam != lam:  # once NaN, no lam compares below it
+            lam_min = lam
+        r = math.hypot(vj, wj)
         if r <= 1e-300:
             continue  # identically zero coefficient: never crosses
         # lam_j(theta) = r cos(theta - phi); downward crossing at phi + pi/2.
-        down = math.atan2(w[j], v[j]) + 0.5 * math.pi
+        down = math.atan2(wj, vj) + 0.5 * math.pi
         delta = (down - theta_now) % TWO_PI
         if delta >= TWO_PI - DEFAULT_TOL.eps_angle:
             delta = 0.0
         if best_delta is None or delta < best_delta:
             best_delta = delta
             best_index = i
+    if lam_min < -DEFAULT_TOL.eps_feas:
+        raise WalkStateError(
+            f"facet {facet.indices} is not pierced at theta={theta_now!r} "
+            f"(min coefficient {lam_min:.3e})"
+        )
     if best_delta is None:
         return None
     return theta_now + best_delta, best_index
@@ -180,8 +192,15 @@ def pivot(points, facet, leaving, infinite_dir=None):
     the vertex at infinity), ties broken by smallest index, so the vertex at
     infinity (index -1) wins a tie.  Only the candidates' ratios are
     divided; they are taken in ascending index order, so the first minimum
-    is the smallest index.  Returns (entering, new_facet) or None when no
-    candidate exists, which certifies unboundedness beyond the exit angle.
+    is the smallest index.  The candidate test runs over every point,
+    members included: only when the first minimum lands on a facet member
+    (a ridge member whose <g, a_i> rounds above eps_feas) is the selection
+    redone without the members.  A non-member first minimum has no earlier
+    non-member tied with it, so either way the winner is the one of a test
+    over non-members alone.  The new index tuple is the ridge with the
+    entering index inserted in order.  Returns (entering, new_facet) or None
+    when no candidate exists, which certifies unboundedness beyond the exit
+    angle.
 
     The new facet comes from a rank-one update of the current normal,
     B^-1 and row scales (see _updated_facet).  It is factored from the
@@ -198,14 +217,17 @@ def pivot(points, facet, leaving, infinite_dir=None):
     h = facet.normal
 
     den = points @ g
-    mask = den > DEFAULT_TOL.eps_feas
-    mask[list(indices[1:] if facet.contains_infinite else indices)] = False
-    cand = mask.nonzero()[0]
+    cand = (den > DEFAULT_TOL.eps_feas).nonzero()[0]
     best = None
     if cand.size:
         ratios = (1.0 - (points @ h)[cand]) / den[cand]
         m = int(ratios.argmin())  # first occurrence: smallest index on a tie
-        best = (float(ratios[m]), int(cand[m]))
+        if int(cand[m]) in indices:  # rare: select again without the members
+            outside = ~np.isin(cand, indices)
+            cand, ratios = cand[outside], ratios[outside]
+            m = int(ratios.argmin()) if cand.size else None
+        if m is not None:
+            best = (float(ratios[m]), int(cand[m]))
     if infinite_dir is not None and not facet.contains_infinite:
         den_inf = float(np.dot(g, infinite_dir))
         if den_inf > DEFAULT_TOL.eps_feas:
@@ -215,7 +237,9 @@ def pivot(points, facet, leaving, infinite_dir=None):
     if best is None:
         return None
     ratio, entering = best
-    new_indices = tuple(sorted(indices[:j] + indices[j + 1:] + (entering,)))
+    ridge = indices[:j] + indices[j + 1:]
+    p = bisect.bisect(ridge, entering)
+    new_indices = ridge[:p] + (entering,) + ridge[p:]
     new_facet = None
     if facet.updates + 1 < len(indices):
         new_facet = _updated_facet(points, facet, j, entering, ratio, new_indices, infinite_dir)
@@ -254,11 +278,11 @@ def _updated_facet(points, facet, j, entering, ratio, new_indices, infinite_dir)
     if p > j:
         new_inverse[:, j:p] = new_inverse[:, j + 1:p + 1]
         scales[j:p] = scales[j + 1:p + 1]
-    else:
+    elif p < j:
         new_inverse[:, p + 1:j + 1] = new_inverse[:, p:j]
         scales[p + 1:j + 1] = scales[p:j]
     new_inverse[:, p] = col
-    scales[p] = np.abs(a_k).max()
+    scales[p] = max(map(abs, a_k.tolist()))
     if not (np.abs(new_inverse) @ scales).max() < 1.0 / DEFAULT_TOL.eps_singular:
         return None
     return FacetIndexSet(new_indices, facet.normal - ratio * inverse[:, j], new_inverse,
@@ -360,13 +384,12 @@ def sweep_full(points, plane, start_facet, theta_start=0.0, validate=False):
     the plane (every direction then pierces some facet, so unboundedness is
     impossible).  The trace partitions [theta_start, theta_start + 2*pi); the
     start facet may appear twice, once at each end, and walk raises
-    CycleSuspected when any other facet would.  pivots equals
-    len(trace) - 1."""
+    CycleSuspected when any other facet would.  The status is the walk's
+    own, OPTIMAL_FACET, and pivots equals len(trace) - 1."""
     outcome = walk(points, plane, start_facet, theta_start, theta_start + TWO_PI,
                    infinite_dir=None, validate=validate)
     if outcome.status == UNBOUNDED:
         raise WalkStateError("unbounded during a full sweep: origin not interior to the slice")
-    outcome.status = EXHAUSTED_ARC
     if validate:
         total = sum(e.theta_end - e.theta_start for e in outcome.trace)
         if abs(total - TWO_PI) > DEFAULT_TOL.eps_feas:

@@ -1,12 +1,19 @@
 """Independent re-checks that only the tests need: a transposed solve for
-cone coefficients, an LP for convex membership and a CSV reader."""
+cone coefficients, an LP for convex membership, a CSV reader, the numpy
+formulation of the exit angle, programs feasible by construction and a
+recorder of a solve's walks."""
 
 import csv
+import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
-from shadowlp.geometry import basis_rows, solve_linear
+from shadowlp import interpolate, phase1, randgen, shadow_walk
+from shadowlp.geometry import DEFAULT_TOL, basis_rows, solve_linear
+from shadowlp.shadow_walk import TWO_PI, WalkStateError
 
 
 def cone_coefficients(points, indices, direction, infinite_dir=None):
@@ -36,3 +43,60 @@ def read_csv(path):
         reader = csv.reader(handle)
         header = tuple(next(reader))
         return header, [list(row) for row in reader]
+
+
+def reference_exit_angle(facet, plane, theta_now):
+    """shadow_walk.exit_angle as numpy expressions: v and w stay arrays, the
+    pierce check is numpy's min over the elementwise coefficients (NaN if
+    any is NaN), and the crossing search is a second loop over the indices."""
+    v, w = plane.basis1 @ facet.inverse, plane.basis2 @ facet.inverse
+    lam_min = float((v * math.cos(theta_now) + w * math.sin(theta_now)).min())
+    if lam_min < -DEFAULT_TOL.eps_feas:
+        raise WalkStateError(
+            f"facet {facet.indices} is not pierced at theta={theta_now!r} "
+            f"(min coefficient {lam_min:.3e})"
+        )
+    best_delta = None
+    best_index = None
+    for j, i in enumerate(facet.indices):
+        r = math.hypot(v[j], w[j])
+        if r <= 1e-300:
+            continue
+        down = math.atan2(w[j], v[j]) + 0.5 * math.pi
+        delta = (down - theta_now) % TWO_PI
+        if delta >= TWO_PI - DEFAULT_TOL.eps_angle:
+            delta = 0.0
+        if best_delta is None or delta < best_delta:
+            best_delta = delta
+            best_index = i
+    if best_delta is None:
+        return None
+    return theta_now + best_delta, best_index
+
+
+def feasible_lp(n, d, seed):
+    """Smoothed program (sigma = 0.1) whose b-centres are |b| + 1 before
+    normalizing, so the origin is strictly feasible and the verdict is
+    optimal or unbounded.  At n in the hundreds the objective stays inside
+    the cone of the rows; at n = 8, d = 2 it leaves it for 13 seeds in 200."""
+    spec = randgen.random_spec(n, d, 0.1, randgen.derive_rng(seed, 0))
+    spec = replace(spec, centers_b=np.abs(spec.centers_b) + 1.0)
+    return randgen.sample_instance(randgen.normalize(spec), randgen.derive_rng(seed, 1))
+
+
+def recorded_walks(lp, seed):
+    """(points, plane, infinite_dir, trace) of every walk of
+    solve_lp(lp, rng=seed) in the order they ran: Phase I's, without a
+    vertex at infinity, then the lifted one's, with it."""
+    walks = []
+
+    def recorded(points, plane, *args, **kwargs):
+        outcome = shadow_walk.walk(points, plane, *args, **kwargs)
+        walks.append((points, plane, kwargs.get("infinite_dir"), outcome.trace))
+        return outcome
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phase1, "walk", recorded)
+        mp.setattr(interpolate, "walk", recorded)
+        interpolate.solve_lp(lp, rng=seed)
+    return walks

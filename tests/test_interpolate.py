@@ -51,7 +51,6 @@ def test_lift_rows_and_frame():
     assert lifted.top_index == 3
     assert np.allclose(lifted.points[3], [0.0, 0.0, 1.0])
     assert np.allclose(lifted.infinity_dir, [0.0, 0.0, -1.0])
-    assert np.allclose(lifted.objective_low, [0.0, 0.0, -1.0])
     assert np.allclose(lifted.objective_high, [0.0, 0.0, 1.0])
     assert np.allclose(lifted.rotation_dir, [1.0, 0.0, 0.0])
 
@@ -66,7 +65,7 @@ def test_initial_limit_facet_joins_infinity(triangle):
     assert np.dot(facet.normal, lifted.infinity_dir) == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(facet.normal, [1.0 / 9.0, 1.0, 0.0])
     # just off the bottom of the arc, the sweep direction pierces the facet
-    plane = SweepPlane.through(lifted.objective_low, lifted.objective_high,
+    plane = SweepPlane.through(lifted.infinity_dir, lifted.objective_high,
                                rotation_dir=lifted.rotation_dir)
     lam = cone_coefficients(lifted.points, facet.indices, plane.q(1e-4),
                             infinite_dir=lifted.infinity_dir)

@@ -36,6 +36,19 @@ def test_simplex_vertices_regular_and_anchored(d):
     assert np.allclose(dists, dists[0])
 
 
+def test_simplex_vertices_built_once_per_dimension_and_read_only():
+    points = _unit_points(40, 3, derive_rng(411))
+    z = np.array([0.3, -0.2, 0.9])
+    simplex_vertices.cache_clear()
+    attempts = sum(solve_unit(points, z, rng=seed).iterations for seed in range(4))
+    info = simplex_vertices.cache_info()
+    assert (info.misses, info.hits) == (1, attempts - 1)
+    anchor, vertices = simplex_vertices(3, randgen.simplex_radius(3))
+    assert not anchor.flags.writeable and not vertices.flags.writeable
+    with pytest.raises(ValueError):
+        vertices[0, 0] = 0.0
+
+
 def test_simplex_vertices_closed_form_2d():
     radius = 0.125
     anchor, vertices = simplex_vertices(2, radius)

@@ -9,9 +9,18 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from shadowlp import interpolate, phase1, randgen, shadow_walk
-from shadowlp.geometry import DEFAULT_TOL, INFINITY_INDEX, SingularSystem, basis_rows, make_facet
+from shadowlp import randgen, shadow_walk
+from shadowlp.geometry import (
+    DEFAULT_TOL,
+    INFINITY_INDEX,
+    FacetIndexSet,
+    SingularSystem,
+    basis_rows,
+    make_facet,
+)
 from shadowlp.shadow_walk import pivot
+
+from helpers import recorded_walks
 
 
 @functools.cache
@@ -21,19 +30,8 @@ def _walks(n, seed):
     and the lifted one's, with it."""
     spec = randgen.normalize(randgen.random_spec(n, 3, 0.1, randgen.derive_rng(seed, 0)))
     lp = randgen.sample_instance(spec, randgen.derive_rng(seed, 1))
-    walks = []
-
-    def recorded(points, *args, **kwargs):
-        outcome = shadow_walk.walk(points, *args, **kwargs)
-        walks.append((points, kwargs.get("infinite_dir"),
-                      [entry.facet for entry in outcome.trace]))
-        return outcome
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(phase1, "walk", recorded)
-        mp.setattr(interpolate, "walk", recorded)
-        interpolate.solve_lp(lp, rng=seed)
-    return walks
+    return [(points, infinite_dir, [entry.facet for entry in trace])
+            for points, _, infinite_dir, trace in recorded_walks(lp, seed)]
 
 
 def _reference_ratio_test(points, facet, leaving, infinite_dir):
@@ -113,3 +111,25 @@ def test_pivot_matches_a_per_point_reference(n, seed, lifted, duplicated, reset_
         fresh = make_facet(points, new_indices, infinite_dir)
         for name in ("normal", "inverse", "scales"):
             assert np.array_equal(getattr(new_facet, name), getattr(fresh, name))
+
+
+@pytest.mark.parametrize("outside, expected", [
+    ([1.0, 0.5], (2.0, 2)),  # the member's ratio 1 is strictly the smallest
+    ([1.0, 1.0], (1.0, 2)),  # the member ties, and has the smaller index
+    ([3.0, -1.0], None),     # the member is the only point past the ridge
+], ids=["smaller", "tied", "alone"])
+def test_pivot_never_enters_a_member_with_the_smallest_ratio(outside, expected):
+    # Hand-built facet (0, 1) with normal 0 and an inverse whose column 0 is
+    # (0, -1): leaving index 0 gives g = (0, 1), so the ridge member 1 has
+    # <g, a_1> = 1 > eps_feas and ratio (1 - 0) / 1 = 1.
+    points = np.array([[1.0, 0.0], [0.0, 1.0], outside])
+    facet = FacetIndexSet((0, 1), np.zeros(2), np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                          scales=np.ones(2))
+    assert _reference_ratio_test(points, facet, 0, None) == expected
+    step = pivot(points, facet, 0)
+    if expected is None:
+        assert step is None
+        return
+    entering, new_facet = step
+    assert entering == expected[1]
+    assert new_facet.indices == (1, 2)

@@ -68,10 +68,56 @@ def test_derive_rng_is_deterministic_and_key_separated():
 
 
 def test_derive_rng_accepts_generator_and_seedsequence():
-    base = np.random.SeedSequence(99)
-    assert derive_rng(base, 1) is not None
-    gen = derive_rng(5)
-    assert derive_rng(gen, 1) is not None
+    base = np.random.SeedSequence(99, spawn_key=(4,))
+    assert _same_stream(derive_rng(base, 1, 2), _two_step(base, 1, 2))
+    gen, twin = derive_rng(5), derive_rng(5)
+    got = derive_rng(gen, 1)
+    assert _same_stream(got, _two_step(int(twin.integers(0, 2 ** 63)), 1))
+    assert _same_stream(gen, twin)  # one entropy word drawn from each
+
+
+def _two_step(seed, *key):
+    """The construction derive_rng must reproduce: the seed read as a
+    SeedSequence, then a SeedSequence over its entropy and its spawn key
+    extended by the key."""
+    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    spawn_key = tuple(base.spawn_key) + tuple(int(k) for k in key)
+    return np.random.default_rng(np.random.SeedSequence(entropy=base.entropy, spawn_key=spawn_key))
+
+
+def _same_stream(a, b):
+    return (a.bit_generator.state == b.bit_generator.state
+            and np.array_equal(a.integers(0, 2 ** 63, size=3), b.integers(0, 2 ** 63, size=3)))
+
+
+def test_derive_rng_integer_seeds_equal_the_two_step_construction():
+    picker = np.random.default_rng(1201)
+    seeds = [0, 1, 2 ** 63 - 1, 2 ** 64 - 1, 2 ** 100 + 3, np.int64(7), np.int32(12),
+             np.uint64(2 ** 64 - 1), np.uint8(255)]
+    seeds += [int(s) for s in picker.integers(0, 2 ** 63, size=120)]
+    seeds += list(picker.integers(0, 2 ** 64, size=120, dtype=np.uint64))
+    pairs = 0
+    for seed in seeds:
+        for length in range(5):
+            key = [int(k) for k in picker.integers(0, 2 ** 32, size=length)]
+            if length >= 2:
+                key[1] = np.int64(key[1])  # numpy integers in the key too
+            if length == 4:
+                key[3] = 2 ** 63 - 1
+            assert _same_stream(derive_rng(seed, *key), _two_step(seed, *key)), (seed, key)
+            pairs += 1
+    assert pairs >= 1000
+
+
+def test_derive_rng_fresh_entropy_for_none_and_refuses_negative_seeds():
+    a, b = derive_rng(None, 1), derive_rng(None, 1)
+    assert isinstance(a, np.random.Generator)
+    assert not np.array_equal(a.integers(0, 2 ** 63, size=4), b.integers(0, 2 ** 63, size=4))
+    for key in ((), (1,), (2, 3)):
+        with pytest.raises(ValueError):
+            derive_rng(-1, *key)
+        with pytest.raises(ValueError):
+            derive_rng(np.int64(-5), *key)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from shadowlp.geometry import (
 )
 from shadowlp.interpolate import GeneralLP, lift
 from shadowlp.shadow_walk import (
-    EXHAUSTED_ARC,
     OPTIMAL_FACET,
     UNBOUNDED,
     CycleSuspected,
@@ -492,7 +491,7 @@ def test_validated_walk_detects_stale_row_scales(stale, monkeypatch):
 def test_sweep_square_finds_four_facets(square, axis_plane):
     start = make_facet(square, (0, 1))
     outcome = sweep_full(square, axis_plane(2), start, math.pi / 2, validate=True)
-    assert outcome.status == EXHAUSTED_ARC
+    assert outcome.status == OPTIMAL_FACET
     distinct = outcome.distinct_facets()
     assert len(distinct) == 4
     lengths = [e.theta_end - e.theta_start for e in outcome.trace]

@@ -44,8 +44,8 @@ lifted = lift(lp)
 print("\nlifted points (rows (a_i, 1 - b_i), then the top constraint):")
 print(lifted.points)
 print("vertex at infinity points along", lifted.infinity_dir)
-print("the sweep rotates the objective from", lifted.infinity_dir,
-      "to", lifted.objective_high)
+print("the sweep turns the objective a half turn, from straight down (angle 0)")
+print("to straight up (angle pi), in", lifted.plane)
 
 # --- the full pipeline -------------------------------------------------------
 result = solve_lp(lp, rng=7, validate=True)

@@ -10,21 +10,18 @@ sweep are realized as limit facets, never as numeric parameter values: the
 walk starts on the Phase-I facet joined with the vertex at infinity and ends
 on the facet whose angular interval reaches the top of the arc.  The
 original program is infeasible exactly when that final facet misses the top
-constraint."""
+constraint; otherwise the facet minus the top constraint is the optimal
+basis and the first d coordinates of its normal are the optimal vertex."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import phase1
-from .geometry import (
-    INFINITY_INDEX,
-    SingularSystem,
-    make_facet,
-    solve_linear,
-)
+from .geometry import INFINITY_INDEX, SingularSystem, make_facet
 from .shadow_walk import OPTIMAL_FACET, SweepPlane, walk
 
 STATUS_OPTIMAL = "optimal"
@@ -72,14 +69,14 @@ class GeneralLP:
 class IntLPLift:
     """Lifted point set: rows 0..n-1 are (a_i, 1 - b_i), row n (top_index)
     is the unit vector along the lifted axis, and the vertex at infinity
-    points straight down.  The sweep runs from infinity_dir to
-    objective_high."""
+    points straight down.  The sweep plane has basis1 = infinity_dir and
+    basis2 = (z, 0) / |z|, so the sweep runs from straight down at angle 0
+    to straight up at angle pi."""
 
     points: np.ndarray
     top_index: int
     infinity_dir: np.ndarray
-    objective_high: np.ndarray
-    rotation_dir: np.ndarray
+    plane: SweepPlane
 
 
 def lift(lp):
@@ -91,11 +88,10 @@ def lift(lp):
     pts[n, d] = 1.0
     down = np.zeros(d + 1)
     down[d] = -1.0
-    up = -down
     rot = np.zeros(d + 1)
     rot[:d] = lp.z
-    return IntLPLift(points=pts, top_index=n, infinity_dir=down, objective_high=up,
-                     rotation_dir=rot)
+    return IntLPLift(points=pts, top_index=n, infinity_dir=down,
+                     plane=SweepPlane(down, rot / np.linalg.norm(rot)))
 
 
 def initial_limit_facet(lifted, unit_indices):
@@ -104,16 +100,6 @@ def initial_limit_facet(lifted, unit_indices):
     bottom of the arc."""
     indices = tuple(sorted(unit_indices)) + (INFINITY_INDEX,)
     return make_facet(lifted.points, indices, lifted.infinity_dir)
-
-
-def classify_final(facet, lifted):
-    """Read the verdict off the final limit facet: the original program is
-    feasible (status optimal, basis = facet minus top) exactly when the top
-    constraint participates; otherwise it is infeasible."""
-    if lifted.top_index in facet.indices:
-        basis = tuple(i for i in facet.indices if i != lifted.top_index)
-        return STATUS_OPTIMAL, basis
-    return STATUS_INFEASIBLE, None
 
 
 @dataclass
@@ -137,10 +123,11 @@ def solve_lp(lp, rng=None, validate=False):
     Phase I solves the unit program on the rows of A; unboundedness there is
     unboundedness of the original objective direction and is reported as
     such.  Phase II walks the lifted polytope from the Phase-I limit facet to
-    the top of the arc and classifies the final facet.  Raises NumericFailure
-    when the walk or the solution recovery contradicts exact-arithmetic
-    theory (degenerate input); raises shadow_walk.CycleSuspected when a walk
-    repeats a facet and phase1.GaveUp when Phase I runs out of attempts."""
+    the top of the arc and reads the verdict, the basis and x_opt off the
+    final facet.  Raises NumericFailure when the lifted walk contradicts
+    exact-arithmetic theory (degenerate input); raises
+    shadow_walk.CycleSuspected when a walk repeats a facet and phase1.GaveUp
+    when Phase I runs out of attempts."""
     unit = phase1.solve_unit(lp.A, lp.z, rng=rng, validate=validate)
     if unit.status == phase1.UNIT_UNBOUNDED:
         return LPResult(STATUS_UNBOUNDED, None, None,
@@ -151,22 +138,19 @@ def solve_lp(lp, rng=None, validate=False):
         start = initial_limit_facet(lifted, unit.facet.indices)
     except SingularSystem as exc:
         raise NumericFailure(f"degenerate lifted start facet: {exc}") from exc
-    plane = SweepPlane.through(lifted.infinity_dir, lifted.objective_high,
-                               rotation_dir=lifted.rotation_dir)
-    theta_target = plane.theta_of(lifted.objective_high)  # half-turn arc
-    outcome = walk(lifted.points, plane, start, 0.0, theta_target,
+    outcome = walk(lifted.points, lifted.plane, start, 0.0, math.pi,
                    infinite_dir=lifted.infinity_dir, validate=validate)
     if outcome.status != OPTIMAL_FACET:
         raise NumericFailure("lifted walk left the cone; impossible when Phase I is bounded")
-    status, basis = classify_final(outcome.facet, lifted)
-    if status == STATUS_INFEASIBLE:
+    final = outcome.facet
+    if lifted.top_index not in final.indices:
         return LPResult(STATUS_INFEASIBLE, None, None,
                         unit.pivots_total, outcome.pivots, unit.iterations)
+    basis = tuple(i for i in final.indices if i != lifted.top_index)
     if any(i < 0 or i >= lp.n for i in basis):
         raise NumericFailure("optimal basis contains a non-constraint index")
-    try:
-        x_opt = solve_linear(lp.A[list(basis)], lp.b[list(basis)])
-    except SingularSystem as exc:
-        raise NumericFailure(f"singular recovery system for basis {basis}: {exc}") from exc
+    # <h, (a_i, 1 - b_i)> = 1 on the basis and h_{d+1} = 1 from the top row,
+    # so h[:d] solves A_B x = b_B.
+    x_opt = final.normal[:lp.d].copy()
     return LPResult(STATUS_OPTIMAL, basis, x_opt,
                     unit.pivots_total, outcome.pivots, unit.iterations)

@@ -32,11 +32,8 @@ def simplex_radius(d):
 
 def added_sigma(d, n):
     """Standard deviation used to smooth the added constraints:
-    min(1 / (6 sqrt(d log n)), C1 / (d^(3/2) log d))."""
-    if d < 2 or n <= d:
-        raise ValueError("need n > d >= 2")
-    return min(1.0 / (6.0 * math.sqrt(d * math.log(n))),
-               C1 / (d ** 1.5 * math.log(d)))
+    min(sigma_cap(d, n), C1 / (d^(3/2) log d))."""
+    return min(sigma_cap(d, n), C1 / (d ** 1.5 * math.log(d)))
 
 
 def sigma_cap(d, n):

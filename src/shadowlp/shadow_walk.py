@@ -337,13 +337,10 @@ def walk(points, plane, start_facet, theta_start, theta_target,
     pivots = 0
     while True:
         hit = exit_angle(current, plane, theta)
-        if hit is None:
+        if hit is None or hit[0] >= theta_target - DEFAULT_TOL.eps_angle:
             trace.append(TraceEntry(current, theta, theta_target))
             return WalkOutcome(OPTIMAL_FACET, current, pivots, trace)
         theta_exit, leaving = hit
-        if theta_exit >= theta_target - DEFAULT_TOL.eps_angle:
-            trace.append(TraceEntry(current, theta, theta_target))
-            return WalkOutcome(OPTIMAL_FACET, current, pivots, trace)
         step = pivot(points, current, leaving, infinite_dir)
         if step is None:
             trace.append(TraceEntry(current, theta, theta_exit))

@@ -38,6 +38,8 @@ VERIFY_SEED = 20260825
 
 @dataclass
 class SuiteResult:
+    """One suite's verdict; run_all sets elapsed_s, the suite's wall time."""
+
     criterion: int
     name: str
     passed: bool
@@ -47,9 +49,10 @@ class SuiteResult:
 
 def format_line(result):
     flag = "PASS" if result.passed else "FAIL"
-    keys = ", ".join(f"{k}={v}" for k, v in result.details.items()
-                     if not isinstance(v, (list, dict)))
-    return f"{flag}  criterion {result.criterion} ({result.name}): {keys}"
+    keys = [f"{k}={v}" for k, v in result.details.items()
+            if not isinstance(v, (list, dict))]
+    keys.append(f"elapsed_s={round(result.elapsed_s, 3)}")
+    return f"{flag}  criterion {result.criterion} ({result.name}): {', '.join(keys)}"
 
 
 def _sub_seed(seed, *key):
@@ -62,7 +65,6 @@ def _sub_seed(seed, *key):
 
 def suite_oracle_equivalence(seed=VERIFY_SEED, instances=1000):
     """Two-phase solver vs. exhaustive classifier on small smoothed programs."""
-    start = time.perf_counter()
     dims = (2, 3, 4)
     sigmas = (0.1, 0.5)
     checked = ambiguous = mismatches = violations = 0
@@ -105,13 +107,11 @@ def suite_oracle_equivalence(seed=VERIFY_SEED, instances=1000):
         "mismatches": mismatches, "violations": violations,
         "max_objective_rel_err": max_obj_err, "status_counts": status_counts,
         "walks_validated": checked, "runtime_target_s": 120,
-        "elapsed_s": round(time.perf_counter() - start, 3),
     }
     if first_bad:
         details["first_mismatches"] = first_bad
     passed = mismatches == 0 and violations == 0 and checked > 0
-    return SuiteResult(1, "oracle-equivalence", passed, details,
-                       time.perf_counter() - start)
+    return SuiteResult(1, "oracle-equivalence", passed, details)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,6 @@ def suite_phase1_statistics(seed=VERIFY_SEED):
     attempt succeeds when both postcondition checks pass and every added point
     lies below the witness halfspace.
     """
-    start = time.perf_counter()
     iterations, n, sigma, dims = 2000, 50, 0.3, (3, 4)
     threshold = 0.25 - 3.0 * math.sqrt(0.1875 / iterations)
     band = DEFAULT_TOL.band
@@ -183,12 +182,10 @@ def suite_phase1_statistics(seed=VERIFY_SEED):
         "skipped_unbounded": skipped_unbounded, "skipped_solver": skipped_solver,
         "per_d_success": {str(d): round(s / max(1, t), 4) for d, (s, t) in per_d.items()},
         "walks_validated": collected,
-        "elapsed_s": round(time.perf_counter() - start, 3),
     }
     passed = (collected == iterations and fraction >= threshold
               and mean_iterations <= 6.0)
-    return SuiteResult(2, "phase1-statistics", passed, details,
-                       time.perf_counter() - start)
+    return SuiteResult(2, "phase1-statistics", passed, details)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +194,6 @@ def suite_phase1_statistics(seed=VERIFY_SEED):
 
 def suite_pivot_growth(seed=VERIFY_SEED):
     """Slope of log(mean total pivots) against log n at d=3, sigma=0.1."""
-    start = time.perf_counter()
     ns, trials = (16, 64, 256, 1024, 4096), 100
     config = experiments.ExperimentConfig(n=list(ns), d=[3], sigma=[0.1],
                                           trials=trials, seed=_sub_seed(seed, 3))
@@ -213,11 +209,9 @@ def suite_pivot_growth(seed=VERIFY_SEED):
         "trials_per_cell": trials, "error_rows": len(errors),
         "walks_validated": len(trial_rows) - len(errors),
         "runtime_target_s": 1800,
-        "elapsed_s": round(time.perf_counter() - start, 3),
     }
     passed = slope <= 0.4 and not errors
-    return SuiteResult(3, "pivot-growth", passed, details,
-                       time.perf_counter() - start)
+    return SuiteResult(3, "pivot-growth", passed, details)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +220,6 @@ def suite_pivot_growth(seed=VERIFY_SEED):
 
 def suite_section_agreement(seed=VERIFY_SEED, instances=200):
     """Walked section edge counts vs. brute-force hyperplane enumeration."""
-    start = time.perf_counter()
     plane = SweepPlane.axis(3)
     mismatches = violations = degenerate = 0
     first_bad = []
@@ -255,13 +248,11 @@ def suite_section_agreement(seed=VERIFY_SEED, instances=200):
         "violations": violations, "degenerate_slices": degenerate,
         "square_edges": square.edge_count,
         "walks_validated": instances - violations + 1,
-        "elapsed_s": round(time.perf_counter() - start, 3),
     }
     if first_bad:
         details["first_mismatches"] = first_bad
     passed = mismatches == 0 and violations == 0 and square.edge_count == 4
-    return SuiteResult(4, "section-agreement", passed, details,
-                       time.perf_counter() - start)
+    return SuiteResult(4, "section-agreement", passed, details)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +261,6 @@ def suite_section_agreement(seed=VERIFY_SEED, instances=200):
 
 def suite_polygon_growth(seed=VERIFY_SEED):
     """Mean hull-edge count of standard Gaussian polygons grows with n."""
-    start = time.perf_counter()
     trials, small, large = 50, 100, 10000
     plane = SweepPlane.axis(2)
     means = {}
@@ -289,12 +279,10 @@ def suite_polygon_growth(seed=VERIFY_SEED):
         "mean_edges_large": round(means[large], 2),
         "floor_small": round(floor_small, 3), "floor_large": round(floor_large, 3),
         "trials": trials, "n_small": small, "n_large": large,
-        "elapsed_s": round(time.perf_counter() - start, 3),
     }
     passed = (means[large] > means[small]
               and means[small] > floor_small and means[large] > floor_large)
-    return SuiteResult(5, "polygon-growth", passed, details,
-                       time.perf_counter() - start)
+    return SuiteResult(5, "polygon-growth", passed, details)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +299,6 @@ def suite_planar_bounds(seed=VERIFY_SEED):
     """
     from scipy.spatial import ConvexHull, QhullError
 
-    start = time.perf_counter()
     line_configs, polygons = 10000, 1000
     band = DEFAULT_TOL.band
     c = 1.0 / 101.0
@@ -360,11 +347,10 @@ def suite_planar_bounds(seed=VERIFY_SEED):
     details = {
         "line_configs": line_configs, "angular_violations": angular_violations,
         "polygons": hulls, "viewpoint_failures": viewpoint_failures,
-        "c": "1/101", "elapsed_s": round(time.perf_counter() - start, 3),
+        "c": "1/101",
     }
     passed = angular_violations == 0 and viewpoint_failures == 0 and hulls == polygons
-    return SuiteResult(6, "planar-bounds", passed, details,
-                       time.perf_counter() - start)
+    return SuiteResult(6, "planar-bounds", passed, details)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +366,6 @@ def suite_walk_invariants(prior=None, seed=VERIFY_SEED):
     ``prior`` holds the results of suites 1-4 this aggregates their counters;
     standalone it runs reduced versions of suites 1 and 4.
     """
-    start = time.perf_counter()
     if prior is None:
         prior = [suite_oracle_equivalence(seed, instances=150),
                  suite_section_agreement(seed, instances=40)]
@@ -399,11 +384,9 @@ def suite_walk_invariants(prior=None, seed=VERIFY_SEED):
         "mode": mode, "walks_validated": walks, "violations": violations,
         "sources": sources,
         "checks": "facet locality (d-1 shared), facet validity, sweep closure to 2*pi",
-        "elapsed_s": round(time.perf_counter() - start, 3),
     }
     passed = violations == 0 and walks > 0
-    return SuiteResult(7, "walk-invariants", passed, details,
-                       time.perf_counter() - start)
+    return SuiteResult(7, "walk-invariants", passed, details)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +395,6 @@ def suite_walk_invariants(prior=None, seed=VERIFY_SEED):
 
 def suite_determinism(seed=VERIFY_SEED):
     """Byte-identical non-timing CSV when the first growth cell repeats."""
-    start = time.perf_counter()
     config = experiments.ExperimentConfig(n=[16], d=[3], sigma=[0.1],
                                           trials=100, seed=_sub_seed(seed, 3))
     runs = [experiments.run_pivot_experiment(config) for _ in range(2)]
@@ -427,11 +409,9 @@ def suite_determinism(seed=VERIFY_SEED):
         "trials": config.trials, "identical": identical,
         "parallel_identical": parallel_identical,
         "bytes": len(texts[0].encode()),
-        "elapsed_s": round(time.perf_counter() - start, 3),
     }
     passed = identical and parallel_identical
-    return SuiteResult(8, "determinism", passed, details,
-                       time.perf_counter() - start)
+    return SuiteResult(8, "determinism", passed, details)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +457,8 @@ def run_all(seed=VERIFY_SEED, echo=None, criteria=None):
                 result = suite_determinism(seed)
         except Exception as exc:
             result = SuiteResult(criterion, _SUITE_NAMES[criterion], False,
-                                 {"error": repr(exc)},
-                                 time.perf_counter() - start)
+                                 {"error": repr(exc)})
+        result.elapsed_s = time.perf_counter() - start
         emit(result)
     return results
 

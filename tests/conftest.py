@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 import helpers
-from shadowlp import experiments, geometry, interpolate, phase1, shadow_walk
+from shadowlp import experiments, geometry, phase1, shadow_walk
 from shadowlp.shadow_walk import SweepPlane
 
 settings.register_profile("shadowlp", deadline=None, derandomize=True, database=None)
@@ -49,7 +49,7 @@ def solve_linear_calls(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (geometry, shadow_walk, phase1, interpolate):
+    for module in (geometry, shadow_walk, phase1):
         if getattr(module, "solve_linear", None) is real:
             monkeypatch.setattr(module, "solve_linear", counted)
     return calls

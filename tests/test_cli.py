@@ -196,9 +196,13 @@ def test_verify_single_suite_pass(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert code == 0
     assert printed.startswith("PASS  criterion 6 (planar-bounds)")
+    assert printed.count("elapsed_s=") == 1
     report = json.loads(out.read_text())
     assert report["passed"] is True
     assert [s["criterion"] for s in report["suites"]] == [6]
+    # the suite's time is reported once, beside its details
+    assert report["suites"][0]["elapsed_s"] > 0.0
+    assert "elapsed_s" not in report["suites"][0]["details"]
 
 
 def test_verify_failure_exits_one(monkeypatch, capsys):

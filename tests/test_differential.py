@@ -30,6 +30,12 @@ def _assert_matches_highs(lp, result):
     assert result.status == status
     if status == STATUS_OPTIMAL:
         assert abs(result.objective_value(lp) - want) <= 1e-7 * max(1.0, abs(want))
+        # x_opt comes off the final lifted facet's normal: it must make the
+        # basis rows tight and every row satisfied.
+        tol = 1e-9 * np.maximum(1.0, np.abs(lp.b))
+        basis = list(result.basis)
+        assert np.all(np.abs(lp.A[basis] @ result.x_opt - lp.b[basis]) <= tol[basis])
+        assert np.all(lp.A @ result.x_opt - lp.b <= tol)
 
 
 @pytest.mark.parametrize("n,d", [(800, 20), (1000, 40)])

@@ -1,22 +1,23 @@
 """Interpolation lift and the end-to-end two-phase solver."""
 
+import math
+
 import numpy as np
 import pytest
 
 from shadowlp import interpolate
-from shadowlp.geometry import INFINITY_INDEX, FacetIndexSet
+from shadowlp.geometry import INFINITY_INDEX
 from shadowlp.interpolate import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     GeneralLP,
     NumericFailure,
-    classify_final,
     initial_limit_facet,
     lift,
     solve_lp,
 )
-from shadowlp.shadow_walk import UNBOUNDED, SweepPlane, WalkOutcome
+from shadowlp.shadow_walk import UNBOUNDED, WalkOutcome
 
 from helpers import cone_coefficients
 
@@ -51,8 +52,13 @@ def test_lift_rows_and_frame():
     assert lifted.top_index == 3
     assert np.allclose(lifted.points[3], [0.0, 0.0, 1.0])
     assert np.allclose(lifted.infinity_dir, [0.0, 0.0, -1.0])
-    assert np.allclose(lifted.objective_high, [0.0, 0.0, 1.0])
-    assert np.allclose(lifted.rotation_dir, [1.0, 0.0, 0.0])
+    assert np.array_equal(lifted.plane.basis1, [0.0, 0.0, -1.0])
+    assert np.array_equal(lifted.plane.basis2, [1.0, 0.0, 0.0])
+    # Straight up is a half turn from the start: the lifted walk's target.
+    assert lifted.plane.theta_of([0.0, 0.0, 1.0]) == math.pi
+    tilted = lift(GeneralLP(A=lp.A, b=lp.b, z=[3.0, -4.0]))
+    assert np.allclose(tilted.plane.basis2, [0.6, -0.8, 0.0])
+    assert tilted.plane.theta_of([0.0, 0.0, 1.0]) == math.pi
 
 
 def test_initial_limit_facet_joins_infinity(triangle):
@@ -65,25 +71,9 @@ def test_initial_limit_facet_joins_infinity(triangle):
     assert np.dot(facet.normal, lifted.infinity_dir) == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(facet.normal, [1.0 / 9.0, 1.0, 0.0])
     # just off the bottom of the arc, the sweep direction pierces the facet
-    plane = SweepPlane.through(lifted.infinity_dir, lifted.objective_high,
-                               rotation_dir=lifted.rotation_dir)
-    lam = cone_coefficients(lifted.points, facet.indices, plane.q(1e-4),
+    lam = cone_coefficients(lifted.points, facet.indices, lifted.plane.q(1e-4),
                             infinite_dir=lifted.infinity_dir)
     assert float(np.min(lam)) >= -1e-9
-
-
-def test_classify_final_reads_top_membership():
-    lp = GeneralLP(A=np.vstack([np.eye(2), np.full((5, 2), 0.1)]),
-                   b=np.ones(7), z=[1.0, 0.0])
-    lifted = lift(lp)
-    with_top = FacetIndexSet(indices=(2, 5, 7), normal=None, inverse=None)
-    status, basis = classify_final(with_top, lifted)
-    assert status == STATUS_OPTIMAL
-    assert basis == (2, 5)
-    without_top = FacetIndexSet(indices=(0, 2, 5), normal=None, inverse=None)
-    status, basis = classify_final(without_top, lifted)
-    assert status == STATUS_INFEASIBLE
-    assert basis is None
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +94,26 @@ def test_solve_lp_optimal_fixture():
     assert np.all(lp.A @ result.x_opt <= lp.b + 1e-9)
     assert np.allclose(lp.A[list(result.basis)] @ result.x_opt,
                        lp.b[list(result.basis)], atol=1e-9)
+
+
+def test_solve_lp_reads_x_opt_off_the_final_facet(monkeypatch, solve_linear_calls,
+                                                  feasible_lp):
+    lp = feasible_lp(400, 10, 7)
+    real_walk = interpolate.walk
+    seen = {}
+
+    def recording_walk(*args, **kwargs):
+        outcome = real_walk(*args, **kwargs)
+        seen["calls"] = len(solve_linear_calls)
+        seen["normal"] = outcome.facet.normal
+        return outcome
+
+    monkeypatch.setattr(interpolate, "walk", recording_walk)
+    result = solve_lp(lp, rng=501)
+    assert result.status == STATUS_OPTIMAL
+    assert len(solve_linear_calls) == seen["calls"]  # no solve after the walk
+    assert np.array_equal(result.x_opt, seen["normal"][:lp.d])
+    assert not np.shares_memory(result.x_opt, seen["normal"])
 
 
 def test_solve_lp_unbounded_fixture():

@@ -12,13 +12,12 @@ from shadowlp.verify import SuiteResult, format_line, run_all, summary
 
 def test_format_line_shape():
     result = SuiteResult(3, "pivot-growth", True,
-                         {"slope": 0.21, "mean_pivots": {"16": 5.0}})
+                         {"slope": 0.21, "mean_pivots": {"16": 5.0}}, 1.23456)
     line = format_line(result)
-    assert line.startswith("PASS  criterion 3 (pivot-growth):")
-    assert "slope=0.21" in line
-    assert "mean_pivots" not in line  # nested values stay out of the line
+    # nested values stay out of the line; the suite's time closes it
+    assert line == "PASS  criterion 3 (pivot-growth): slope=0.21, elapsed_s=1.235"
     failing = SuiteResult(5, "polygon-growth", False, {})
-    assert format_line(failing).startswith("FAIL  criterion 5")
+    assert format_line(failing) == "FAIL  criterion 5 (polygon-growth): elapsed_s=0.0"
 
 
 def test_summary_rolls_up_pass_flags():
@@ -45,6 +44,7 @@ def test_run_all_reports_crashing_suite_as_failure(monkeypatch):
     assert len(results) == 1
     assert results[0].passed is False
     assert "RuntimeError" in results[0].details["error"]
+    assert results[0].elapsed_s > 0.0
     assert lines[0].startswith("FAIL  criterion 8 (determinism)")
 
 

@@ -3,9 +3,14 @@
 A shadow-vertex walk inside a plane E can only visit facets that E actually
 cuts, so the number of edges of Conv(points) intersect E bounds the pivot
 count.  ``section_edges`` measures that quantity directly: find a point deep
-inside the slice, recenter, and sweep the objective through a full circle,
-counting distinct facets.  Every count is cross-checked here against an
-independent brute-force enumeration of supporting hyperplanes.
+inside the slice, recenter, find the facet pierced by the start ray, and
+sweep the objective through a full circle, counting distinct facets.  At
+d <= 4 one Qhull hull gives all three: the interior point comes from a margin
+LP over its facet equations, the start facet is one of its facets, and the
+sweep runs on its vertices.  ``interior_point_in_slice`` below is the margin
+LP over every point, the path taken above d = 4.  Every count is
+cross-checked here against an independent brute-force enumeration of
+supporting hyperplanes.
 """
 
 import numpy as np

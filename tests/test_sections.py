@@ -1,16 +1,18 @@
 """Planar-section counting: interior point of a slice, full sweeps, and
 agreement with brute-force enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from shadowlp import phase1, sections
-from shadowlp.geometry import DEFAULT_TOL
+from shadowlp.geometry import DEFAULT_TOL, SingularSystem
 from shadowlp.interpolate import NumericFailure
 from shadowlp.oracle import section_edge_count_bruteforce
-from shadowlp.randgen import derive_rng, gaussian
+from shadowlp.randgen import derive_rng, gaussian, haar_rotation
 from shadowlp.sections import (
     _THETA0,
     SectionReport,
@@ -18,7 +20,7 @@ from shadowlp.sections import (
     interior_point_in_slice,
     section_edges,
 )
-from shadowlp.shadow_walk import SweepPlane
+from shadowlp.shadow_walk import SweepPlane, exit_angle, sweep_full
 
 from helpers import convex_membership
 
@@ -105,26 +107,34 @@ def test_hull_reduction_keeps_the_interior_point(d):
 
 
 def test_margin_lp_gets_only_the_hull_vertices_in_the_plane(monkeypatch):
+    # One milp call over (s, t, eps) with one row per hull facet.
     calls = _count_calls(monkeypatch, sections, "milp")
     points = gaussian(derive_rng(711), (3000, 2))
     assert not section_edges(points, SweepPlane.axis(2), rng=711).degenerate
     assert len(calls) == 1
-    (c,), _ = calls[0]
-    assert len(c) == 3 + 4 * len(ConvexHull(points).vertices)
+    (c,), kwargs = calls[0]
+    assert len(c) == 3
+    hull = ConvexHull(points)
+    assert kwargs["constraints"].A.shape == (len(hull.equations), 3)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_phase1_and_sweep_get_only_the_hull_vertices(monkeypatch, d):
+    # The hull's simplices give the start facet: Phase I never runs, the
+    # nearest facet along q(theta0) is the pierced one, so one factorization
+    # finds it, and the sweep sees the hull vertices alone.
     units = _count_calls(monkeypatch, phase1, "solve_unit")
+    starts = _count_calls(monkeypatch, sections, "make_facet")
     sweeps = _count_calls(monkeypatch, sections, "sweep_full")
     points = gaussian(derive_rng(713, d), (300, d))
     report = section_edges(points, SweepPlane.axis(d), rng=713)
     assert not report.degenerate
+    assert units == []
+    assert len(starts) == 1
     expected = points[np.sort(ConvexHull(points).vertices)] - report.interior_point
-    for calls in (units, sweeps):
-        assert len(calls) == 1
-        (rows, *_), _ = calls[0]
-        assert np.array_equal(rows, expected)
+    assert len(sweeps) == 1
+    (rows, *_), _ = sweeps[0]
+    assert np.array_equal(rows, expected)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -161,6 +171,90 @@ def test_flat_point_set_falls_back_to_all_points(monkeypatch):
     assert len(hulls) == 1
     (c,), _ = lps[0]
     assert len(c) == 3 + 4 * 6
+
+
+# ---------------------------------------------------------------------------
+# hull path against the no-hull path
+
+
+def _cloud(kind, d, case):
+    """One point cloud and sweep plane for the differential test below."""
+    stream = derive_rng(720, ("gaussian", "smoothed", "missed").index(kind), d, case)
+    n = int(stream.integers(d + 8, 400))
+    plane = SweepPlane.axis(d)
+    if case % 2:  # a random plane through the origin
+        rotation = haar_rotation(d, stream)
+        plane = SweepPlane(rotation[:, 0], rotation[:, 1])
+    if kind == "gaussian":
+        return gaussian(stream, (n, d)), plane
+    centers = gaussian(stream, (n, d))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    sigma = (0.03, 0.1, 0.3)[case % 3]
+    if kind == "smoothed":
+        return centers + gaussian(stream, (n, d), sigma=sigma), plane
+    # "missed": a smoothed cloud moved off the plane, so the slice is empty.
+    offset = 3.0 * np.linalg.qr(np.column_stack([plane.basis1, plane.basis2]),
+                                mode="complete")[0][:, 2]
+    return centers + gaussian(stream, (n, d), sigma=sigma) + offset, plane
+
+
+def _regular_polygon(k):
+    """A k-gon centered at the origin with a vertex on the start ray."""
+    angles = _THETA0 + 2.0 * np.pi * np.arange(k) / k
+    return np.column_stack([np.cos(angles), np.sin(angles)]), SweepPlane.axis(2)
+
+
+def test_hull_path_matches_the_no_hull_path():
+    """The facet-form margin LP places x0 where the margin LP over the hull
+    vertices does, and the start facet read off the hull's simplices is the
+    one Phase I finds.  Where q(theta0) runs through a hull vertex the two
+    facets may differ; both must then be pierced at theta0 and their
+    validated sweeps must count the same edges."""
+    clouds = [_cloud(kind, d, case) for kind in ("gaussian", "smoothed")
+              for d in (2, 3, 4) for case in range(20)]
+    clouds += [_cloud("missed", d, case) for d in (3, 4) for case in range(8)]
+    clouds += [_regular_polygon(k) for k in (4, 8, 12)]
+    empty = differ = 0
+    for i, (points, plane) in enumerate(clouds):
+        hull = ConvexHull(points)
+        keep = np.sort(hull.vertices)
+        x0 = sections._hull_interior_point(hull, plane)
+        ref = interior_point_in_slice(points[keep], plane)
+        assert (x0 is None) == (ref is None), i
+        if x0 is None:
+            empty += 1
+            continue
+        assert np.max(np.abs(x0 - ref)) <= 1e-9, i
+        shifted = points[keep] - x0
+        start = sections._hull_start_facet(hull, keep, shifted, x0, plane)
+        unit = phase1.solve_unit(shifted, plane.q(_THETA0), rng=i)
+        assert unit.status == phase1.OPTIMAL, i
+        if start == unit.facet:
+            continue
+        differ += 1
+        counts = []
+        for facet in (start, unit.facet):
+            exit_angle(facet, plane, _THETA0)  # raises unless pierced
+            outcome = sweep_full(shifted, plane, facet, _THETA0, validate=True)
+            counts.append(len(outcome.distinct_facets()))
+        assert counts[0] == counts[1], i
+    assert empty >= 16
+    # Only the regular polygons put a vertex on the ray; the 8-gon's two
+    # paths start on either side of it.
+    assert 1 <= differ <= 3
+
+
+def test_hull_start_facet_is_the_pierced_half_of_a_split_face():
+    # Qhull splits each square face of a cube into two triangles with one
+    # equation, so their exit distances tie; only the pierce test tells which
+    # triangle q(theta0) crosses.
+    cube = np.array(list(itertools.product([-1.0, 1.0], repeat=3))) + [0.3, 0.0, 0.2]
+    plane = SweepPlane.axis(3)
+    hull = ConvexHull(cube)
+    keep = np.sort(hull.vertices)
+    x0 = sections._hull_interior_point(hull, plane)
+    start = sections._hull_start_facet(hull, keep, cube[keep] - x0, x0, plane)
+    exit_angle(start, plane, _THETA0)  # raises unless pierced
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +339,28 @@ def test_section_edges_regular_polygon_with_vertex_on_start_ray(k):
         assert report.edge_count == k, seed
 
 
-def test_section_edges_raises_numeric_failure_when_unit_unbounded(monkeypatch, square,
-                                                                 axis_plane):
-    # The origin is interior after recentering, so an unbounded unit program
-    # contradicts exact arithmetic.
+def test_section_edges_raises_numeric_failure_when_unit_unbounded(monkeypatch):
+    # Without a hull (d = 6) Phase I finds the start facet.  The origin is
+    # interior after recentering, so an unbounded unit program contradicts
+    # exact arithmetic.
     monkeypatch.setattr(
         phase1, "solve_unit",
         lambda *args, **kwargs: phase1.UnitResult(phase1.UNIT_UNBOUNDED, None, 0, 1))
+    points = gaussian(derive_rng(712), (60, 6))
     with pytest.raises(NumericFailure, match="sweep start"):
-        section_edges(square, axis_plane(2), rng=704)
+        section_edges(points, SweepPlane.axis(6), rng=712)
+
+
+def test_section_edges_raises_numeric_failure_when_no_hull_facet_qualifies(monkeypatch):
+    # On the hull path a start facet that make_facet refuses is skipped; when
+    # every simplex ahead of q(theta0) is refused, the sweep cannot start.
+    def singular(*args, **kwargs):
+        raise SingularSystem("refused")
+
+    monkeypatch.setattr(sections, "make_facet", singular)
+    points = gaussian(derive_rng(717), (50, 3))
+    with pytest.raises(NumericFailure, match="sweep start"):
+        section_edges(points, SweepPlane.axis(3), rng=717)
 
 
 def test_section_report_shape():

@@ -41,9 +41,10 @@ print("facet normal h (unit optimum is h / <h, h> scaled to the hull):",
 
 # --- the lift ---------------------------------------------------------------
 lifted = lift(lp)
-print("\nlifted points (rows (a_i, 1 - b_i), then the top constraint):")
+print("\nlifted rows: the vertex at infinity (level 0), then (a_i, 1 - b_i),")
+print("then the top constraint:")
 print(lifted.points)
-print("vertex at infinity points along", lifted.infinity_dir)
+print("levels:", lifted.levels)
 print("the sweep turns the objective a half turn, from straight down (angle 0)")
 print("to straight up (angle pi), in", lifted.plane)
 

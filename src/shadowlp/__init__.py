@@ -24,7 +24,6 @@ Public layers:
 
 from .geometry import (
     DEFAULT_TOL,
-    INFINITY_INDEX,
     FacetIndexSet,
     NoViewpoint,
     SingularSystem,
@@ -60,8 +59,8 @@ from .verify import SuiteResult, run_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL", "INFINITY_INDEX", "FacetIndexSet", "NoViewpoint",
-    "SingularSystem", "Tolerance", "angular_distance", "viewpoint_for_edge",
+    "DEFAULT_TOL", "FacetIndexSet", "NoViewpoint", "SingularSystem",
+    "Tolerance", "angular_distance", "viewpoint_for_edge",
     "CycleSuspected", "SweepPlane", "WalkInvariantViolation", "WalkOutcome",
     "sweep_full", "walk",
     "SmoothedSpec", "derive_rng", "normalize", "random_spec", "sample_instance",

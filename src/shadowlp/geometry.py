@@ -2,15 +2,16 @@
 
 Conventions used across the package:
 
-* A polytope is given by an (n, d) array of points a_1..a_n together with the
-  implicit origin; an optional "vertex at infinity" is a direction u that adds
-  the recession ray {t*u : t >= 0} to the hull.
-* A facet is a d-element index set I.  Its normal h solves <h, a_i> = 1 for
-  finite i in I and <h, u> = 0 if the infinite vertex belongs to I, so the
-  facet's affine hull is {x : <h, x> = 1}.  A point x is "below" that
-  hyperplane when <h, x> <= 1.
-* The infinite vertex is index INFINITY_INDEX (-1); index tuples are kept
-  sorted, which places the infinite vertex first when present.
+* A polytope is given by an (n, d) array of rows a_1..a_n together with the
+  implicit origin, and optional levels c_1..c_n (all 1 when not given).  A
+  row of level 1 is a point; a row of level 0 is a direction u, the
+  "vertex at infinity", which adds the recession ray {t*u : t >= 0} to the
+  hull.
+* A facet is a d-element index set I.  Its normal h solves <h, a_i> = c_i
+  for i in I, so the facet's affine hull is {x : <h, x> = 1} and it
+  contains the directions among its rows.  A row a_i is "below" that
+  hyperplane when <h, a_i> <= c_i.
+* Index tuples are kept sorted.
 * Natural logarithms everywhere.
 """
 
@@ -21,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
-
-INFINITY_INDEX = -1
 
 
 class SingularSystem(Exception):
@@ -87,31 +86,17 @@ def solve_linear(matrix, rhs):
     return x
 
 
-def basis_rows(points, indices, infinite_dir=None):
-    """Stack the basis vectors of an index set as rows, in sorted index
-    order, substituting the infinite direction for INFINITY_INDEX.
-    Returns (rows, finite_mask)."""
-    idx = np.array(sorted(indices))
-    finite = idx != INFINITY_INDEX
-    rows = points[idx]
-    if not finite[0]:  # INFINITY_INDEX sorts first; its row is overwritten
-        if infinite_dir is None:
-            raise ValueError("index set uses the vertex at infinity but no direction given")
-        rows[0] = infinite_dir
-    return rows, finite
-
-
 @dataclass(frozen=True)
 class FacetIndexSet:
     """A candidate facet: d sorted indices, the normal of its affine hull
     and the inverse of its basis.
 
-    The basis B stacks the facet's vectors as rows in index order (the
-    direction u for the vertex at infinity), so column j of ``inverse`` =
-    B^-1 belongs to indices[j], and so does ``scales[j]``, the largest
-    |entry| of that row: the row scales of the nonsingularity certificate,
-    carried so that a pivot's update never gathers the basis rows (make_facet
-    and the oracle set them; a facet built without them cannot be pivoted).
+    The basis B stacks the facet's rows in index order, so column j of
+    ``inverse`` = B^-1 belongs to indices[j], and so does ``scales[j]``, the
+    largest |entry| of that row: the row scales of the nonsingularity
+    certificate, carried so that a pivot's update never gathers the basis
+    rows (make_facet and the oracle set them; a facet built without them
+    cannot be pivoted).
     ``updates`` counts the rank-one updates since B^-1 was last factored
     from the points (0 for a facet from make_facet).  Equality and hashing
     use the index tuple only; two facets are the same facet exactly when
@@ -123,37 +108,32 @@ class FacetIndexSet:
     updates: int = field(default=0, compare=False, repr=False)
     scales: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def contains_infinite(self):
-        return bool(self.indices) and self.indices[0] == INFINITY_INDEX
 
-
-def make_facet(points, indices, infinite_dir=None):
+def make_facet(points, indices, levels=None):
     """Build a FacetIndexSet from one factorization of its basis B: the
-    normal h solves B h = (1 for finite members, 0 for the vertex at
-    infinity), so <h, a_i> = 1 and <h, u> = 0, and the inverse is B^-1.
-    The walk's pivots update these in place of a factorization and call
-    this every d-th pivot (see shadow_walk.pivot).  Raises SingularSystem
-    for degenerate index sets."""
+    normal h solves B h = (the members' levels), so <h, a_i> = c_i, and the
+    inverse is B^-1.  The walk's pivots update these in place of a
+    factorization and call this every d-th pivot (see shadow_walk.pivot).
+    Raises SingularSystem for degenerate index sets."""
     points = np.asarray(points, dtype=float)
     d = points.shape[1]
     if len(set(indices)) != d:
         raise ValueError("index set must contain exactly d distinct indices")
-    rows, finite = basis_rows(points, indices, infinite_dir)
-    solution = solve_linear(rows, np.column_stack([finite, np.eye(d)]))
-    return FacetIndexSet(indices=tuple(sorted(indices)), normal=solution[:, 0],
+    indices = sorted(indices)
+    rows = points[indices]
+    rhs = np.eye(d, d + 1, 1)
+    rhs[:, 0] = 1.0 if levels is None else levels[indices]
+    solution = solve_linear(rows, rhs)
+    return FacetIndexSet(indices=tuple(indices), normal=solution[:, 0],
                          inverse=solution[:, 1:], scales=np.abs(rows).max(axis=1))
 
 
-def all_below(points, normal, infinite_dir=None):
-    """True when every point satisfies <h, a_i> <= 1 + eps_feas and, if a
-    vertex at infinity is present, <h, u> <= eps_feas."""
-    points = np.asarray(points, dtype=float)
-    if np.max(points @ normal) > 1.0 + DEFAULT_TOL.eps_feas:
-        return False
-    if infinite_dir is not None and float(np.dot(normal, infinite_dir)) > DEFAULT_TOL.eps_feas:
-        return False
-    return True
+def all_below(points, normal, levels=None):
+    """True when every row satisfies <h, a_i> <= c_i + eps_feas."""
+    dots = np.asarray(points, dtype=float) @ normal
+    if levels is None:
+        return not np.max(dots) > 1.0 + DEFAULT_TOL.eps_feas
+    return not np.any(dots > levels + DEFAULT_TOL.eps_feas)
 
 
 def angular_distance(x, y):

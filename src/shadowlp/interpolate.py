@@ -2,16 +2,17 @@
 
 A general program max <z, x> s.t. A x <= b is embedded into a unit program
 one dimension up: constraint vectors (a_i, 1 - b_i) plus a top constraint
-(0, 1) encoding t <= 1 and a vertex at infinity in direction (0, -1)
-encoding t >= 0.  Sweeping the lifted objective from (0, -1) to (0, 1)
-inside the plane spanned with (z, 0) interpolates between the unit program
-(whose solution Phase-I provides) and the original one.  Both ends of the
-sweep are realized as limit facets, never as numeric parameter values: the
-walk starts on the Phase-I facet joined with the vertex at infinity and ends
-on the facet whose angular interval reaches the top of the arc.  The
-original program is infeasible exactly when that final facet misses the top
-constraint; otherwise the facet minus the top constraint is the optimal
-basis and the first d coordinates of its normal are the optimal vertex."""
+(0, 1) encoding t <= 1 and a vertex at infinity, the direction (0, -1) as a
+row of level 0 (see geometry), encoding t >= 0.  Sweeping the lifted
+objective from (0, -1) to (0, 1) inside the plane spanned with (z, 0)
+interpolates between the unit program (whose solution Phase-I provides) and
+the original one.  Both ends of the sweep are realized as limit facets, never
+as numeric parameter values: the walk starts on the Phase-I facet joined with
+the vertex at infinity and ends on the facet whose angular interval reaches
+the top of the arc.  The original program is infeasible exactly when that
+final facet misses the top constraint; otherwise the facet minus the top
+constraint, relabelled to rows of A, is the optimal basis and the first d
+coordinates of its normal are the optimal vertex."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase1
-from .geometry import INFINITY_INDEX, SingularSystem, make_facet
+from .geometry import SingularSystem, make_facet
 from .shadow_walk import OPTIMAL_FACET, SweepPlane, walk
 
 STATUS_OPTIMAL = "optimal"
@@ -67,39 +68,41 @@ class GeneralLP:
 
 @dataclass
 class IntLPLift:
-    """Lifted point set: rows 0..n-1 are (a_i, 1 - b_i), row n (top_index)
-    is the unit vector along the lifted axis, and the vertex at infinity
-    points straight down.  The sweep plane has basis1 = infinity_dir and
-    basis2 = (z, 0) / |z|, so the sweep runs from straight down at angle 0
-    to straight up at angle pi."""
+    """Lifted point set: row 0 is the vertex at infinity, the direction
+    straight down; rows 1..n are (a_i, 1 - b_i), so row i + 1 is constraint
+    i; row n + 1 (top_index) is the unit vector along the lifted axis.
+    ``levels`` is 0 for row 0 and 1 for every other row.  The sweep plane
+    has basis1 = row 0 and basis2 = (z, 0) / |z|, so the sweep runs from
+    straight down at angle 0 to straight up at angle pi."""
 
     points: np.ndarray
+    levels: np.ndarray
     top_index: int
-    infinity_dir: np.ndarray
     plane: SweepPlane
 
 
 def lift(lp):
     """Embed a GeneralLP one dimension up (see module docstring)."""
     n, d = lp.n, lp.d
-    pts = np.zeros((n + 1, d + 1))
-    pts[:n, :d] = lp.A
-    pts[:n, d] = 1.0 - lp.b
-    pts[n, d] = 1.0
-    down = np.zeros(d + 1)
-    down[d] = -1.0
+    pts = np.zeros((n + 2, d + 1))
+    pts[0, d] = -1.0
+    pts[1:n + 1, :d] = lp.A
+    pts[1:n + 1, d] = 1.0 - lp.b
+    pts[n + 1, d] = 1.0
+    levels = np.ones(n + 2)
+    levels[0] = 0.0
     rot = np.zeros(d + 1)
     rot[:d] = lp.z
-    return IntLPLift(points=pts, top_index=n, infinity_dir=down,
-                     plane=SweepPlane(down, rot / np.linalg.norm(rot)))
+    return IntLPLift(points=pts, levels=levels, top_index=n + 1,
+                     plane=SweepPlane(pts[0].copy(), rot / np.linalg.norm(rot)))
 
 
 def initial_limit_facet(lifted, unit_indices):
-    """Start facet for the lifted walk: the Phase-I facet joined with the
-    vertex at infinity.  It is the limit of facet(q) as q rotates off the
-    bottom of the arc."""
-    indices = tuple(sorted(unit_indices)) + (INFINITY_INDEX,)
-    return make_facet(lifted.points, indices, lifted.infinity_dir)
+    """Start facet for the lifted walk: the Phase-I facet, whose indices
+    label rows of A, joined with the vertex at infinity.  It is the limit
+    of facet(q) as q rotates off the bottom of the arc."""
+    indices = [0] + [i + 1 for i in unit_indices]
+    return make_facet(lifted.points, indices, lifted.levels)
 
 
 @dataclass
@@ -139,16 +142,16 @@ def solve_lp(lp, rng=None, validate=False):
     except SingularSystem as exc:
         raise NumericFailure(f"degenerate lifted start facet: {exc}") from exc
     outcome = walk(lifted.points, lifted.plane, start, 0.0, math.pi,
-                   infinite_dir=lifted.infinity_dir, validate=validate)
+                   levels=lifted.levels, validate=validate)
     if outcome.status != OPTIMAL_FACET:
         raise NumericFailure("lifted walk left the cone; impossible when Phase I is bounded")
     final = outcome.facet
     if lifted.top_index not in final.indices:
         return LPResult(STATUS_INFEASIBLE, None, None,
                         unit.pivots_total, outcome.pivots, unit.iterations)
-    basis = tuple(i for i in final.indices if i != lifted.top_index)
-    if any(i < 0 or i >= lp.n for i in basis):
-        raise NumericFailure("optimal basis contains a non-constraint index")
+    if 0 in final.indices:
+        raise NumericFailure("optimal basis contains the vertex at infinity")
+    basis = tuple(i - 1 for i in final.indices if i != lifted.top_index)
     # <h, (a_i, 1 - b_i)> = 1 on the basis and h_{d+1} = 1 from the top row,
     # so h[:d] solves A_B x = b_B.
     x_opt = final.normal[:lp.d].copy()

@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, INFINITY_INDEX, FacetIndexSet
+from .geometry import DEFAULT_TOL, FacetIndexSet
 from .interpolate import STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED
 
 # The oracle's own verdict for an instance it refuses to call; the solver
@@ -38,8 +38,8 @@ class OracleVerdict:
     value: float | None = None
 
 
-def _check_cap(n, d, infinite):
-    total = comb(n, d) + (comb(n, d - 1) if infinite else 0)
+def _check_cap(n, d):
+    total = comb(n, d)
     if total > ENUMERATION_CAP:
         raise ValueError(f"{total} candidate subsets exceed the cap {ENUMERATION_CAP}")
 
@@ -57,44 +57,22 @@ def _screened_solve(mats, rhs):
     return out, ok
 
 
-def _facet_candidates(points, infinite_dir):
-    """All nonsingular d-subsets with their normals and below-masks.
-    Yields (indices, normal) for subsets that are facets."""
+def _facet_candidates(points, levels):
+    """All nonsingular d-subsets that are facets, as (indices, normal,
+    basis) triples."""
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    _check_cap(n, d, infinite_dir is not None)
-
-    groups = []
-    finite_idx = np.array(list(combinations(range(n), d)), dtype=int)
-    if finite_idx.size:
-        mats = points[finite_idx]
-        rhs = np.ones((len(finite_idx), d))
-        groups.append((finite_idx, None, mats, rhs))
-    if infinite_dir is not None and d >= 2:
-        part_idx = np.array(list(combinations(range(n), d - 1)), dtype=int)
-        if part_idx.size:
-            mats = np.concatenate(
-                [np.broadcast_to(infinite_dir, (len(part_idx), 1, d)), points[part_idx]], axis=1)
-            rhs = np.ones((len(part_idx), d))
-            rhs[:, 0] = 0.0
-            groups.append((part_idx, INFINITY_INDEX, mats, rhs))
-
-    results = []
-    for idx, extra, mats, rhs in groups:
-        normals, ok = _screened_solve(mats, rhs)
-        if not np.any(ok):
-            continue
-        dots = normals[ok] @ points.T
-        below = np.all(dots <= 1.0 + DEFAULT_TOL.eps_feas, axis=1)
-        if infinite_dir is not None:
-            below &= (normals[ok] @ infinite_dir) <= DEFAULT_TOL.eps_feas
-        kept_rows = np.flatnonzero(ok)[below]
-        for row in kept_rows:
-            ids = idx[row].tolist()
-            if extra is not None:
-                ids = [extra] + ids
-            results.append((tuple(sorted(ids)), normals[row], mats[row]))
-    return results
+    _check_cap(n, d)
+    idx = np.array(list(combinations(range(n), d)), dtype=int)
+    if not idx.size:
+        return []
+    level = np.ones(n) if levels is None else np.asarray(levels, dtype=float)
+    mats = points[idx]
+    normals, ok = _screened_solve(mats, level[idx])
+    dots = normals[ok] @ points.T
+    below = np.all(dots <= level + DEFAULT_TOL.eps_feas, axis=1)
+    return [(tuple(idx[row].tolist()), normals[row], mats[row])
+            for row in np.flatnonzero(ok)[below]]
 
 
 def _facet(ids, normal, mat):
@@ -102,20 +80,21 @@ def _facet(ids, normal, mat):
                          scales=np.abs(mat).max(axis=1))
 
 
-def enumerate_facets(points, infinite_dir=None):
+def enumerate_facets(points, levels=None):
     """Every index set whose affine hull supports the polytope from below:
-    the complete facet list of Conv(0, points [, +ray])."""
-    cands = _facet_candidates(points, infinite_dir)
+    the complete facet list of Conv(0, points), with the rays of rows of
+    level 0 (see geometry)."""
+    cands = _facet_candidates(points, levels)
     return [_facet(*cand) for cand in cands]
 
 
-def facet_of(points, direction, infinite_dir=None):
+def facet_of(points, direction, levels=None):
     """The facet pierced by the ray through `direction`, found by scanning
     every enumerated facet's cone.  None when no facet is pierced (the
     direction leaves the cone of the polytope: unbounded).  Raises Ambiguous
     when more than one facet claims the direction within tolerance."""
     direction = np.asarray(direction, dtype=float)
-    cands = _facet_candidates(points, infinite_dir)
+    cands = _facet_candidates(points, levels)
     matches = []
     for ids, normal, mat in cands:
         try:
@@ -135,7 +114,7 @@ def _cone_margin(A, z):
     """max over d-subsets of the minimum cone coefficient expressing z;
     nonnegative exactly when z lies in cone(rows of A)."""
     n, d = A.shape
-    _check_cap(n, d, False)
+    _check_cap(n, d)
     idx = np.array(list(combinations(range(n), d)), dtype=int)
     mats = A[idx].transpose(0, 2, 1)  # columns are the subset rows
     lams, ok = _screened_solve(mats, np.broadcast_to(z, (len(idx), d)).copy())
@@ -236,7 +215,7 @@ def section_edge_count_bruteforce(points, plane):
     is an interval intersection."""
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    _check_cap(n, d, False)
+    _check_cap(n, d)
     b1, b2 = plane.basis1, plane.basis2
     count = 0
     for subset in combinations(range(n), d):

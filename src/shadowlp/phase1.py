@@ -115,18 +115,6 @@ def add_constraints(points, norm_bound, rotation, rng, max_norm=None):
                       centers=centers)
 
 
-def _default_rotation_dir(target):
-    """Deterministic fallback plane direction: first coordinate axis, or the
-    second when the target is itself along the first."""
-    d = target.shape[0]
-    e = np.zeros(d)
-    axis = 0
-    if abs(target[0]) >= (1.0 - DEFAULT_TOL.eps_feas) * float(np.linalg.norm(target)):
-        axis = 1
-    e[axis] = 1.0
-    return e
-
-
 def solve_unit(points, objective, rng=None, validate=False):
     """Solve the unit program max <z, x> s.t. <a_i, x> <= 1 for all i.
 
@@ -155,12 +143,11 @@ def solve_unit(points, objective, rng=None, validate=False):
         full = np.vstack([points, block.added_points])
         # Row n + j of full is row j of the added block: same basis, new labels.
         start = replace(block.facet, indices=tuple(range(n, n + d)))
-        z0 = block.start_objective
-        plane = SweepPlane.through(z0, z, rotation_dir=_default_rotation_dir(z))
-        theta_target = plane.theta_of(z)
-        if theta_target <= DEFAULT_TOL.eps_angle:
-            continue  # z parallel to the random z0: the start facet would be the answer
-        outcome = walk(full, plane, start, 0.0, theta_target, validate=validate)
+        try:
+            plane = SweepPlane.through(block.start_objective, z)
+        except ValueError:
+            continue  # z0 collinear with z: redraw rather than pick a plane
+        outcome = walk(full, plane, start, 0.0, plane.theta_of(z), validate=validate)
         pivots_total += outcome.pivots
         if outcome.status == UNBOUNDED:
             return UnitResult(UNIT_UNBOUNDED, None, pivots_total, attempt + 1)

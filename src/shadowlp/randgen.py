@@ -105,7 +105,6 @@ class SmoothedSpec:
     centers_b: np.ndarray
     sigma: float
     objective: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "centers_A", np.asarray(self.centers_A, dtype=float))

@@ -11,8 +11,11 @@ When d <= 4 one Qhull hull per section serves all three stages: x0 comes
 from the margin LP written over its facet equations, the start facet is the
 first of its facets along q(theta0) that the walk's pierce test accepts, and
 the sweep runs on its vertices, since Conv(points) = Conv(hull vertices).
-Above d = 4, or when Qhull refuses a flat set, the margin LP takes every
-point (interior_point_in_slice) and Phase I finds the start facet.
+Above d = 4 the margin LP takes every point (interior_point_in_slice) and
+Phase I finds the start facet.  A set that spans no full-dimensional hull
+(Qhull refuses it, or above d = 4 its centred rank is below d) is a
+degenerate section: recentred at a point of its slice, it lies in a linear
+subspace of dimension below d, so every basis of d rows is singular.
 """
 
 from __future__ import annotations
@@ -96,10 +99,8 @@ def interior_point_in_slice(points, plane):
 
 
 def _hull(points):
-    """Qhull's hull of the points when d <= 4; None when d > 4 or Qhull
-    refuses a flat or too small set."""
-    if points.shape[1] > _HULL_MAX_DIM:
-        return None
+    """Qhull's hull of the points; None when Qhull refuses a flat or too
+    small set."""
     try:
         return ConvexHull(points)
     except QhullError:
@@ -149,26 +150,30 @@ def section_edges(points, plane, rng=None, validate=False):
     Recenter at the slice's interior point, find the starting facet
     facet(q(theta0)), sweep the circle from theta0, and count distinct
     facets in the trace.  A slice with margin at most Tolerance.band (or no
-    slice at all) is reported as degenerate with edge_count 0.
+    slice at all), and a set that spans no full-dimensional hull, are
+    reported as degenerate with edge_count 0.
 
     When d <= 4 and Qhull accepts the points, one hull serves every stage:
     the margin LP runs over its facet equations, the start facet is one of
     its simplices, and the sweep sees only its vertices.  The count is then
     the number of geometric edges of the slice: a point inside a hull edge
     or face never becomes a facet member, and the count does not depend on
-    row order.  Otherwise the margin LP runs over every point
+    row order.  Above d = 4 the margin LP runs over every point
     (interior_point_in_slice) and Phase I finds the start facet; ``rng``
     seeds Phase I and is used on that path only.  Facet indices refer to
     the rows of ``points``; of duplicate rows, any copy may be the one
     reported."""
     points = np.asarray(points, dtype=float)
-    hull = _hull(points)
-    if hull is None:
+    d = points.shape[1]
+    hull = _hull(points) if d <= _HULL_MAX_DIM else None
+    if hull is not None:
+        keep = np.sort(hull.vertices)
+        x0 = _hull_interior_point(hull, plane)
+    elif d > _HULL_MAX_DIM and np.linalg.matrix_rank(points - points.mean(axis=0)) == d:
         keep = np.arange(len(points))
         x0 = interior_point_in_slice(points, plane)
     else:
-        keep = np.sort(hull.vertices)
-        x0 = _hull_interior_point(hull, plane)
+        x0 = None  # no full-dimensional hull
     if x0 is None:
         return SectionReport(edge_count=0, interior_point=None, facets=[], degenerate=True)
     shifted = points[keep] - x0

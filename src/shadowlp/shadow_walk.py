@@ -1,10 +1,11 @@
 """Facet walking on the polar polytope.
 
 The solver never moves between vertices of the feasible region.  Instead it
-tracks facet(q): the facet of Conv(0, a_1..a_n) (plus an optional recession
-ray) pierced by the ray through a rotating objective q.  q sweeps a circle
-inside a fixed 2-plane; each time a cone coefficient of the current facet
-crosses zero the walk pivots to the unique adjacent facet across that ridge.
+tracks facet(q): the facet of Conv(0, a_1..a_n) (plus the recession ray of
+each row of level 0, see geometry) pierced by the ray through a rotating
+objective q.  q sweeps a circle inside a fixed 2-plane; each time a cone
+coefficient of the current facet crosses zero the walk pivots to the unique
+adjacent facet across that ridge.
 Exit angles are found analytically: each cone coefficient is a sinusoid
 lam_j(theta) = v_j cos(theta) + w_j sin(theta), so its next downward zero
 crossing is available in closed form from the facet's basis inverse B^-1.
@@ -22,14 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    DEFAULT_TOL,
-    INFINITY_INDEX,
-    FacetIndexSet,
-    all_below,
-    basis_rows,
-    make_facet,
-)
+from .geometry import DEFAULT_TOL, FacetIndexSet, all_below, make_facet
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,10 +84,10 @@ class SweepPlane:
         return cls(basis1=basis[0], basis2=basis[1])
 
     @classmethod
-    def through(cls, start, target, rotation_dir=None):
+    def through(cls, start, target):
         """Plane spanned by a start and a target direction, with basis1 along
-        start.  When the two are collinear a rotation direction must be
-        supplied to fix the plane."""
+        start.  Raises ValueError when the two are collinear, which leaves
+        the plane undetermined."""
         start = np.asarray(start, dtype=float)
         target = np.asarray(target, dtype=float)
         ns = float(np.linalg.norm(start))
@@ -103,13 +97,7 @@ class SweepPlane:
         w = target - float(np.dot(target, b1)) * b1
         nw = float(np.linalg.norm(w))
         if nw <= DEFAULT_TOL.eps_angle * max(1.0, float(np.linalg.norm(target))):
-            if rotation_dir is None:
-                raise ValueError("start and target collinear: rotation direction required")
-            w = np.asarray(rotation_dir, dtype=float)
-            w = w - float(np.dot(w, b1)) * b1
-            nw = float(np.linalg.norm(w))
-            if nw <= DEFAULT_TOL.eps_angle:
-                raise ValueError("rotation direction is collinear with the start direction")
+            raise ValueError("start and target are collinear")
         return cls(basis1=b1, basis2=w / nw)
 
 
@@ -182,22 +170,21 @@ def exit_angle(facet, plane, theta_now):
     return theta_now + best_delta, best_index
 
 
-def pivot(points, facet, leaving, infinite_dir=None):
+def pivot(points, facet, leaving, levels=None):
     """Minimal-ratio pivot across the ridge facet.indices minus {leaving}.
 
     g is the hyperplane rotation direction: <g, a_i> = 0 on the ridge and
     <g, a_leaving> = -1, i.e. minus the leaving index's column of B^-1.
     Among candidates k outside the facet with <g, a_k> > eps_feas, the
-    entering index minimizes (1 - <h, a_k>) / <g, a_k> (0 replaces 1 for
-    the vertex at infinity), ties broken by smallest index, so the vertex at
-    infinity (index -1) wins a tie.  Only the candidates' ratios are
-    divided; they are taken in ascending index order, so the first minimum
-    is the smallest index.  The candidate test runs over every point,
-    members included: only when the first minimum lands on a facet member
-    (a ridge member whose <g, a_i> rounds above eps_feas) is the selection
-    redone without the members.  A non-member first minimum has no earlier
-    non-member tied with it, so either way the winner is the one of a test
-    over non-members alone.  The new index tuple is the ridge with the
+    entering index minimizes (c_k - <h, a_k>) / <g, a_k> over the levels c
+    (all 1 when levels is None), ties broken by smallest index.  Only the
+    candidates' ratios are divided; they are taken in ascending index
+    order, so the first minimum is the smallest index.  The candidate test
+    runs over every row, members included: only when the first minimum
+    lands on a facet member (a ridge member whose <g, a_i> rounds above
+    eps_feas) is the selection redone without the members.  A non-member
+    first minimum has no earlier non-member tied with it, so either way the
+    winner is the one of a test over non-members alone.  The new index tuple is the ridge with the
     entering index inserted in order.  Returns (entering, new_facet) or None
     when no candidate exists, which certifies unboundedness beyond the exit
     angle.
@@ -220,7 +207,8 @@ def pivot(points, facet, leaving, infinite_dir=None):
     cand = (den > DEFAULT_TOL.eps_feas).nonzero()[0]
     best = None
     if cand.size:
-        ratios = (1.0 - (points @ h)[cand]) / den[cand]
+        level = 1.0 if levels is None else levels[cand]
+        ratios = (level - (points @ h)[cand]) / den[cand]
         m = int(ratios.argmin())  # first occurrence: smallest index on a tie
         if int(cand[m]) in indices:  # rare: select again without the members
             outside = ~np.isin(cand, indices)
@@ -228,12 +216,6 @@ def pivot(points, facet, leaving, infinite_dir=None):
             m = int(ratios.argmin()) if cand.size else None
         if m is not None:
             best = (float(ratios[m]), int(cand[m]))
-    if infinite_dir is not None and not facet.contains_infinite:
-        den_inf = float(np.dot(g, infinite_dir))
-        if den_inf > DEFAULT_TOL.eps_feas:
-            ratio_inf = -float(np.dot(h, infinite_dir)) / den_inf
-            if best is None or ratio_inf <= best[0]:
-                best = (ratio_inf, INFINITY_INDEX)
     if best is None:
         return None
     ratio, entering = best
@@ -242,19 +224,19 @@ def pivot(points, facet, leaving, infinite_dir=None):
     new_indices = ridge[:p] + (entering,) + ridge[p:]
     new_facet = None
     if facet.updates + 1 < len(indices):
-        new_facet = _updated_facet(points, facet, j, entering, ratio, new_indices, infinite_dir)
+        new_facet = _updated_facet(points, facet, j, entering, ratio, new_indices)
     if new_facet is None:
-        new_facet = make_facet(points, new_indices, infinite_dir)
+        new_facet = make_facet(points, new_indices, levels)
     return entering, new_facet
 
 
-def _updated_facet(points, facet, j, entering, ratio, new_indices, infinite_dir):
+def _updated_facet(points, facet, j, entering, ratio, new_indices):
     """The facet over new_indices, which replaces indices[j] of the given
     facet by entering, from its normal, B^-1 and row scales without a
     factorization.
 
     Normal: h' = h + ratio * g with g = -B^-1 e_j, so <h', a> is unchanged
-    on the ridge and 1 at the entering point (0 at the vertex at infinity).
+    on the ridge and the entering row's level at that row.
     Inverse (Sherman-Morrison): the basis changes in row j to a_k, so with
     u = a_k B^-1 and pivot element u_j = -<g, a_k>, column j of B'^-1 is
     col_j / u_j and every other column m is col_m - col_j u_m / u_j; the
@@ -267,7 +249,7 @@ def _updated_facet(points, facet, j, entering, ratio, new_indices, infinite_dir)
     partially pivoted LU is at least 1 / ||A^-1||_inf, so a basis that
     passes would pass make_facet's singularity test too."""
     inverse = facet.inverse
-    a_k = infinite_dir if entering == INFINITY_INDEX else points[entering]
+    a_k = points[entering]
     u = a_k @ inverse
     col = inverse[:, j] / u[j]
     new_inverse = inverse - col[:, None] * u
@@ -289,20 +271,19 @@ def _updated_facet(points, facet, j, entering, ratio, new_indices, infinite_dir)
                          facet.updates + 1, scales)
 
 
-def _validate_step(points, old, new, infinite_dir):
+def _validate_step(points, old, new, levels):
     shared = set(old.indices) & set(new.indices)
     if len(shared) != len(old.indices) - 1:
         raise WalkInvariantViolation("adjacent facets must share all but one index")
-    if not all_below(points, new.normal, infinite_dir):
+    if not all_below(points, new.normal, levels):
         raise WalkInvariantViolation(f"facet {new.indices} is not valid (some point above)")
     if not new.updates:
         return
-    rows, _ = basis_rows(points, new.indices, infinite_dir)
-    if not np.array_equal(new.scales, np.abs(rows).max(axis=1)):
+    if not np.array_equal(new.scales, np.abs(points[list(new.indices)]).max(axis=1)):
         raise WalkInvariantViolation(f"facet {new.indices}: carried row scales are stale")
     # An updated normal and B^-1 must match a fresh factorization to within
     # eps_feas relative to the fresh one's largest entry.
-    fresh = make_facet(points, new.indices, infinite_dir)
+    fresh = make_facet(points, new.indices, levels)
     for name, got, want in (("normal", new.normal, fresh.normal),
                             ("inverse", new.inverse, fresh.inverse)):
         if not np.max(np.abs(got - want)) <= DEFAULT_TOL.eps_feas * np.max(np.abs(want)):
@@ -311,7 +292,7 @@ def _validate_step(points, old, new, infinite_dir):
 
 
 def walk(points, plane, start_facet, theta_start, theta_target,
-         infinite_dir=None, validate=False):
+         levels=None, validate=False):
     """Walk facet(q(theta)) from theta_start until the current facet's
     interval reaches theta_target.
 
@@ -327,7 +308,7 @@ def walk(points, plane, start_facet, theta_start, theta_target,
     points = np.asarray(points, dtype=float)
     if not theta_target > theta_start:
         raise ValueError("theta_target must exceed theta_start")
-    if validate and not all_below(points, start_facet.normal, infinite_dir):
+    if validate and not all_below(points, start_facet.normal, levels):
         raise WalkInvariantViolation("start facet is not valid")
 
     trace = []
@@ -341,13 +322,13 @@ def walk(points, plane, start_facet, theta_start, theta_target,
             trace.append(TraceEntry(current, theta, theta_target))
             return WalkOutcome(OPTIMAL_FACET, current, pivots, trace)
         theta_exit, leaving = hit
-        step = pivot(points, current, leaving, infinite_dir)
+        step = pivot(points, current, leaving, levels)
         if step is None:
             trace.append(TraceEntry(current, theta, theta_exit))
             return WalkOutcome(UNBOUNDED, None, pivots, trace)
         _, new_facet = step
         if validate:
-            _validate_step(points, current, new_facet, infinite_dir)
+            _validate_step(points, current, new_facet, levels)
         trace.append(TraceEntry(current, theta, theta_exit))
         if new_facet.indices in entered:
             recent = ", ".join(f"{e.facet.indices}@{e.theta_start:.9g}" for e in trace[-4:])
@@ -384,7 +365,7 @@ def sweep_full(points, plane, start_facet, theta_start=0.0, validate=False):
     CycleSuspected when any other facet would.  The status is the walk's
     own, OPTIMAL_FACET, and pivots equals len(trace) - 1."""
     outcome = walk(points, plane, start_facet, theta_start, theta_start + TWO_PI,
-                   infinite_dir=None, validate=validate)
+                   validate=validate)
     if outcome.status == UNBOUNDED:
         raise WalkStateError("unbounded during a full sweep: origin not interior to the slice")
     if validate:

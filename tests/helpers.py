@@ -12,17 +12,15 @@ import pytest
 from scipy.optimize import linprog
 
 from shadowlp import interpolate, phase1, randgen, shadow_walk
-from shadowlp.geometry import DEFAULT_TOL, basis_rows, solve_linear
+from shadowlp.geometry import DEFAULT_TOL, solve_linear
 from shadowlp.shadow_walk import TWO_PI, WalkStateError
 
 
-def cone_coefficients(points, indices, direction, infinite_dir=None):
+def cone_coefficients(points, indices, direction):
     """Coefficients lam solving sum_i lam_i a_i = direction over the index
-    set's basis vectors (infinite vertex contributes its direction u).
-    Returned in sorted index order.  A direction pierces the facet exactly
-    when all coefficients are >= -eps_feas."""
-    points = np.asarray(points, dtype=float)
-    rows, _ = basis_rows(points, indices, infinite_dir)
+    set's rows, in sorted index order.  A direction pierces the facet
+    exactly when all coefficients are >= -eps_feas."""
+    rows = np.asarray(points, dtype=float)[sorted(indices)]
     return solve_linear(rows.T, np.asarray(direction, dtype=float))
 
 
@@ -85,14 +83,14 @@ def feasible_lp(n, d, seed):
 
 
 def recorded_walks(lp, seed):
-    """(points, plane, infinite_dir, trace) of every walk of
-    solve_lp(lp, rng=seed) in the order they ran: Phase I's, without a
-    vertex at infinity, then the lifted one's, with it."""
+    """(points, plane, levels, trace) of every walk of solve_lp(lp, rng=seed)
+    in the order they ran: Phase I's, with levels None, then the lifted
+    one's, whose row 0 is the vertex at infinity."""
     walks = []
 
     def recorded(points, plane, *args, **kwargs):
         outcome = shadow_walk.walk(points, plane, *args, **kwargs)
-        walks.append((points, plane, kwargs.get("infinite_dir"), outcome.trace))
+        walks.append((points, plane, kwargs.get("levels"), outcome.trace))
         return outcome
 
     with pytest.MonkeyPatch.context() as mp:

@@ -13,7 +13,6 @@ import shadowlp
 from shadowlp import randgen
 from shadowlp.geometry import (
     DEFAULT_TOL,
-    INFINITY_INDEX,
     VIEWPOINTS,
     FacetIndexSet,
     NoViewpoint,
@@ -21,7 +20,6 @@ from shadowlp.geometry import (
     Tolerance,
     all_below,
     angular_distance,
-    basis_rows,
     make_facet,
     solve_linear,
     viewpoint_for_edge,
@@ -207,12 +205,14 @@ def test_facet_normal_scaled_basis():
 
 
 def test_facet_normal_with_infinite_vertex():
-    # <h, (1,0)> = 1 and <h, (0,-1)> = 0 force h = (1, 0).
-    points = np.array([[1.0, 0.0]])
-    facet = make_facet(points, (INFINITY_INDEX, 0), infinite_dir=np.array([0.0, -1.0]))
+    # Row 0 is the direction (0,-1), of level 0: <h, (1,0)> = 1 and
+    # <h, (0,-1)> = 0 force h = (1, 0).
+    points = np.array([[0.0, -1.0], [1.0, 0.0]])
+    facet = make_facet(points, (1, 0), levels=np.array([0.0, 1.0]))
+    assert facet.indices == (0, 1)
     assert np.allclose(facet.normal, [1.0, 0.0])
-    # inverse columns follow the sorted indices: u first, then a_0
-    assert np.allclose(np.array([[0.0, -1.0], [1.0, 0.0]]) @ facet.inverse, np.eye(2))
+    # inverse columns follow the sorted indices: the direction first
+    assert np.allclose(points @ facet.inverse, np.eye(2))
 
 
 def test_facet_normal_incidence_property_on_random_sets():
@@ -236,10 +236,12 @@ def test_all_below_equality_and_violation():
 
 
 def test_all_below_checks_infinite_direction():
-    points = np.array([[1.0, 0.0]])
+    # A row of level 0 is a direction: it must satisfy <h, u> <= 0.
     h = np.array([1.0, 0.0])
-    assert all_below(points, h, infinite_dir=np.array([0.0, -1.0]))
-    assert not all_below(points, h, infinite_dir=np.array([1.0, 0.0]))
+    levels = np.array([0.0, 1.0])
+    assert all_below(np.array([[0.0, -1.0], [1.0, 0.0]]), h, levels)
+    assert all_below(np.array([[1.0, 0.0], [1.0, 0.0]]), h)
+    assert not all_below(np.array([[1.0, 0.0], [1.0, 0.0]]), h, levels)
 
 
 def test_cone_coefficients_examples():
@@ -258,24 +260,12 @@ def test_make_facet_orders_indices_and_validates():
     points = np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.9]])
     facet = make_facet(points, (2, 0))
     assert facet.indices == (0, 2)
-    assert not facet.contains_infinite
-    lifted = make_facet(points, (0, INFINITY_INDEX),
-                        infinite_dir=np.array([0.0, -1.0]))
-    assert lifted.indices == (INFINITY_INDEX, 0)
-    assert lifted.contains_infinite
-
-
-def test_basis_rows_sorts_and_substitutes_the_infinite_direction():
-    points = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    rows, finite = basis_rows(points, (2, 0))
-    assert np.array_equal(rows, [[1.0, 2.0], [5.0, 6.0]])
-    assert finite.tolist() == [True, True]
-    rows, finite = basis_rows(points, (1, INFINITY_INDEX), infinite_dir=np.array([0.0, -1.0]))
-    assert np.array_equal(rows, [[0.0, -1.0], [3.0, 4.0]])
-    assert finite.tolist() == [False, True]
-    assert np.array_equal(points, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])  # input untouched
+    assert np.array_equal(facet.scales, [1.0, 0.9])
+    # the right-hand side follows the sorted indices' levels
+    leveled = make_facet(points, (2, 0), levels=np.array([1.0, 1.0, 0.0]))
+    assert np.allclose(points[[0, 2]] @ leveled.normal, [1.0, 0.0])
     with pytest.raises(ValueError):
-        basis_rows(points, (INFINITY_INDEX, 0))
+        make_facet(points, (0, 0))
 
 
 def test_facet_index_set_equality_ignores_normal():

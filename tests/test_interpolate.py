@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from shadowlp import interpolate
-from shadowlp.geometry import INFINITY_INDEX
 from shadowlp.interpolate import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -46,13 +45,15 @@ def test_lift_rows_and_frame():
     lp = GeneralLP(A=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
                    b=[1.0, -2.0, 5.0], z=[1.0, 0.0])
     lifted = lift(lp)
-    assert np.allclose(lifted.points[0], [1.0, 0.0, 0.0])
-    assert np.allclose(lifted.points[1], [0.0, 1.0, 3.0])
-    assert np.allclose(lifted.points[2], [1.0, 1.0, -4.0])
-    assert lifted.top_index == 3
-    assert np.allclose(lifted.points[3], [0.0, 0.0, 1.0])
-    assert np.allclose(lifted.infinity_dir, [0.0, 0.0, -1.0])
-    assert np.array_equal(lifted.plane.basis1, [0.0, 0.0, -1.0])
+    # row 0 is the vertex at infinity, rows 1..n the constraints, then the top
+    assert np.array_equal(lifted.points, [[0.0, 0.0, -1.0],
+                                          [1.0, 0.0, 0.0],
+                                          [0.0, 1.0, 3.0],
+                                          [1.0, 1.0, -4.0],
+                                          [0.0, 0.0, 1.0]])
+    assert np.array_equal(lifted.levels, [0.0, 1.0, 1.0, 1.0, 1.0])
+    assert lifted.top_index == 4
+    assert np.array_equal(lifted.plane.basis1, lifted.points[0])
     assert np.array_equal(lifted.plane.basis2, [1.0, 0.0, 0.0])
     # Straight up is a half turn from the start: the lifted walk's target.
     assert lifted.plane.theta_of([0.0, 0.0, 1.0]) == math.pi
@@ -65,14 +66,13 @@ def test_initial_limit_facet_joins_infinity(triangle):
     lp = GeneralLP(A=triangle, b=np.ones(3), z=[0.1, 1.0])
     lifted = lift(lp)
     facet = initial_limit_facet(lifted, (1, 2))
-    assert facet.indices == (INFINITY_INDEX, 1, 2)
+    assert facet.indices == (0, 2, 3)  # constraint i is lifted row i + 1
     # normal is orthogonal to the downward ray and equals the unit-program
     # normal in the first two coordinates
-    assert np.dot(facet.normal, lifted.infinity_dir) == pytest.approx(0.0, abs=1e-12)
+    assert np.dot(facet.normal, lifted.points[0]) == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(facet.normal, [1.0 / 9.0, 1.0, 0.0])
     # just off the bottom of the arc, the sweep direction pierces the facet
-    lam = cone_coefficients(lifted.points, facet.indices, lifted.plane.q(1e-4),
-                            infinite_dir=lifted.infinity_dir)
+    lam = cone_coefficients(lifted.points, facet.indices, lifted.plane.q(1e-4))
     assert float(np.min(lam)) >= -1e-9
 
 

@@ -6,7 +6,6 @@ import pytest
 from scipy.optimize import linprog
 
 from shadowlp import oracle
-from shadowlp.geometry import INFINITY_INDEX
 from shadowlp.interpolate import GeneralLP, solve_lp
 from shadowlp.oracle import (
     Ambiguous,
@@ -43,10 +42,10 @@ def test_enumerate_facets_interior_origin():
 
 
 def test_enumerate_facets_with_downward_ray():
-    points = np.eye(2)
-    down = np.array([0.0, -1.0])
-    got = _facet_sets(enumerate_facets(points, infinite_dir=down))
-    assert got == {(0, 1), (INFINITY_INDEX, 0)}
+    # Row 0 is the direction (0, -1), of level 0.
+    points = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    got = _facet_sets(enumerate_facets(points, levels=np.array([0.0, 1.0, 1.0])))
+    assert got == {(1, 2), (0, 1)}
 
 
 def test_enumerate_facets_refuses_beyond_cap(triangle, monkeypatch):

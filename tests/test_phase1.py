@@ -219,6 +219,39 @@ def test_solve_unit_mean_iterations_small_on_smoothed_inputs():
     assert np.mean(iterations) <= 6.0
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["parallel", "antiparallel"])
+def test_solve_unit_redraws_a_start_direction_collinear_with_z(triangle, monkeypatch, sign):
+    # The first rotation takes the simplex anchor, and with it z0, onto the
+    # line of z, so no plane through z0 and z exists: that attempt is drawn
+    # again without a walk, and the second one solves the program.
+    z = np.array([0.1, 1.0])
+    axis = sign * z / np.linalg.norm(z)
+    collinear = np.column_stack([[axis[1], -axis[0]], axis])
+    first = [collinear]
+    real_rotation = randgen.haar_rotation
+    monkeypatch.setattr(randgen, "haar_rotation",
+                        lambda d, rng: first.pop() if first else real_rotation(d, rng))
+    blocks, walks = [], []
+    real_add, real_walk = phase1.add_constraints, phase1.walk
+
+    def add(*args, **kwargs):
+        blocks.append(real_add(*args, **kwargs))
+        return blocks[-1]
+
+    def walk(*args, **kwargs):
+        walks.append(args)
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(phase1, "add_constraints", add)
+    monkeypatch.setattr(phase1, "walk", walk)
+    result = solve_unit(triangle, z, rng=413, validate=True)
+    assert result.status == "optimal"
+    assert tuple(result.facet.indices) == (1, 2)
+    assert result.iterations == 2
+    # the collinear attempt built its block but never walked
+    assert blocks[0] is not None and len(walks) == 1
+
+
 def test_solve_unit_gives_up_when_budget_exhausted(triangle, monkeypatch):
     monkeypatch.setattr(phase1, "MAX_RETRIES", 0)
     with pytest.raises(GaveUp):

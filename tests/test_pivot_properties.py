@@ -6,18 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shadowlp import randgen, shadow_walk
-from shadowlp.geometry import (
-    DEFAULT_TOL,
-    INFINITY_INDEX,
-    FacetIndexSet,
-    SingularSystem,
-    basis_rows,
-    make_facet,
-)
+from shadowlp.geometry import DEFAULT_TOL, FacetIndexSet, SingularSystem, make_facet
 from shadowlp.shadow_walk import pivot
 
 from helpers import recorded_walks
@@ -25,17 +18,17 @@ from helpers import recorded_walks
 
 @functools.cache
 def _walks(n, seed):
-    """(points, infinite_dir, facets) of every walk of one smoothed d=3
-    solve on the benchmark's model: Phase I's, without a vertex at infinity,
-    and the lifted one's, with it."""
+    """(points, levels, facets) of every walk of one smoothed d=3 solve on
+    the benchmark's model: Phase I's, with levels None, and the lifted
+    one's, whose row 0 is the vertex at infinity."""
     spec = randgen.normalize(randgen.random_spec(n, 3, 0.1, randgen.derive_rng(seed, 0)))
     lp = randgen.sample_instance(spec, randgen.derive_rng(seed, 1))
-    return [(points, infinite_dir, [entry.facet for entry in trace])
-            for points, _, infinite_dir, trace in recorded_walks(lp, seed)]
+    return [(points, levels, [entry.facet for entry in trace])
+            for points, _, levels, trace in recorded_walks(lp, seed)]
 
 
-def _reference_ratio_test(points, facet, leaving, infinite_dir):
-    """(ratio, entering) by one pass over the points in index order, or None.
+def _reference_ratio_test(points, facet, leaving, levels):
+    """(ratio, entering) by one pass over the rows in index order, or None.
     It takes the same two matrix-vector products as pivot, so that their
     rounding is shared and only the selection is under test."""
     j = facet.indices.index(leaving)
@@ -46,15 +39,10 @@ def _reference_ratio_test(points, facet, leaving, infinite_dir):
     for i in range(points.shape[0]):
         if i in facet.indices or not den[i] > DEFAULT_TOL.eps_feas:
             continue
-        ratio = float((1.0 - dots[i]) / den[i])
+        level = 1.0 if levels is None else levels[i]
+        ratio = float((level - dots[i]) / den[i])
         if best is None or ratio < best[0]:  # strict: the smaller index keeps a tie
             best = (ratio, i)
-    if infinite_dir is not None and not facet.contains_infinite:
-        den_inf = float(np.dot(g, infinite_dir))
-        if den_inf > DEFAULT_TOL.eps_feas:
-            ratio_inf = -float(np.dot(h, infinite_dir)) / den_inf
-            if best is None or ratio_inf <= best[0]:
-                best = (ratio_inf, INFINITY_INDEX)
     return best
 
 
@@ -63,17 +51,19 @@ def _reference_ratio_test(points, facet, leaving, infinite_dir):
        duplicated=st.booleans(), reset_updates=st.booleans(), data=st.data())
 def test_pivot_matches_a_per_point_reference(n, seed, lifted, duplicated, reset_updates, data):
     walks = [w for w in _walks(n, seed) if (w[1] is not None) == lifted]
-    assume(walks)
-    points, infinite_dir, facets = data.draw(st.sampled_from(walks))
+    assert walks  # every solve has both kinds of walk, so no draw is vacuous
+    points, levels, facets = data.draw(st.sampled_from(walks))
     facet = data.draw(st.sampled_from(facets))
     leaving = data.draw(st.sampled_from(facet.indices))
     if duplicated:
         # every point gets a twin at a larger index, so each ratio ties
         points = np.vstack([points, points])
+        if levels is not None:
+            levels = np.concatenate([levels, levels])
     if reset_updates:
         facet = replace(facet, updates=0)  # the pivot then tries the update
 
-    expected = _reference_ratio_test(points, facet, leaving, infinite_dir)
+    expected = _reference_ratio_test(points, facet, leaving, levels)
     updates = []
     real_update = shadow_walk._updated_facet
 
@@ -84,7 +74,7 @@ def test_pivot_matches_a_per_point_reference(n, seed, lifted, duplicated, reset_
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shadow_walk, "_updated_facet", spy)
         try:
-            step = pivot(points, facet, leaving, infinite_dir)
+            step = pivot(points, facet, leaving, levels)
         except SingularSystem:
             step = SingularSystem
     if expected is None:
@@ -98,17 +88,17 @@ def test_pivot_matches_a_per_point_reference(n, seed, lifted, duplicated, reset_
     assert len(updates) == (facet.updates + 1 < len(facet.indices))
     if step is SingularSystem:
         with pytest.raises(SingularSystem):
-            make_facet(points, new_indices, infinite_dir)
+            make_facet(points, new_indices, levels)
         return
     got_entering, new_facet = step
     assert got_entering == entering
     assert new_facet.indices == new_indices
     if new_facet.updates:
         assert np.array_equal(new_facet.normal, facet.normal - ratio * facet.inverse[:, j])
-        rows, _ = basis_rows(points, new_indices, infinite_dir)
+        rows = points[list(new_indices)]
         assert np.array_equal(new_facet.scales, np.abs(rows).max(axis=1))
     else:
-        fresh = make_facet(points, new_indices, infinite_dir)
+        fresh = make_facet(points, new_indices, levels)
         for name in ("normal", "inverse", "scales"):
             assert np.array_equal(getattr(new_facet, name), getattr(fresh, name))
 

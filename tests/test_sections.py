@@ -158,19 +158,31 @@ def test_no_hull_reduction_above_dimension_four(monkeypatch):
     assert len(c) == 3 + 4 * 60
 
 
-def test_flat_point_set_falls_back_to_all_points(monkeypatch):
-    # Six points in the plane x1 = 0 span no 3-d hull: Qhull refuses them,
-    # and the margin LP takes them all.  The plane meets the sweep plane
-    # x3 = 0 in a line, so the slice is a segment: degenerate.
+def test_flat_point_set_is_degenerate(monkeypatch):
+    # Six points in the plane x1 = 0 span no 3-d hull: Qhull refuses them.
+    # The plane meets the sweep plane x3 = 0 in a line, so the slice is a
+    # segment: degenerate.
     hulls = _count_calls(monkeypatch, sections, "ConvexHull")
-    lps = _count_calls(monkeypatch, sections, "milp")
     points = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
                        [0.0, 0.0, -1.0], [0.0, 0.7, 0.7], [0.0, -0.6, -0.8]])
     report = section_edges(points, SweepPlane.axis(3), rng=715)
     assert report.degenerate
     assert len(hulls) == 1
-    (c,), _ = lps[0]
-    assert len(c) == 3 + 4 * 6
+
+
+@pytest.mark.parametrize("n, d", [(20, 3), (3, 3), (40, 6)], ids=["d3", "triangle", "d6"])
+def test_flat_point_set_containing_the_sweep_plane_is_degenerate(monkeypatch, n, d):
+    # Points in x_d = 0, which contains the sweep plane span(e1, e2): the
+    # slice is a full polygon, but recentred inside it every d rows are
+    # linearly dependent, so no facet exists to walk.  The set is reported
+    # degenerate at once, without the margin LP or Phase I.
+    units = _count_calls(monkeypatch, phase1, "solve_unit")
+    lps = _count_calls(monkeypatch, sections, "milp")
+    points = gaussian(derive_rng(716, n, d), (n, d))
+    points[:, -1] = 0.0
+    report = section_edges(points, SweepPlane.axis(d), rng=716)
+    assert report.degenerate and report.edge_count == 0
+    assert units == [] and lps == []
 
 
 # ---------------------------------------------------------------------------

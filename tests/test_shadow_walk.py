@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from shadowlp import interpolate, oracle, phase1, randgen, shadow_walk
-from shadowlp.geometry import (
-    DEFAULT_TOL,
-    INFINITY_INDEX,
-    SingularSystem,
-    make_facet,
-)
+from shadowlp.geometry import DEFAULT_TOL, SingularSystem, make_facet
 from shadowlp.interpolate import GeneralLP, lift
 from shadowlp.shadow_walk import (
     OPTIMAL_FACET,
@@ -68,12 +63,11 @@ def test_sweep_plane_through_builds_plane_containing_both():
         assert np.allclose(q1, target / np.linalg.norm(target), atol=1e-9)
 
 
-def test_sweep_plane_through_collinear_needs_rotation_dir():
+def test_sweep_plane_through_collinear_raises():
     z = np.array([1.0, 0.0, 0.0])
-    plane = SweepPlane.through(-z, z, rotation_dir=np.array([0.0, 1.0, 0.0]))
-    assert plane.theta_of(z) == pytest.approx(math.pi)
-    with pytest.raises(ValueError):
-        SweepPlane.through(-z, z)
+    for start in (-z, z, 2.5 * z):
+        with pytest.raises(ValueError, match="collinear"):
+            SweepPlane.through(start, z)
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +166,19 @@ def test_pivot_tie_between_duplicate_rows_enters_smaller_index():
 
 
 def test_pivot_tie_with_vertex_at_infinity_enters_infinity():
-    # Row 2 repeats row 0 with a looser right-hand side, so its lifted point
-    # lies on the line through lifted row 0 along the vertex at infinity.
-    # Rotating facet {0, 1, top} about the ridge {0, 1} reaches both at the
-    # same ratio (1, in dyadic arithmetic), and the vertex at infinity wins.
+    # Constraint 2 repeats constraint 0 with a looser right-hand side, so its
+    # lifted row 3 lies on the line through lifted row 1 along the vertex at
+    # infinity, row 0.  Rotating facet {1, 2, top} about the ridge {1, 2}
+    # reaches rows 0 and 3 at the same ratio (1, in dyadic arithmetic), and
+    # row 0 wins the tie by its smaller index.
     lp = GeneralLP(A=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
                    b=np.array([0.5, 0.5, 0.75]), z=np.array([1.0, 1.0]))
     lifted = lift(lp)
-    facet = make_facet(lifted.points, (0, 1, lifted.top_index), lifted.infinity_dir)
-    entering, new_facet = pivot(lifted.points, facet, lifted.top_index,
-                                lifted.infinity_dir)
-    assert entering == INFINITY_INDEX
-    assert new_facet.indices == (INFINITY_INDEX, 0, 1)
-    assert float(lifted.points[2] @ new_facet.normal) == 1.0  # row 2 tied
+    facet = make_facet(lifted.points, (1, 2, lifted.top_index), lifted.levels)
+    entering, new_facet = pivot(lifted.points, facet, lifted.top_index, lifted.levels)
+    assert entering == 0
+    assert new_facet.indices == (0, 1, 2)
+    assert float(lifted.points[3] @ new_facet.normal) == 1.0  # row 3 tied
 
 
 def test_pivot_shares_d_minus_one_indices_randomized():
@@ -306,12 +300,12 @@ def test_walk_raises_cycle_suspected_when_a_pivot_returns_to_its_facet(monkeypat
     real_pivot = shadow_walk.pivot
     left = []
 
-    def bad_pivot(points, facet, leaving, infinite_dir=None):
+    def bad_pivot(points, facet, leaving, levels=None):
         left.append(facet.indices)
         if len(left) > 50:
             raise RuntimeError("sabotage budget exhausted")
         if len(left) <= honest:
-            return real_pivot(points, facet, leaving, infinite_dir)
+            return real_pivot(points, facet, leaving, levels)
         return leaving, facet
 
     monkeypatch.setattr(shadow_walk, "pivot", bad_pivot)
@@ -377,24 +371,24 @@ def test_update_guard_refuses_every_basis_make_facet_refuses():
             make_facet(points, new_indices)
         except SingularSystem:
             refused += 1
-            assert shadow_walk._updated_facet(points, facet, j, d, 0.0, new_indices, None) is None
+            assert shadow_walk._updated_facet(points, facet, j, d, 0.0, new_indices) is None
     assert refused >= 300
 
 
-def _assert_matches_fresh_factorization(points, facet, infinite_dir):
-    fresh = make_facet(points, facet.indices, infinite_dir)
+def _assert_matches_fresh_factorization(points, facet, levels):
+    fresh = make_facet(points, facet.indices, levels)
     for got, want in ((facet.normal, fresh.normal), (facet.inverse, fresh.inverse)):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def _recorded_walks(monkeypatch):
-    """Record (points, infinite_dir, outcome) of every walk solve_lp makes,
-    Phase I's and the lifted one's."""
+    """Record (points, levels, outcome) of every walk solve_lp makes, Phase
+    I's and the lifted one's."""
     walks = []
 
     def recorded(points, *args, **kwargs):
         outcome = walk(points, *args, **kwargs)
-        walks.append((points, kwargs.get("infinite_dir"), outcome))
+        walks.append((points, kwargs.get("levels"), outcome))
         return outcome
 
     monkeypatch.setattr(phase1, "walk", recorded)
@@ -408,14 +402,14 @@ def test_updated_facets_match_a_fresh_factorization(n, d, feasible_lp, monkeypat
     for seed in range(3):
         interpolate.solve_lp(feasible_lp(n, d, 300 + seed), rng=seed)
     updated = from_infinite = 0
-    for points, infinite_dir, outcome in walks:
+    for points, levels, outcome in walks:
         for prev, entry in zip([None] + outcome.trace, outcome.trace):
-            _assert_matches_fresh_factorization(points, entry.facet, infinite_dir)
+            _assert_matches_fresh_factorization(points, entry.facet, levels)
             updated += entry.facet.updates > 0
             # the lifted walk's first pivot updates a basis holding the
-            # vertex at infinity's direction
+            # vertex at infinity, row 0
             from_infinite += (entry.facet.updates > 0 and prev is not None
-                              and prev.facet.contains_infinite)
+                              and levels is not None and prev.facet.indices[0] == 0)
     assert updated >= 10 and from_infinite == 3
 
 
@@ -428,17 +422,16 @@ def test_pivots_from_every_facet_of_lifted_polytopes_match_a_fresh_factorization
         n, d = int(rng.integers(4, 8)), int(rng.integers(2, 4))
         lifted = lift(GeneralLP(A=rng.standard_normal((n, d)),
                                 b=rng.standard_normal(n), z=rng.standard_normal(d)))
-        for facet in oracle.enumerate_facets(lifted.points, lifted.infinity_dir):
+        for facet in oracle.enumerate_facets(lifted.points, lifted.levels):
             for leaving in facet.indices:
-                step = pivot(lifted.points, facet, leaving, lifted.infinity_dir)
+                step = pivot(lifted.points, facet, leaving, lifted.levels)
                 if step is None:
                     continue
                 entering, new_facet = step
                 assert new_facet.updates == 1
-                _assert_matches_fresh_factorization(lifted.points, new_facet,
-                                                    lifted.infinity_dir)
-                entered += entering == INFINITY_INDEX
-                stayed += facet.contains_infinite and leaving != INFINITY_INDEX
+                _assert_matches_fresh_factorization(lifted.points, new_facet, lifted.levels)
+                entered += entering == 0
+                stayed += facet.indices[0] == 0 and leaving != 0
     assert entered >= 20 and stayed >= 20
 
 

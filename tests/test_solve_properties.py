@@ -70,7 +70,7 @@ def test_walks_stay_on_valid_facets_in_angular_order(seed, d, n, sigma, feasible
 
     def recorded(points, plane, start, theta_start, theta_target, **kwargs):
         outcome = shadow_walk.walk(points, plane, start, theta_start, theta_target, **kwargs)
-        walks.append((points, kwargs.get("infinite_dir"), theta_start, outcome.trace))
+        walks.append((points, kwargs.get("levels"), theta_start, outcome.trace))
         return outcome
 
     with pytest.MonkeyPatch.context() as mp:
@@ -78,8 +78,8 @@ def test_walks_stay_on_valid_facets_in_angular_order(seed, d, n, sigma, feasible
         mp.setattr(interpolate, "walk", recorded)
         solve_lp(lp, rng=seed)
     assert walks
-    for points, infinite_dir, theta_start, trace in walks:
-        assert all(all_below(points, e.facet.normal, infinite_dir) for e in trace)
+    for points, levels, theta_start, trace in walks:
+        assert all(all_below(points, e.facet.normal, levels) for e in trace)
         ends = [theta_start] + [e.theta_end for e in trace[:-1]]
         assert [e.theta_start for e in trace] == ends
         assert all(e.theta_end >= e.theta_start for e in trace)

@@ -54,11 +54,11 @@ def test_oracle_equivalence_detects_sabotaged_pivot(monkeypatch):
     real_pivot = shadow_walk.pivot
     calls = {"count": 0}
 
-    def bad_pivot(points, facet, leaving, infinite_dir=None):
+    def bad_pivot(points, facet, leaving, levels=None):
         calls["count"] += 1
         if calls["count"] > 200:
             raise RuntimeError("sabotage budget exhausted")
-        out = real_pivot(points, facet, leaving, infinite_dir)
+        out = real_pivot(points, facet, leaving, levels)
         if out is None:
             return None
         entering, new_facet = out
@@ -67,7 +67,7 @@ def test_oracle_equivalence_detects_sabotaged_pivot(monkeypatch):
         for fake in others:
             kept = tuple(i for i in facet.indices if i != leaving) + (fake,)
             try:
-                return fake, make_facet(points, kept, infinite_dir)
+                return fake, make_facet(points, kept, levels)
             except Exception:
                 continue
         return out

@@ -8,11 +8,13 @@ q(theta0), and sweeps the full circle; each distinct facet in the trace
 contributes exactly one edge.
 
 When d <= 4 one Qhull hull per section serves all three stages: x0 comes
-from the margin LP written over its facet equations, the start facet is the
-first of its facets along q(theta0) that the walk's pierce test accepts, and
-the sweep runs on its vertices, since Conv(points) = Conv(hull vertices).
-Above d = 4 the margin LP takes every point (interior_point_in_slice) and
-Phase I finds the start facet.  A set that spans no full-dimensional hull
+from the margin LP written over its facet equations, three columns that the
+walk's own pivots solve under Bland's rule (shadow_walk.climb), the start
+facet is the first of its facets along q(theta0) that the walk's pierce
+test accepts, and the sweep runs on its vertices, since Conv(points) =
+Conv(hull vertices).  Above d = 4 the margin LP takes every point
+(interior_point_in_slice, solved by HiGHS) and Phase I finds the start
+facet.  A set that spans no full-dimensional hull
 (Qhull refuses it, or above d = 4 its centred rank is below d) is a
 degenerate section: recentred at a point of its slice, it lies in a linear
 subspace of dimension below d, so every basis of d rows is singular.
@@ -29,14 +31,18 @@ from scipy.spatial import ConvexHull, QhullError
 from . import phase1
 from .geometry import DEFAULT_TOL, SingularSystem, make_facet
 from .interpolate import NumericFailure
-from .shadow_walk import WalkStateError, exit_angle, sweep_full
+from .shadow_walk import WalkStateError, climb, exit_angle, sweep_full
 
 # Largest d at which a section runs on one Qhull hull.  Margin LP over every
-# point against Qhull + facet-form margin LP, Gaussian points (2-vCPU host):
-# d=2, n=3000: 82 vs 0.7 + 1.7 ms; d=3, n=1e4: 402 vs 2.9 + 2.4 ms; d=4,
-# n=1e4: 431 vs 8.4 + 5.4 ms.  d=5 breaks even at n=100 (7.9 vs 3.1 + 5.2
-# ms); Qhull alone costs more than the full LP at d=6, n=300 (45 vs 19 ms)
-# and d=8, n=100 (412 vs 9 ms), where the hull has 6877 and 34920 facets.
+# point against Qhull + facet-form margin LP by climb (by HiGHS on the same
+# rows in brackets), Gaussian points, medians of 5 clouds (2-vCPU host):
+# d=2, n=3000: 98 vs 1.1 + 0.32 (2.3) ms; d=3, n=1e4: 413 vs 3.7 + 0.23
+# (2.5) ms; d=4, n=1e4: 493 vs 8.2 + 0.37 (5.1) ms; d=5, n=100: 7.5 vs 3.5
+# + 0.49 (5.0) ms; d=5, n=1000: 50 vs 15.6 + 0.50 (11.5) ms.  Qhull alone
+# costs more than the full LP at d=6, n=300 (49 vs 18 ms) and d=8, n=100
+# (647 vs 9 ms), where the hull has 7538 and 43180 facets.  d=5 stays off
+# the hull path until the start-facet search and the sweep on its hull are
+# timed.
 _HULL_MAX_DIM = 4
 # Not a multiple of pi/4: the margin LP's corner directions (multiples of
 # pi/2) and the diagonals of symmetric fixtures stay off the start ray.
@@ -73,12 +79,12 @@ def _margin_constraints(points, plane):
     return a_eq, b_eq, nvar
 
 
-def _slice_point(res, plane):
-    """x0 = s b1 + t b2 from a margin LP's result over (s, t, eps, ...), or
-    None when the LP failed or its margin eps is at most Tolerance.band."""
-    if not res.success or float(res.x[2]) <= DEFAULT_TOL.band:
+def _slice_point(y, plane):
+    """x0 = s b1 + t b2 from a margin LP's optimum y = (s, t, eps, ...), or
+    None when it has none or its margin eps is at most Tolerance.band."""
+    if y is None or float(y[2]) <= DEFAULT_TOL.band:
         return None
-    return float(res.x[0]) * plane.basis1 + float(res.x[1]) * plane.basis2
+    return float(y[0]) * plane.basis1 + float(y[1]) * plane.basis2
 
 
 def interior_point_in_slice(points, plane):
@@ -95,7 +101,7 @@ def interior_point_in_slice(points, plane):
     lower[:2] = -np.inf
     res = milp(c, constraints=LinearConstraint(a_eq, b_eq, b_eq),
                bounds=Bounds(lower, np.inf))
-    return _slice_point(res, plane)
+    return _slice_point(res.x if res.success else None, plane)
 
 
 def _hull(points):
@@ -107,18 +113,70 @@ def _hull(points):
         return None
 
 
-def _hull_interior_point(hull, plane):
+def _margin_rows(hull, plane):
     """interior_point_in_slice written over the hull's facets n.x + c <= 0:
     x0 + eps*v lies inside for all four v in {+-b1, +-b2} exactly when
-    (n.b1) s + (n.b2) t + max(|n.b1|, |n.b2|) eps <= -c on every facet."""
+    (n.b1) s + (n.b2) t + max(|n.b1|, |n.b2|) eps <= -c on every facet.
+    Returns the rows R_i = (n.b1, n.b2, k_i) and the levels r_i = -c_i."""
     normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
     nb1 = normals @ plane.basis1
     nb2 = normals @ plane.basis2
-    rows = np.column_stack([nb1, nb2, np.maximum(np.abs(nb1), np.abs(nb2))])
-    res = milp(np.array([0.0, 0.0, -1.0]),
-               constraints=LinearConstraint(rows, -np.inf, -offsets),
-               bounds=Bounds([-np.inf, -np.inf, 0.0], np.inf))
-    return _slice_point(res, plane)
+    return np.column_stack([nb1, nb2, np.maximum(np.abs(nb1), np.abs(nb2))]), -offsets
+
+
+def _advance(rows, levels, y, direction):
+    """Move y along the direction until one more row becomes active: among
+    the rows with <R_k, u> > eps_feas for the unit direction u, the
+    smallest step, ties to the smallest index.  The direction lies in the
+    null space of the rows already active, so none of them is a candidate.
+    Returns the moved y and the new row's index; raises NumericFailure when
+    no row blocks the ray."""
+    u = direction / np.linalg.norm(direction)
+    den = rows @ u
+    cand = (den > DEFAULT_TOL.eps_feas).nonzero()[0]
+    if not cand.size:
+        raise NumericFailure("margin LP: unbounded ray")
+    steps = (levels[cand] - rows[cand] @ y) / den[cand]
+    m = int(steps.argmin())  # first occurrence: smallest index on a tie
+    return y + steps[m] * u, int(cand[m])
+
+
+def _max_margin(rows, levels):
+    """Maximize eps over R y <= r, y = (s, t, eps), by the walk's own pivots.
+    Returns the optimal y, or None when a row with no component in the
+    plane (k = 0) has r < 0: the plane misses the hull.
+
+    Other k = 0 rows constrain nothing and are dropped.  eps is free, so
+    (0, 0, min r_i/k_i) is feasible.  Two moves make three rows active: the
+    first keeps eps and the second runs along the line of the two active
+    rows, oriented not to lower it.  climb runs Bland's rule from that
+    vertex.  A singular basis or an unbounded step raises NumericFailure; a
+    repeated basis raises CycleSuspected."""
+    flat = rows[:, 2] == 0.0
+    if np.any(levels[flat] < 0.0):
+        return None
+    rows, levels = rows[~flat], levels[~flat]
+    depths = levels / rows[:, 2]
+    first = int(depths.argmin())
+    a, b, _ = rows[first]
+    y, second = _advance(rows, levels, np.array([0.0, 0.0, depths[first]]),
+                         np.array([b, -a, 0.0]))
+    line = np.cross(rows[first], rows[second])
+    _, third = _advance(rows, levels, y, line if line[2] >= 0.0 else -line)
+    try:
+        top = climb(rows, [first, second, third], levels)
+    except SingularSystem as exc:
+        raise NumericFailure(f"margin LP: {exc}") from exc
+    if top is None:
+        raise NumericFailure("margin LP: unbounded pivot")
+    return top.normal
+
+
+def _hull_interior_point(hull, plane):
+    """interior_point_in_slice over the hull's facets (_margin_rows), solved
+    by _max_margin.  When several points attain the margin, the vertex
+    Bland's rule reaches decides among them."""
+    return _slice_point(_max_margin(*_margin_rows(hull, plane)), plane)
 
 
 def _hull_start_facet(hull, keep, shifted, x0, plane):

@@ -13,6 +13,9 @@ A pivot changes one row of the basis, so it builds the next facet's normal
 and B^-1 by a rank-one update of the current ones; B^-1 is factored afresh
 from the points every d-th pivot and whenever the update cannot certify
 that the new basis is nonsingular.
+climb uses the same pivots with Bland's rule in place of the rotating
+objective: a primal simplex that maximizes the normal's last coordinate,
+which solves the section's margin LP (see sections).
 """
 
 from __future__ import annotations
@@ -269,6 +272,34 @@ def _updated_facet(points, facet, j, entering, ratio, new_indices):
         return None
     return FacetIndexSet(new_indices, facet.normal - ratio * inverse[:, j], new_inverse,
                          facet.updates + 1, scales)
+
+
+def climb(points, indices, levels=None):
+    """Primal simplex over the facets of the rows at the levels: from the
+    facet over ``indices``, whose normal h must satisfy <h, a_i> <= c_i on
+    every row, pivot until h maximizes its last coordinate over that
+    polyhedron, and return the final facet.
+
+    The last coordinate's multipliers at a facet are the last row of B^-1.
+    The leaving index is the smallest member whose multiplier is below
+    -eps_feas, and pivot's ratio test picks the entering index, ties to the
+    smallest index: Bland's rule, which terminates on degenerate facets.
+    Returns None when a pivot finds no entering index (the program is
+    unbounded).  Raises CycleSuspected when a facet comes back, and
+    SingularSystem when make_facet refuses a basis."""
+    facet = make_facet(points, indices, levels)
+    seen = {facet.indices}
+    while True:
+        below = (facet.inverse[-1] < -DEFAULT_TOL.eps_feas).nonzero()[0]
+        if not below.size:
+            return facet
+        step = pivot(points, facet, facet.indices[below[0]], levels)
+        if step is None:
+            return None
+        facet = step[1]
+        if facet.indices in seen:
+            raise CycleSuspected(f"climb: facet {facet.indices} entered again")
+        seen.add(facet.indices)
 
 
 def _validate_step(points, old, new, levels):

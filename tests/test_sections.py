@@ -5,10 +5,10 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.spatial import ConvexHull
 
-from shadowlp import phase1, sections
+from shadowlp import phase1, sections, shadow_walk
 from shadowlp.geometry import DEFAULT_TOL, SingularSystem
 from shadowlp.interpolate import NumericFailure
 from shadowlp.oracle import section_edge_count_bruteforce
@@ -20,7 +20,7 @@ from shadowlp.sections import (
     interior_point_in_slice,
     section_edges,
 )
-from shadowlp.shadow_walk import SweepPlane, exit_angle, sweep_full
+from shadowlp.shadow_walk import CycleSuspected, SweepPlane, exit_angle, sweep_full
 
 from helpers import convex_membership
 
@@ -76,13 +76,14 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_section_is_one_hull_and_one_milp_call(monkeypatch):
+def test_section_is_one_hull_and_no_milp_call(monkeypatch):
+    # One hull, and the margin LP over its facets runs without HiGHS.
     hulls = _count_calls(monkeypatch, sections, "ConvexHull")
     calls = _count_calls(monkeypatch, sections, "milp")
     points = gaussian(derive_rng(703), (8, 3))
     assert not section_edges(points, SweepPlane.axis(3), rng=703).degenerate
     assert len(hulls) == 1
-    assert len(calls) == 1
+    assert calls == []
 
 
 def _full_margin_x0(points, plane):
@@ -107,15 +108,15 @@ def test_hull_reduction_keeps_the_interior_point(d):
 
 
 def test_margin_lp_gets_only_the_hull_vertices_in_the_plane(monkeypatch):
-    # One milp call over (s, t, eps) with one row per hull facet.
-    calls = _count_calls(monkeypatch, sections, "milp")
+    # One margin LP over (s, t, eps) with one row per hull facet.
+    calls = _count_calls(monkeypatch, sections, "_max_margin")
     points = gaussian(derive_rng(711), (3000, 2))
     assert not section_edges(points, SweepPlane.axis(2), rng=711).degenerate
     assert len(calls) == 1
-    (c,), kwargs = calls[0]
-    assert len(c) == 3
+    (rows, levels), _ = calls[0]
     hull = ConvexHull(points)
-    assert kwargs["constraints"].A.shape == (len(hull.equations), 3)
+    assert rows.shape == (len(hull.equations), 3)
+    assert levels.shape == (len(hull.equations),)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -216,6 +217,14 @@ def _regular_polygon(k):
     return np.column_stack([np.cos(angles), np.sin(angles)]), SweepPlane.axis(2)
 
 
+def _shifted_cube():
+    """A cube meeting the axis plane in a square: its top and bottom facets
+    have normals orthogonal to the plane (k = 0), and Qhull splits each
+    face into two triangles, so at the optimum eight rows are active."""
+    cube = np.array(list(itertools.product([-1.0, 1.0], repeat=3))) + [0.3, 0.0, 0.2]
+    return cube, SweepPlane.axis(3)
+
+
 def test_hull_path_matches_the_no_hull_path():
     """The facet-form margin LP places x0 where the margin LP over the hull
     vertices does, and the start facet read off the hull's simplices is the
@@ -260,13 +269,131 @@ def test_hull_start_facet_is_the_pierced_half_of_a_split_face():
     # Qhull splits each square face of a cube into two triangles with one
     # equation, so their exit distances tie; only the pierce test tells which
     # triangle q(theta0) crosses.
-    cube = np.array(list(itertools.product([-1.0, 1.0], repeat=3))) + [0.3, 0.0, 0.2]
-    plane = SweepPlane.axis(3)
+    cube, plane = _shifted_cube()
     hull = ConvexHull(cube)
     keep = np.sort(hull.vertices)
     x0 = sections._hull_interior_point(hull, plane)
     start = sections._hull_start_facet(hull, keep, cube[keep] - x0, x0, plane)
     exit_angle(start, plane, _THETA0)  # raises unless pierced
+
+
+# ---------------------------------------------------------------------------
+# the facet-form margin LP against HiGHS
+
+
+def _thin_slice():
+    """A tetrahedron whose lowest vertex pokes 5e-9 through the axis plane:
+    the slice is a triangle of margin below Tolerance.band."""
+    points = np.array([[0.0, 0.0, -5e-9], [1.0, 0.2, 1.0], [-0.4, 1.0, 1.0],
+                       [-0.6, -0.9, 1.0]]) + [0.3, -0.2, 0.0]
+    return points, SweepPlane.axis(3)
+
+
+def _highs_margin(rows, levels):
+    """The facet-form margin LP as one milp call with eps >= 0: its optimum
+    (s, t, eps), or None when HiGHS finds it infeasible."""
+    res = milp(np.array([0.0, 0.0, -1.0]), constraints=LinearConstraint(rows, -np.inf, levels),
+               bounds=Bounds([-np.inf, -np.inf, 0.0], np.inf))
+    return res.x if res.success else None
+
+
+def _x0_is_unique(rows, levels, eps):
+    """True when s and t each span at most 1e-9 over the optimal face,
+    taken as the points with margin at least eps - 1e-12."""
+    a_ub = np.vstack([rows, [0.0, 0.0, -1.0]])
+    b_ub = np.append(levels, 1e-12 - eps)
+    ends = []
+    for c in np.vstack([np.eye(3)[:2], -np.eye(3)[:2]]):
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+        assert res.success
+        ends.append(res.fun)
+    return ends[0] + ends[2] <= 1e-9 and ends[1] + ends[3] <= 1e-9
+
+
+def test_margin_lp_matches_highs():
+    """_max_margin and the facet-form milp call give the same None verdicts,
+    margins within 1e-9 relative, and the same x0 wherever HiGHS's optimum
+    is unique."""
+    clouds = [_cloud(kind, d, case) for kind in ("gaussian", "smoothed")
+              for d in (2, 3, 4) for case in range(10)]
+    clouds += [_cloud("missed", d, case) for d in (3, 4) for case in range(6)]
+    clouds += [_regular_polygon(k) for k in (4, 8, 12)]
+    clouds += [_shifted_cube(), _thin_slice()]
+    empty = unique = 0
+    for i, (points, plane) in enumerate(clouds):
+        rows, levels = sections._margin_rows(ConvexHull(points), plane)
+        y = sections._max_margin(rows, levels)
+        ref = _highs_margin(rows, levels)
+        verdict = sections._slice_point(y, plane)
+        assert (verdict is None) == (sections._slice_point(ref, plane) is None), i
+        if ref is None:
+            assert y is None or y[2] < 0.0, i
+            empty += 1
+            continue
+        assert abs(y[2] - ref[2]) <= 1e-9 * max(1.0, abs(ref[2])), i
+        if verdict is not None and _x0_is_unique(rows, levels, ref[2]):
+            unique += 1
+            assert np.max(np.abs(y[:2] - ref[:2])) <= 1e-9 * max(1.0, np.max(np.abs(ref[:2]))), i
+    assert empty == 12  # the missed clouds
+    assert unique >= 60
+
+
+@pytest.mark.parametrize("fixture", [_shifted_cube, lambda: _regular_polygon(8)],
+                         ids=["cube", "8-gon"])
+def test_margin_lp_terminates_with_more_than_three_rows_active(fixture):
+    points, plane = fixture()
+    rows, levels = sections._margin_rows(ConvexHull(points), plane)
+    y = sections._max_margin(rows, levels)
+    active = np.abs(rows @ y - levels) <= DEFAULT_TOL.eps_feas
+    assert active.sum() > 3
+    assert np.all(rows @ y <= levels + DEFAULT_TOL.eps_feas)
+    assert abs(y[2] - _highs_margin(rows, levels)[2]) <= 1e-12
+
+
+def test_margin_lp_drops_rows_orthogonal_to_the_plane():
+    points, plane = _shifted_cube()
+    rows, levels = sections._margin_rows(ConvexHull(points), plane)
+    assert np.any(rows[:, 2] == 0.0)
+    assert np.allclose(sections._max_margin(rows, levels), [0.3, 0.0, 1.0], rtol=0.0, atol=1e-12)
+    below = np.vstack([rows, [0.0, 0.0, 0.0]])
+    assert sections._max_margin(below, np.append(levels, -0.5)) is None
+
+
+def _rows_that_need_a_pivot():
+    """Margin rows of a cloud whose two moves stop short of the optimum, so
+    climb pivots once."""
+    points = gaussian(derive_rng(730, 8, 0), (8, 2))
+    return sections._margin_rows(ConvexHull(points), SweepPlane.axis(2))
+
+
+@pytest.mark.parametrize("step, error", [("stuck", CycleSuspected), ("none", NumericFailure)])
+def test_margin_lp_raises_when_a_pivot_fails(monkeypatch, step, error):
+    # A pivot that returns the facet it was given repeats the basis; one
+    # that finds no entering row reports an unbounded program.
+    calls = []
+
+    def failing(points, facet, leaving, levels=None):
+        calls.append(leaving)
+        return (leaving, facet) if step == "stuck" else None
+
+    monkeypatch.setattr(shadow_walk, "pivot", failing)
+    with pytest.raises(error):
+        sections._max_margin(*_rows_that_need_a_pivot())
+    assert len(calls) == 1
+
+
+def test_margin_lp_raises_numeric_failure(monkeypatch, square, axis_plane):
+    # One row leaves the first move's ray unblocked: the program is unbounded.
+    with pytest.raises(NumericFailure, match="unbounded ray"):
+        sections._max_margin(np.array([[1.0, 0.0, 1.0]]), np.array([1.0]))
+
+    def singular(*args, **kwargs):
+        raise SingularSystem("refused")
+
+    monkeypatch.setattr(shadow_walk, "make_facet", singular)
+    rows, levels = sections._margin_rows(ConvexHull(square), axis_plane(2))
+    with pytest.raises(NumericFailure, match="margin LP: refused"):
+        sections._max_margin(rows, levels)
 
 
 # ---------------------------------------------------------------------------

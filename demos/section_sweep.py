@@ -7,8 +7,9 @@ inside the slice, recenter, find the facet pierced by the start ray, and
 sweep the objective through a full circle, counting distinct facets.  At
 d <= 4 one Qhull hull gives all three: the interior point comes from a margin
 LP over its facet equations, the start facet is one of its facets, and the
-sweep runs on its vertices.  ``interior_point_in_slice`` below is the margin
-LP over every point, the path taken above d = 4.  Every count is
+sweep runs on its vertices.  ``interior_point_in_slice`` below is the path
+taken above d = 4: the same margin LP grown by cutting planes, each a hull
+facet that Phase I finds beyond a margin point.  Every count is
 cross-checked here against an independent brute-force enumeration of
 supporting hyperplanes.
 """
@@ -16,13 +17,14 @@ supporting hyperplanes.
 import numpy as np
 
 from shadowlp import section_edges, section_edge_count_bruteforce
+from shadowlp.experiments import SQUARE_POINTS
 from shadowlp.randgen import derive_rng, gaussian
 from shadowlp.sections import interior_point_in_slice
 from shadowlp.shadow_walk import SweepPlane
 
 np.set_printoptions(precision=4, suppress=True)
 
-plane = SweepPlane(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+plane = SweepPlane.axis(3)
 
 # --- one polytope in detail --------------------------------------------------
 points = gaussian(derive_rng(11), (9, 3))
@@ -37,9 +39,8 @@ print("facets met by the sweep (index sets):",
 print("brute-force count:", section_edge_count_bruteforce(points, plane))
 
 # --- the two fixtures --------------------------------------------------------
-square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-plane2 = SweepPlane(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-print("\nsquare fixture:", section_edges(square, plane2, rng=13).edge_count,
+plane2 = SweepPlane.axis(2)
+print("\nsquare fixture:", section_edges(SQUARE_POINTS, plane2, rng=13).edge_count,
       "edges (a full polygon is its own section)")
 
 blob = np.array([[0.0, 0.0, 12.0], [1.0, 0.0, 13.0],

@@ -12,12 +12,13 @@ from the margin LP written over its facet equations, three columns that the
 walk's own pivots solve under Bland's rule (shadow_walk.climb), the start
 facet is the first of its facets along q(theta0) that the walk's pierce
 test accepts, and the sweep runs on its vertices, since Conv(points) =
-Conv(hull vertices).  Above d = 4 the margin LP takes every point
-(interior_point_in_slice, solved by HiGHS) and Phase I finds the start
-facet.  A set that spans no full-dimensional hull
-(Qhull refuses it, or above d = 4 its centred rank is below d) is a
-degenerate section: recentred at a point of its slice, it lies in a linear
-subspace of dimension below d, so every basis of d rows is singular.
+Conv(hull vertices).  Above d = 4 the same three-column LP runs over cuts
+(interior_point_in_slice): Kelley's cutting-plane method, with Phase I as
+the separation oracle that names a facet of the hull beyond each margin
+point, and Phase I finds the start facet.  A set that spans no
+full-dimensional hull (Qhull refuses it, or its centred rank is below d) is
+a degenerate section: recentred at a point of its slice, it lies in a
+linear subspace of dimension below d, so every basis of d rows is singular.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.spatial import ConvexHull, QhullError
 
 from . import phase1
@@ -33,20 +33,22 @@ from .geometry import DEFAULT_TOL, SingularSystem, make_facet
 from .interpolate import NumericFailure
 from .shadow_walk import WalkStateError, climb, exit_angle, sweep_full
 
-# Largest d at which a section runs on one Qhull hull.  Margin LP over every
-# point against Qhull + facet-form margin LP by climb (by HiGHS on the same
-# rows in brackets), Gaussian points, medians of 5 clouds (2-vCPU host):
-# d=2, n=3000: 98 vs 1.1 + 0.32 (2.3) ms; d=3, n=1e4: 413 vs 3.7 + 0.23
-# (2.5) ms; d=4, n=1e4: 493 vs 8.2 + 0.37 (5.1) ms; d=5, n=100: 7.5 vs 3.5
-# + 0.49 (5.0) ms; d=5, n=1000: 50 vs 15.6 + 0.50 (11.5) ms.  Qhull alone
-# costs more than the full LP at d=6, n=300 (49 vs 18 ms) and d=8, n=100
-# (647 vs 9 ms), where the hull has 7538 and 43180 facets.  d=5 stays off
-# the hull path until the start-facet search and the sweep on its hull are
-# timed.
+# Largest d at which a section runs on one Qhull hull.  Whole sections, hull
+# path against cut path (interior_point_in_slice, then Phase I for the start
+# facet), medians of 5 clouds in ms, Gaussian/smoothed (sigma=0.1) points,
+# 2-vCPU host: d=4, n=1000: 7.8/13.5 vs 33/42; d=4, n=1e4: 15/33 vs 66/92;
+# d=5, n=100: 7.9/12.6 vs 40/26; d=5, n=1000: 26/80 vs 37/57; d=5, n=3000:
+# 33/211 vs 87/49; d=6, n=100: 24/40 vs 37/30; d=6, n=300: 59/272 vs 38/48.
+# On smoothed points, the model of the section experiments, the hull's facet
+# count grows fast with n, so from d=5 on the cut path wins there from
+# n=1000 up; d=5 stays off the hull path.
 _HULL_MAX_DIM = 4
 # Not a multiple of pi/4: the margin LP's corner directions (multiples of
 # pi/2) and the diagonals of symmetric fixtures stay off the start ray.
 _THETA0 = 1.0
+# Phase-I seed of interior_point_in_slice's separation oracle: fixed, so x0
+# is a function of (points, plane).
+_SEPARATION_SEED = 0
 
 
 @dataclass
@@ -55,28 +57,6 @@ class SectionReport:
     interior_point: np.ndarray | None
     facets: list
     degenerate: bool
-
-
-def _margin_constraints(points, plane):
-    """Equality block of the auxiliary program over (s, t, eps, mu^1..mu^4):
-    x0 = s b1 + t b2, and x0 + eps * v_j must be a convex combination of the
-    points for v_j in {+b1, -b1, +b2, -b2}, with mu^j >= 0."""
-    points = np.asarray(points, dtype=float)
-    n, d = points.shape
-    b1, b2 = plane.basis1, plane.basis2
-    nvar = 3 + 4 * n
-    a_eq = np.zeros((4 * (d + 1), nvar))
-    b_eq = np.zeros(4 * (d + 1))
-    for j, v in enumerate([b1, -b1, b2, -b2]):
-        r0 = j * (d + 1)
-        cols = slice(3 + j * n, 3 + (j + 1) * n)
-        a_eq[r0:r0 + d, cols] = points.T
-        a_eq[r0:r0 + d, 0] = -b1
-        a_eq[r0:r0 + d, 1] = -b2
-        a_eq[r0:r0 + d, 2] = -v
-        a_eq[r0 + d, cols] = 1.0
-        b_eq[r0 + d] = 1.0
-    return a_eq, b_eq, nvar
 
 
 def _slice_point(y, plane):
@@ -90,18 +70,46 @@ def _slice_point(y, plane):
 def interior_point_in_slice(points, plane):
     """Point x0 in the plane maximizing the inradius margin: the largest eps
     with x0 +- eps*basis1 and x0 +- eps*basis2 all inside Conv(points).
-    Returns None (Degenerate) when the slice is empty or its margin is at
-    most Tolerance.band.  When several points attain the margin, the optimal
-    vertex HiGHS returns decides among them.  The LP takes one column block
-    per given point; section_edges calls it only when it has no hull."""
-    a_eq, b_eq, nvar = _margin_constraints(points, plane)
-    c = np.zeros(nvar)
-    c[2] = -1.0
-    lower = np.zeros(nvar)
-    lower[:2] = -np.inf
-    res = milp(c, constraints=LinearConstraint(a_eq, b_eq, b_eq),
-               bounds=Bounds(lower, np.inf))
-    return _slice_point(res.x if res.success else None, plane)
+    Returns None (Degenerate) when the slice is empty, its margin is at most
+    Tolerance.band, or the centred rank of the points is below d.
+
+    Kelley's cutting planes over the three-column margin LP (_max_margin),
+    starting from the four extent rows <+-basis_k, x> <= max_i <+-basis_k,
+    p_i>.  For each margin point of the master's optimum, Phase I over the
+    points less their centroid c (interior at full rank) returns the facet
+    pierced by the ray toward it; a facet h with <h, x - c> > 1 + eps_feas
+    there becomes the hull row [h, -1 - h.c].  A round that cuts nothing
+    ends the loop.  When several points attain the margin, the vertex the
+    cuts reach decides among them; Phase I draws from a fixed seed, so x0
+    is a function of (points, plane).  Raises NumericFailure when Phase I
+    finds a unit program unbounded or a round cuts only with rows already
+    in the master."""
+    points = np.asarray(points, dtype=float)
+    centre = points.mean(axis=0)
+    centred = points - centre
+    if np.linalg.matrix_rank(centred) < points.shape[1]:
+        return None
+    directions = np.array([plane.basis1, -plane.basis1, plane.basis2, -plane.basis2])
+    extents = np.column_stack([directions, -(points @ directions.T).max(axis=0)])
+    cuts = {}  # facet indices -> hull row, in the order the rounds found them
+    while True:
+        y = _max_margin(*_margin_rows(np.vstack([extents, *cuts.values()]), plane))
+        x0 = _slice_point(y, plane)
+        if x0 is None:
+            return None
+        found = {}
+        for target in x0 + y[2] * directions - centre:
+            unit = phase1.solve_unit(centred, target, rng=_SEPARATION_SEED)
+            if unit.status != phase1.OPTIMAL:
+                raise NumericFailure("margin LP: unit program unbounded despite interior centroid")
+            h = unit.facet.normal
+            if h @ target > 1.0 + DEFAULT_TOL.eps_feas:
+                found[unit.facet.indices] = np.append(h, -1.0 - h @ centre)
+        if not found:
+            return x0
+        if found.keys() <= cuts.keys():
+            raise NumericFailure("margin LP: a facet already in the master cuts again")
+        cuts.update((k, row) for k, row in found.items() if k not in cuts)
 
 
 def _hull(points):
@@ -113,12 +121,12 @@ def _hull(points):
         return None
 
 
-def _margin_rows(hull, plane):
-    """interior_point_in_slice written over the hull's facets n.x + c <= 0:
+def _margin_rows(equations, plane):
+    """The margin LP written over hull equations [n, c], facets n.x + c <= 0:
     x0 + eps*v lies inside for all four v in {+-b1, +-b2} exactly when
     (n.b1) s + (n.b2) t + max(|n.b1|, |n.b2|) eps <= -c on every facet.
     Returns the rows R_i = (n.b1, n.b2, k_i) and the levels r_i = -c_i."""
-    normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
+    normals, offsets = equations[:, :-1], equations[:, -1]
     nb1 = normals @ plane.basis1
     nb2 = normals @ plane.basis2
     return np.column_stack([nb1, nb2, np.maximum(np.abs(nb1), np.abs(nb2))]), -offsets
@@ -176,7 +184,7 @@ def _hull_interior_point(hull, plane):
     """interior_point_in_slice over the hull's facets (_margin_rows), solved
     by _max_margin.  When several points attain the margin, the vertex
     Bland's rule reaches decides among them."""
-    return _slice_point(_max_margin(*_margin_rows(hull, plane)), plane)
+    return _slice_point(_max_margin(*_margin_rows(hull.equations, plane)), plane)
 
 
 def _hull_start_facet(hull, keep, shifted, x0, plane):
@@ -216,18 +224,18 @@ def section_edges(points, plane, rng=None, validate=False):
     its simplices, and the sweep sees only its vertices.  The count is then
     the number of geometric edges of the slice: a point inside a hull edge
     or face never becomes a facet member, and the count does not depend on
-    row order.  Above d = 4 the margin LP runs over every point
-    (interior_point_in_slice) and Phase I finds the start facet; ``rng``
-    seeds Phase I and is used on that path only.  Facet indices refer to
-    the rows of ``points``; of duplicate rows, any copy may be the one
-    reported."""
+    row order.  Above d = 4 the margin LP runs over cuts that Phase I
+    finds (interior_point_in_slice, which seeds its own Phase I), and a
+    Phase I seeded by ``rng`` finds the start facet; the hull path draws no
+    random numbers.  Facet indices refer to the rows of ``points``; of
+    duplicate rows, any copy may be the one reported."""
     points = np.asarray(points, dtype=float)
     d = points.shape[1]
     hull = _hull(points) if d <= _HULL_MAX_DIM else None
     if hull is not None:
         keep = np.sort(hull.vertices)
         x0 = _hull_interior_point(hull, plane)
-    elif d > _HULL_MAX_DIM and np.linalg.matrix_rank(points - points.mean(axis=0)) == d:
+    elif d > _HULL_MAX_DIM:
         keep = np.arange(len(points))
         x0 = interior_point_in_slice(points, plane)
     else:

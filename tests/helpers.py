@@ -1,7 +1,8 @@
 """Independent re-checks that only the tests need: a transposed solve for
-cone coefficients, an LP for convex membership, a CSV reader, the numpy
-formulation of the exit angle, programs feasible by construction and a
-recorder of a solve's walks."""
+cone coefficients, an LP for convex membership, the section's margin LP
+over every point solved by HiGHS, a CSV reader, the numpy formulation of the
+exit angle, programs feasible by construction and a recorder of a solve's
+walks."""
 
 import csv
 import math
@@ -9,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from shadowlp import interpolate, phase1, randgen, shadow_walk
 from shadowlp.geometry import DEFAULT_TOL, solve_linear
@@ -33,6 +34,44 @@ def convex_membership(points, x):
     res = linprog(np.zeros(n), A_eq=a_eq, b_eq=b_eq,
                   bounds=[(0, None)] * n, method="highs")
     return bool(res.success)
+
+
+def margin_constraints(points, plane):
+    """Equality block of the vertex-form margin LP over (s, t, eps,
+    mu^1..mu^4): x0 = s b1 + t b2, and x0 + eps * v_j must be a convex
+    combination of the points for v_j in {+b1, -b1, +b2, -b2}, with
+    mu^j >= 0.  Returns (a_eq, b_eq, number of columns)."""
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    b1, b2 = plane.basis1, plane.basis2
+    nvar = 3 + 4 * n
+    a_eq = np.zeros((4 * (d + 1), nvar))
+    b_eq = np.zeros(4 * (d + 1))
+    for j, v in enumerate([b1, -b1, b2, -b2]):
+        r0 = j * (d + 1)
+        cols = slice(3 + j * n, 3 + (j + 1) * n)
+        a_eq[r0:r0 + d, cols] = points.T
+        a_eq[r0:r0 + d, 0] = -b1
+        a_eq[r0:r0 + d, 1] = -b2
+        a_eq[r0:r0 + d, 2] = -v
+        a_eq[r0 + d, cols] = 1.0
+        b_eq[r0 + d] = 1.0
+    return a_eq, b_eq, nvar
+
+
+def highs_vertex_margin(points, plane):
+    """The vertex-form margin LP with eps >= 0 as one milp call: its optimum
+    (s, t, eps, mu...), or None when HiGHS finds it infeasible.  The
+    reference for sections.interior_point_in_slice, which reaches the same
+    optimum by cutting planes; sections._slice_point turns either into x0."""
+    a_eq, b_eq, nvar = margin_constraints(points, plane)
+    c = np.zeros(nvar)
+    c[2] = -1.0
+    lower = np.zeros(nvar)
+    lower[:2] = -np.inf
+    res = milp(c, constraints=LinearConstraint(a_eq, b_eq, b_eq),
+               bounds=Bounds(lower, np.inf))
+    return res.x if res.success else None
 
 
 def read_csv(path):

@@ -2,12 +2,17 @@
 agreement with brute-force enumeration."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.spatial import ConvexHull
 
+import shadowlp
 from shadowlp import phase1, sections, shadow_walk
 from shadowlp.geometry import DEFAULT_TOL, SingularSystem
 from shadowlp.interpolate import NumericFailure
@@ -16,13 +21,12 @@ from shadowlp.randgen import derive_rng, gaussian, haar_rotation
 from shadowlp.sections import (
     _THETA0,
     SectionReport,
-    _margin_constraints,
     interior_point_in_slice,
     section_edges,
 )
 from shadowlp.shadow_walk import CycleSuspected, SweepPlane, exit_angle, sweep_full
 
-from helpers import convex_membership
+from helpers import convex_membership, highs_vertex_margin, margin_constraints
 
 
 # ---------------------------------------------------------------------------
@@ -77,24 +81,31 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_section_is_one_hull_and_no_milp_call(monkeypatch):
-    # One hull, and the margin LP over its facets runs without HiGHS.
+    # One hull, one margin LP over its facets, and no cut round: the hull
+    # path runs no Phase I.
     hulls = _count_calls(monkeypatch, sections, "ConvexHull")
-    calls = _count_calls(monkeypatch, sections, "milp")
+    margins = _count_calls(monkeypatch, sections, "_max_margin")
+    units = _count_calls(monkeypatch, phase1, "solve_unit")
     points = gaussian(derive_rng(703), (8, 3))
     assert not section_edges(points, SweepPlane.axis(3), rng=703).degenerate
     assert len(hulls) == 1
-    assert calls == []
+    assert len(margins) == 1
+    assert units == []
 
 
-def _full_margin_x0(points, plane):
-    """The margin LP over every point, as solved before the hull reduction."""
-    a_eq, b_eq, nvar = _margin_constraints(points, plane)
-    c = np.zeros(nvar)
-    c[2] = -1.0
-    bounds = [(None, None), (None, None), (0.0, None)] + [(0, None)] * (nvar - 3)
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    assert res.success
-    return float(res.x[0]) * plane.basis1 + float(res.x[1]) * plane.basis2
+def test_importing_shadowlp_loads_no_scipy_optimize():
+    # Every LP of the package runs on its own pivots, so importing each of
+    # its modules in a fresh interpreter loads no scipy.optimize, HiGHS's
+    # interface.  verify imports nnls lazily, inside the one check using it.
+    code = ("import importlib, pkgutil, sys, shadowlp\n"
+            "for m in pkgutil.iter_modules(shadowlp.__path__):\n"
+            "    importlib.import_module('shadowlp.' + m.name)\n"
+            "print('scipy.optimize' in sys.modules)")
+    src = str(Path(shadowlp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -104,7 +115,8 @@ def test_hull_reduction_keeps_the_interior_point(d):
         points = gaussian(derive_rng(710, d, case), (200, d))
         x0 = section_edges(points, plane, rng=case).interior_point
         assert x0 is not None
-        assert np.allclose(x0, _full_margin_x0(points, plane), rtol=0.0, atol=1e-9)
+        assert np.allclose(x0, sections._slice_point(highs_vertex_margin(points, plane), plane),
+                           rtol=0.0, atol=1e-9)
 
 
 def test_margin_lp_gets_only_the_hull_vertices_in_the_plane(monkeypatch):
@@ -150,13 +162,17 @@ def test_reported_facets_index_the_original_rows(d):
 
 
 def test_no_hull_reduction_above_dimension_four(monkeypatch):
+    # No Qhull call: each master solve of the cut driver separates its four
+    # margin points with one Phase I each, and one more Phase I finds the
+    # sweep's start facet.
     hulls = _count_calls(monkeypatch, sections, "ConvexHull")
-    lps = _count_calls(monkeypatch, sections, "milp")
+    margins = _count_calls(monkeypatch, sections, "_max_margin")
+    units = _count_calls(monkeypatch, phase1, "solve_unit")
     points = gaussian(derive_rng(712), (60, 6))
     assert not section_edges(points, SweepPlane.axis(6), rng=712).degenerate
     assert hulls == []
-    (c,), _ = lps[0]
-    assert len(c) == 3 + 4 * 60
+    assert len(margins) >= 2  # the extent rows alone never suffice here
+    assert len(units) == 4 * len(margins) + 1
 
 
 def test_flat_point_set_is_degenerate(monkeypatch):
@@ -176,14 +192,16 @@ def test_flat_point_set_containing_the_sweep_plane_is_degenerate(monkeypatch, n,
     # Points in x_d = 0, which contains the sweep plane span(e1, e2): the
     # slice is a full polygon, but recentred inside it every d rows are
     # linearly dependent, so no facet exists to walk.  The set is reported
-    # degenerate at once, without the margin LP or Phase I.
+    # degenerate at once, without the margin LP or Phase I, and so is its
+    # interior point.
     units = _count_calls(monkeypatch, phase1, "solve_unit")
-    lps = _count_calls(monkeypatch, sections, "milp")
+    margins = _count_calls(monkeypatch, sections, "_max_margin")
     points = gaussian(derive_rng(716, n, d), (n, d))
     points[:, -1] = 0.0
     report = section_edges(points, SweepPlane.axis(d), rng=716)
     assert report.degenerate and report.edge_count == 0
-    assert units == [] and lps == []
+    assert interior_point_in_slice(points, SweepPlane.axis(d)) is None
+    assert units == [] and margins == []
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +209,8 @@ def test_flat_point_set_containing_the_sweep_plane_is_degenerate(monkeypatch, n,
 
 
 def _cloud(kind, d, case):
-    """One point cloud and sweep plane for the differential test below."""
-    stream = derive_rng(720, ("gaussian", "smoothed", "missed").index(kind), d, case)
+    """One point cloud and sweep plane for the differential tests below."""
+    stream = derive_rng(720, ("gaussian", "smoothed", "missed", "grazing").index(kind), d, case)
     n = int(stream.integers(d + 8, 400))
     plane = SweepPlane.axis(d)
     if case % 2:  # a random plane through the origin
@@ -205,9 +223,10 @@ def _cloud(kind, d, case):
     sigma = (0.03, 0.1, 0.3)[case % 3]
     if kind == "smoothed":
         return centers + gaussian(stream, (n, d), sigma=sigma), plane
-    # "missed": a smoothed cloud moved off the plane, so the slice is empty.
-    offset = 3.0 * np.linalg.qr(np.column_stack([plane.basis1, plane.basis2]),
-                                mode="complete")[0][:, 2]
+    # A smoothed cloud moved off the plane: "missed" so far that the slice
+    # is empty, "grazing" so far that it is a small cap or nothing.
+    offset = {"missed": 3.0, "grazing": 0.9}[kind] * np.linalg.qr(
+        np.column_stack([plane.basis1, plane.basis2]), mode="complete")[0][:, 2]
     return centers + gaussian(stream, (n, d), sigma=sigma) + offset, plane
 
 
@@ -297,14 +316,17 @@ def _highs_margin(rows, levels):
     return res.x if res.success else None
 
 
-def _x0_is_unique(rows, levels, eps):
-    """True when s and t each span at most 1e-9 over the optimal face,
-    taken as the points with margin at least eps - 1e-12."""
-    a_ub = np.vstack([rows, [0.0, 0.0, -1.0]])
-    b_ub = np.append(levels, 1e-12 - eps)
+def _x0_is_unique(eps, a_ub, b_ub, **lp):
+    """True when s and t each span at most 1e-9 over the optimal face of a
+    margin LP over y = (s, t, eps, ...), taken as the points with margin at
+    least eps - 1e-12.  a_ub, b_ub and the further linprog keywords (the
+    bounds, any equality block) give the LP's feasible set."""
+    nvar = a_ub.shape[1]
+    a_ub = np.vstack([a_ub, -np.eye(nvar)[2]])
+    b_ub = np.append(b_ub, 1e-12 - eps)
     ends = []
-    for c in np.vstack([np.eye(3)[:2], -np.eye(3)[:2]]):
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+    for c in np.vstack([np.eye(nvar)[:2], -np.eye(nvar)[:2]]):
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, method="highs", **lp)
         assert res.success
         ends.append(res.fun)
     return ends[0] + ends[2] <= 1e-9 and ends[1] + ends[3] <= 1e-9
@@ -321,7 +343,7 @@ def test_margin_lp_matches_highs():
     clouds += [_shifted_cube(), _thin_slice()]
     empty = unique = 0
     for i, (points, plane) in enumerate(clouds):
-        rows, levels = sections._margin_rows(ConvexHull(points), plane)
+        rows, levels = sections._margin_rows(ConvexHull(points).equations, plane)
         y = sections._max_margin(rows, levels)
         ref = _highs_margin(rows, levels)
         verdict = sections._slice_point(y, plane)
@@ -331,7 +353,7 @@ def test_margin_lp_matches_highs():
             empty += 1
             continue
         assert abs(y[2] - ref[2]) <= 1e-9 * max(1.0, abs(ref[2])), i
-        if verdict is not None and _x0_is_unique(rows, levels, ref[2]):
+        if verdict is not None and _x0_is_unique(ref[2], rows, levels, bounds=(None, None)):
             unique += 1
             assert np.max(np.abs(y[:2] - ref[:2])) <= 1e-9 * max(1.0, np.max(np.abs(ref[:2]))), i
     assert empty == 12  # the missed clouds
@@ -342,7 +364,7 @@ def test_margin_lp_matches_highs():
                          ids=["cube", "8-gon"])
 def test_margin_lp_terminates_with_more_than_three_rows_active(fixture):
     points, plane = fixture()
-    rows, levels = sections._margin_rows(ConvexHull(points), plane)
+    rows, levels = sections._margin_rows(ConvexHull(points).equations, plane)
     y = sections._max_margin(rows, levels)
     active = np.abs(rows @ y - levels) <= DEFAULT_TOL.eps_feas
     assert active.sum() > 3
@@ -352,7 +374,7 @@ def test_margin_lp_terminates_with_more_than_three_rows_active(fixture):
 
 def test_margin_lp_drops_rows_orthogonal_to_the_plane():
     points, plane = _shifted_cube()
-    rows, levels = sections._margin_rows(ConvexHull(points), plane)
+    rows, levels = sections._margin_rows(ConvexHull(points).equations, plane)
     assert np.any(rows[:, 2] == 0.0)
     assert np.allclose(sections._max_margin(rows, levels), [0.3, 0.0, 1.0], rtol=0.0, atol=1e-12)
     below = np.vstack([rows, [0.0, 0.0, 0.0]])
@@ -363,7 +385,7 @@ def _rows_that_need_a_pivot():
     """Margin rows of a cloud whose two moves stop short of the optimum, so
     climb pivots once."""
     points = gaussian(derive_rng(730, 8, 0), (8, 2))
-    return sections._margin_rows(ConvexHull(points), SweepPlane.axis(2))
+    return sections._margin_rows(ConvexHull(points).equations, SweepPlane.axis(2))
 
 
 @pytest.mark.parametrize("step, error", [("stuck", CycleSuspected), ("none", NumericFailure)])
@@ -391,9 +413,62 @@ def test_margin_lp_raises_numeric_failure(monkeypatch, square, axis_plane):
         raise SingularSystem("refused")
 
     monkeypatch.setattr(shadow_walk, "make_facet", singular)
-    rows, levels = sections._margin_rows(ConvexHull(square), axis_plane(2))
+    rows, levels = sections._margin_rows(ConvexHull(square).equations, axis_plane(2))
     with pytest.raises(NumericFailure, match="margin LP: refused"):
         sections._max_margin(rows, levels)
+
+
+# ---------------------------------------------------------------------------
+# the cut driver above d = 4 against HiGHS
+
+
+@pytest.mark.parametrize("d", [5, 6, 8])
+def test_cut_driver_matches_highs(d):
+    """interior_point_in_slice and the vertex-form LP over every point,
+    solved by HiGHS, give the same None verdicts on smoothed clouds that the
+    plane crosses, grazes or misses, on the axis plane and on random planes,
+    and the same x0 wherever HiGHS's optimum is unique."""
+    clouds = [_cloud(kind, d, case) for kind in ("smoothed", "grazing", "missed")
+              for case in range(6)]
+    empty = unique = 0
+    for i, (points, plane) in enumerate(clouds):
+        x0 = interior_point_in_slice(points, plane)
+        ref = highs_vertex_margin(points, plane)
+        assert (x0 is None) == (sections._slice_point(ref, plane) is None), i
+        if x0 is None:
+            empty += 1
+            continue
+        a_eq, b_eq, nvar = margin_constraints(points, plane)
+        if _x0_is_unique(ref[2], np.zeros((0, nvar)), np.zeros(0), A_eq=a_eq, b_eq=b_eq,
+                         bounds=[(None, None)] * 2 + [(0.0, None)] * (nvar - 2)):
+            unique += 1
+            assert np.max(np.abs(x0 - sections._slice_point(ref, plane))) <= 1e-9, i
+    assert 6 <= empty <= 12  # every missed cloud, and not every grazing one
+    assert unique >= 6
+
+
+def _unbounded_unit(*args, **kwargs):
+    return phase1.UnitResult(phase1.UNIT_UNBOUNDED, None, 0, 1)
+
+
+def test_cut_driver_raises_when_a_unit_program_is_unbounded(monkeypatch):
+    # The centroid is interior at full rank, so every ray from it leaves
+    # the hull through a facet: an unbounded unit program is a numeric fault.
+    monkeypatch.setattr(phase1, "solve_unit", _unbounded_unit)
+    points = gaussian(derive_rng(712), (60, 6))
+    with pytest.raises(NumericFailure, match="margin LP: unit program unbounded"):
+        interior_point_in_slice(points, SweepPlane.axis(6))
+
+
+def test_cut_driver_raises_when_a_cut_comes_back(monkeypatch):
+    # A master that drops its cuts returns the same optimum, so the next
+    # round's cuts are all rows it already holds.
+    real = sections._margin_rows
+    monkeypatch.setattr(sections, "_margin_rows",
+                        lambda equations, plane: real(equations[:4], plane))
+    points = gaussian(derive_rng(712), (60, 6))
+    with pytest.raises(NumericFailure, match="already in the master cuts again"):
+        interior_point_in_slice(points, SweepPlane.axis(6))
 
 
 # ---------------------------------------------------------------------------
@@ -471,23 +546,24 @@ def test_section_edges_match_bruteforce_on_small_planar_clouds():
 def test_section_edges_regular_polygon_with_vertex_on_start_ray(k):
     # Centered at the origin, so x0 = 0 and the start ray q(theta0) passes
     # through a vertex: the facet before it exits at theta0 itself.
-    angles = _THETA0 + 2.0 * np.pi * np.arange(k) / k
-    points = np.column_stack([np.cos(angles), np.sin(angles)])
+    points, plane = _regular_polygon(k)
     for seed in range(3):
-        report = section_edges(points, SweepPlane.axis(2), rng=seed, validate=True)
+        report = section_edges(points, plane, rng=seed, validate=True)
         assert report.edge_count == k, seed
 
 
 def test_section_edges_raises_numeric_failure_when_unit_unbounded(monkeypatch):
     # Without a hull (d = 6) Phase I finds the start facet.  The origin is
     # interior after recentering, so an unbounded unit program contradicts
-    # exact arithmetic.
-    monkeypatch.setattr(
-        phase1, "solve_unit",
-        lambda *args, **kwargs: phase1.UnitResult(phase1.UNIT_UNBOUNDED, None, 0, 1))
+    # exact arithmetic.  The margin LP keeps its real x0, so only the
+    # start-facet search meets the failing Phase I.
     points = gaussian(derive_rng(712), (60, 6))
+    plane = SweepPlane.axis(6)
+    x0 = interior_point_in_slice(points, plane)
+    monkeypatch.setattr(sections, "interior_point_in_slice", lambda *args: x0)
+    monkeypatch.setattr(phase1, "solve_unit", _unbounded_unit)
     with pytest.raises(NumericFailure, match="sweep start"):
-        section_edges(points, SweepPlane.axis(6), rng=712)
+        section_edges(points, plane, rng=712)
 
 
 def test_section_edges_raises_numeric_failure_when_no_hull_facet_qualifies(monkeypatch):

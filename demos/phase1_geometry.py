@@ -19,6 +19,7 @@ from shadowlp.randgen import (
     haar_rotation,
     norm_ceiling,
     simplex_radius,
+    smoothed_points,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -53,7 +54,8 @@ if block is not None:
 # --- solving the unit program end to end ------------------------------------
 z = gaussian(rng, (d,))
 z /= np.linalg.norm(z)
-result = solve_unit(points, z, rng=rng, validate=True)
+# The seed is a word of the demo's stream, so the draws below come after it.
+result = solve_unit(points, z, rng=int(rng.integers(0, 2 ** 63)), validate=True)
 print(f"\nsolve_unit: status={result.status} facet={result.facet.indices}"
       f" pivots={result.pivots_total} attempts={result.iterations}")
 
@@ -72,12 +74,10 @@ for d in (3, 4):
     trials = 300
     for t in range(trials):
         stream = derive_rng(99, d, t)
-        centers = gaussian(stream, (50, d))
-        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-        pts = centers + gaussian(stream, (50, d), sigma=0.3)
+        pts = smoothed_points(stream, 50, d, 0.3)
         zt = gaussian(stream, (d,))
         zt /= np.linalg.norm(zt)
-        unit = solve_unit(pts, zt, rng=stream)
+        unit = solve_unit(pts, zt, rng=int(stream.integers(0, 2 ** 63)))
         if unit.status != "optimal":
             continue
         h = unit.facet.normal

@@ -18,7 +18,7 @@ import numpy as np
 
 from shadowlp import section_edges, section_edge_count_bruteforce
 from shadowlp.experiments import SQUARE_POINTS
-from shadowlp.randgen import derive_rng, gaussian
+from shadowlp.randgen import derive_rng, gaussian, sub_seed
 from shadowlp.sections import interior_point_in_slice
 from shadowlp.shadow_walk import SweepPlane
 
@@ -56,7 +56,7 @@ for case in range(30):
     stream = derive_rng(15, case)
     n = int(stream.integers(4, 11))
     pts = gaussian(stream, (n, 3)) + 0.3 * gaussian(stream, (3,))
-    walked = section_edges(pts, plane, rng=stream)
+    walked = section_edges(pts, plane, rng=sub_seed(15, case, 1))
     w = 0 if walked.degenerate else walked.edge_count
     b = section_edge_count_bruteforce(pts, plane)
     agree += (w == b)

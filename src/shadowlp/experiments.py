@@ -23,11 +23,11 @@ with numeric fields blank; they never abort the sweep.
 
 Seeds
 -----
-Each trial gets its own 63-bit seed drawn from the stream
-``derive_rng(config.seed, purpose, cell_index, trial)`` where ``purpose`` is
-``PURPOSE_PIVOTS`` or ``PURPOSE_SECTIONS``.  The trial seed is written to the
-CSV, and the trial consumes only streams derived from it, so any single row
-can be replayed in isolation (``replay_pivot_trial`` / ``replay_section_trial``).
+Each trial's seed is ``randgen.sub_seed(config.seed, purpose, cell_index,
+trial)`` where ``purpose`` is ``PURPOSE_PIVOTS`` or ``PURPOSE_SECTIONS``.  The
+trial seed is written to the CSV, and the trial consumes only streams derived
+from it, so any single row can be replayed in isolation
+(``replay_pivot_trial`` / ``replay_section_trial``).
 
 ``wall_time_s`` is the only timing column; it is excluded from the
 determinism contract and can be stripped with ``strip_timing`` or omitted
@@ -75,10 +75,16 @@ _AGGREGATE_COLUMNS = (
 SECTION_MODELS = ("smoothed", "gaussian", "square", "degenerate")
 
 
-def _as_tuple(value, cast):
-    if isinstance(value, (list, tuple)):
-        return tuple(cast(v) for v in value)
-    return (cast(value),)
+def _as_tuple(value):
+    return tuple(value) if isinstance(value, (list, tuple)) else (value,)
+
+
+def _integer(name, value):
+    """value as an int; ValueError naming the field unless it is an integer
+    (a bool is not)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"config field '{name}': need an integer")
 
 
 @dataclass(frozen=True)
@@ -101,9 +107,12 @@ class ExperimentConfig:
     model: str = "smoothed"
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _as_tuple(self.n, int))
-        object.__setattr__(self, "d", _as_tuple(self.d, int))
-        object.__setattr__(self, "sigma", _as_tuple(self.sigma, float))
+        for name in ("n", "d"):
+            values = tuple(_integer(name, v) for v in _as_tuple(getattr(self, name)))
+            object.__setattr__(self, name, values)
+        for name in ("trials", "seed", "threads"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "sigma", tuple(float(v) for v in _as_tuple(self.sigma)))
         for name in ("n", "d", "sigma"):
             if not getattr(self, name):
                 raise ValueError(f"config field '{name}': must be non-empty")
@@ -122,7 +131,7 @@ class ExperimentConfig:
                 raise ValueError(f"config field 'sigma': need sigma > 0, got {sv}")
         if self.trials < 1:
             raise ValueError(f"config field 'trials': need trials >= 1, got {self.trials}")
-        if not (0 <= int(self.seed) < 2 ** 64):
+        if not (0 <= self.seed < 2 ** 64):
             raise ValueError(f"config field 'seed': need a 64-bit value, got {self.seed}")
         if self.threads < 1:
             raise ValueError(f"config field 'threads': need threads >= 1, got {self.threads}")
@@ -144,12 +153,6 @@ class ExperimentConfig:
         return [(n, d, s) for d in self.d for s in self.sigma for n in self.n]
 
 
-def trial_seed(base_seed, purpose, cell_index, trial):
-    """63-bit seed for one trial, drawn from its own derived stream."""
-    stream = randgen.derive_rng(int(base_seed), int(purpose), int(cell_index), int(trial))
-    return int(stream.integers(0, 2 ** 63))
-
-
 # ---------------------------------------------------------------------------
 # Single trials
 
@@ -161,7 +164,7 @@ def replay_pivot_trial(seed, n, d, sigma, validate=False):
     """
     spec = randgen.normalize(randgen.random_spec(n, d, sigma, randgen.derive_rng(seed, 0)))
     lp = randgen.sample_instance(spec, randgen.derive_rng(seed, 1))
-    result = solve_lp(lp, rng=randgen.derive_rng(seed, 2), validate=validate)
+    result = solve_lp(lp, rng=randgen.sub_seed(seed, 2), validate=validate)
     return {
         "status": result.status,
         "pivots_phase1_total": result.pivots_phase1,
@@ -183,9 +186,7 @@ _DEGENERATE_POINTS = np.array([
 def _section_points(seed, n, d, sigma, model):
     rng = randgen.derive_rng(seed, 0)
     if model == "smoothed":
-        centers = randgen.gaussian(rng, (n, d))
-        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-        return centers + randgen.gaussian(rng, (n, d), sigma=sigma)
+        return randgen.smoothed_points(rng, n, d, sigma)
     if model == "gaussian":
         return randgen.gaussian(rng, (n, d), sigma=sigma)
     if model == "square":
@@ -199,7 +200,7 @@ def replay_section_trial(seed, n, d, sigma, model="smoothed", validate=False):
     """Sample one random polytope from ``seed`` and count its section edges."""
     points = _section_points(seed, n, d, sigma, model)
     plane = SweepPlane.axis(points.shape[1])
-    report = sections.section_edges(points, plane, rng=randgen.derive_rng(seed, 1),
+    report = sections.section_edges(points, plane, rng=randgen.sub_seed(seed, 1),
                                     validate=validate)
     return {
         "status": "degenerate" if report.degenerate else "ok",
@@ -244,7 +245,7 @@ def _run_grid(config, kind, columns, validate):
     for ci, (n, d, sigma) in enumerate(cells):
         purpose = PURPOSE_PIVOTS if kind == "pivots" else PURPOSE_SECTIONS
         for t in range(config.trials):
-            seed = trial_seed(config.seed, purpose, ci, t)
+            seed = randgen.sub_seed(config.seed, purpose, ci, t)
             tasks.append((kind, seed, n, d, sigma, config.model, validate))
 
     if config.threads > 1:

@@ -121,8 +121,8 @@ def solve_unit(points, objective, rng=None, validate=False):
     Returns UnitResult with status "optimal" and facet(z) over the original
     indices, or status "unbounded" when z leaves the cone of the a_i.
     pivots_total sums the pivots of every walk including failed attempts;
-    iterations counts attempts.  rng follows derive_rng's seed contract; each
-    retry uses an independent substream.  Raises GaveUp after MAX_RETRIES
+    iterations counts attempts.  rng is an int seed or None; attempt k
+    draws from derive_rng(rng, k).  Raises GaveUp after MAX_RETRIES
     attempts without a clean terminal facet."""
     points = np.asarray(points, dtype=float)
     n, d = points.shape
@@ -131,8 +131,6 @@ def solve_unit(points, objective, rng=None, validate=False):
     z = np.asarray(objective, dtype=float)
     max_norm = float(np.max(np.linalg.norm(points, axis=1)))
     norm_bound = randgen.norm_ceiling(max_norm)
-    if isinstance(rng, np.random.Generator):
-        rng = int(rng.integers(0, 2 ** 63))
     pivots_total = 0
     for attempt in range(MAX_RETRIES):
         stream = randgen.derive_rng(rng, attempt)

@@ -3,9 +3,10 @@
 All Gaussian draws go through the inverse normal CDF applied to open-interval
 uniforms built from 53-bit integers; this keeps byte-identical streams across
 platforms and numpy versions, unlike the ziggurat sampler behind
-Generator.normal.  Independent substreams are derived from a base seed and a
-tuple of integers via SeedSequence spawn keys, so parallel trials never share
-or race a stream.
+Generator.normal.  A seed is a non-negative int, or None for fresh OS
+entropy.  Independent streams are addressed by a seed and a tuple of
+integers (derive_rng), and a child seed is one 63-bit word of such a stream
+(sub_seed), so parallel trials never share or race a stream.
 """
 
 from __future__ import annotations
@@ -52,24 +53,19 @@ def norm_ceiling(max_norm):
 
 
 def derive_rng(seed, *key):
-    """Independent generator for a (seed, key...) address.
+    """Independent generator for a (seed, key...) address: the stream of
+    SeedSequence(entropy=seed, spawn_key=key).
 
-    seed may be an int, a SeedSequence, a Generator (an entropy word is drawn
-    from it), or None (fresh OS entropy).  Integer keys extend the spawn key,
-    so derive_rng(s, a, b) and derive_rng(s, a, c) never collide.
+    seed is a non-negative int, or None for fresh OS entropy; numpy raises
+    TypeError for any other type and ValueError for a negative seed.
+    derive_rng(s, a, b) and derive_rng(s, a, c) never collide."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
-    The stream is that of SeedSequence(entropy=E, spawn_key=K + key), with
-    E and K the entropy and spawn key of the seed taken as a SeedSequence.
-    An int seed is its own E with K = (), so it goes in as the entropy with
-    no SeedSequence built from it first; a negative one raises ValueError."""
-    if isinstance(seed, np.random.SeedSequence):
-        entropy, spawn_key = seed.entropy, tuple(seed.spawn_key)
-    elif isinstance(seed, np.random.Generator):
-        entropy, spawn_key = int(seed.integers(0, 2 ** 63)), ()
-    else:
-        entropy, spawn_key = seed, ()
-    spawn_key += tuple(int(k) for k in key)
-    return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key))
+
+def sub_seed(seed, *key):
+    """63-bit child seed for a (seed, key...) address: the first word of
+    derive_rng(seed, *key)."""
+    return int(derive_rng(seed, *key).integers(0, 2 ** 63))
 
 
 def _open_uniform(rng, shape):
@@ -157,6 +153,14 @@ def sample_instance(spec, rng):
         z = np.zeros(d)
         z[0] = 1.0
     return GeneralLP(A=data[:, :d], b=data[:, d], z=z)
+
+
+def smoothed_points(rng, n, d, sigma):
+    """n points in R^d: centres uniform on the unit sphere, each moved by
+    an independent Gaussian of deviation sigma."""
+    centers = gaussian(rng, (n, d))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    return centers + gaussian(rng, (n, d), sigma=sigma)
 
 
 def random_spec(n, d, sigma, rng):

@@ -226,8 +226,8 @@ def section_edges(points, plane, rng=None, validate=False):
     or face never becomes a facet member, and the count does not depend on
     row order.  Above d = 4 the margin LP runs over cuts that Phase I
     finds (interior_point_in_slice, which seeds its own Phase I), and a
-    Phase I seeded by ``rng`` finds the start facet; the hull path draws no
-    random numbers.  Facet indices refer to the rows of ``points``; of
+    Phase I seeded by ``rng``, an int seed or None, finds the start facet;
+    the hull path draws no random numbers.  Facet indices refer to the rows of ``points``; of
     duplicate rows, any copy may be the one reported."""
     points = np.asarray(points, dtype=float)
     d = points.shape[1]

@@ -55,10 +55,6 @@ def format_line(result):
     return f"{flag}  criterion {result.criterion} ({result.name}): {', '.join(keys)}"
 
 
-def _sub_seed(seed, *key):
-    return int(randgen.derive_rng(seed, *key).integers(0, 2 ** 63))
-
-
 # ---------------------------------------------------------------------------
 # 1. Oracle equivalence
 
@@ -84,7 +80,7 @@ def suite_oracle_equivalence(seed=VERIFY_SEED, instances=1000):
             continue
         checked += 1
         try:
-            result = solve_lp(lp, rng=_sub_seed(seed, 1, i, 1), validate=True)
+            result = solve_lp(lp, rng=randgen.sub_seed(seed, 1, i, 1), validate=True)
         except WalkInvariantViolation:
             violations += 1
             mismatches += 1
@@ -147,15 +143,13 @@ def suite_phase1_statistics(seed=VERIFY_SEED):
         d = dims[i % len(dims)]
         stream = randgen.derive_rng(seed, 2, i)
         i += 1
-        centers = randgen.gaussian(stream, (n, d))
-        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-        points = centers + randgen.gaussian(stream, (n, d), sigma=sigma)
+        points = randgen.smoothed_points(stream, n, d, sigma)
         z = randgen.gaussian(stream, (d,))
         z /= np.linalg.norm(z)
         if not _in_cone(points, z):
             skipped_unbounded += 1
             continue
-        result = solve_unit(points, z, rng=_sub_seed(seed, 2, i, 1), validate=True)
+        result = solve_unit(points, z, rng=randgen.sub_seed(seed, 2, i, 1), validate=True)
         if result.status != UNIT_OPTIMAL:
             skipped_solver += 1
             continue
@@ -196,7 +190,7 @@ def suite_pivot_growth(seed=VERIFY_SEED):
     """Slope of log(mean total pivots) against log n at d=3, sigma=0.1."""
     ns, trials = (16, 64, 256, 1024, 4096), 100
     config = experiments.ExperimentConfig(n=list(ns), d=[3], sigma=[0.1],
-                                          trials=trials, seed=_sub_seed(seed, 3))
+                                          trials=trials, seed=randgen.sub_seed(seed, 3))
     header, rows = experiments.run_pivot_experiment(config, validate=True)
     trial_rows = experiments.rows_as_dicts(header, rows, kind="trial")
     errors = [r for r in trial_rows if r["status"].startswith("error:")]
@@ -230,7 +224,7 @@ def suite_section_agreement(seed=VERIFY_SEED, instances=200):
         points = center + randgen.gaussian(stream, (n, 3))
         try:
             report = sections.section_edges(points, plane,
-                                            rng=_sub_seed(seed, 4, i, 1), validate=True)
+                                            rng=randgen.sub_seed(seed, 4, i, 1), validate=True)
         except WalkInvariantViolation:
             violations += 1
             continue
@@ -242,7 +236,7 @@ def suite_section_agreement(seed=VERIFY_SEED, instances=200):
             if len(first_bad) < 5:
                 first_bad.append({"instance": i, "walked": walked, "brute": brute})
     square = sections.section_edges(experiments.SQUARE_POINTS, SweepPlane.axis(2),
-                                    rng=_sub_seed(seed, 4, instances), validate=True)
+                                    rng=randgen.sub_seed(seed, 4, instances), validate=True)
     details = {
         "instances": instances, "mismatches": mismatches,
         "violations": violations, "degenerate_slices": degenerate,
@@ -269,7 +263,7 @@ def suite_polygon_growth(seed=VERIFY_SEED):
         for t in range(trials):
             points = randgen.gaussian(randgen.derive_rng(seed, 5, n, t), (n, 2))
             report = sections.section_edges(points, plane,
-                                            rng=_sub_seed(seed, 5, n, t, 1))
+                                            rng=randgen.sub_seed(seed, 5, n, t, 1))
             counts.append(report.edge_count)
         means[n] = float(np.mean(counts))
     floor_small = math.sqrt(math.log(small))
@@ -396,7 +390,7 @@ def suite_walk_invariants(prior=None, seed=VERIFY_SEED):
 def suite_determinism(seed=VERIFY_SEED):
     """Byte-identical non-timing CSV when the first growth cell repeats."""
     config = experiments.ExperimentConfig(n=[16], d=[3], sigma=[0.1],
-                                          trials=100, seed=_sub_seed(seed, 3))
+                                          trials=100, seed=randgen.sub_seed(seed, 3))
     runs = [experiments.run_pivot_experiment(config) for _ in range(2)]
     texts = [experiments.csv_text(h, r, include_timing=False) for h, r in runs]
     import dataclasses

@@ -1,8 +1,8 @@
 """Independent re-checks that only the tests need: a transposed solve for
 cone coefficients, an LP for convex membership, the section's margin LP
 over every point solved by HiGHS, a CSV reader, the numpy formulation of the
-exit angle, programs feasible by construction and a recorder of a solve's
-walks."""
+exit angle, programs feasible by construction, the smoothed programs of
+the pivot experiment and a recorder of a solve's walks."""
 
 import csv
 import math
@@ -121,10 +121,17 @@ def feasible_lp(n, d, seed):
     return randgen.sample_instance(randgen.normalize(spec), randgen.derive_rng(seed, 1))
 
 
-def recorded_walks(lp, seed):
-    """(points, plane, levels, trace) of every walk of solve_lp(lp, rng=seed)
-    in the order they ran: Phase I's, with levels None, then the lifted
-    one's, whose row 0 is the vertex at infinity."""
+def smoothed_lp(n, d, seed):
+    """The program experiments.replay_pivot_trial solves for a trial seed at
+    sigma = 0.1; it solves it with rng=randgen.sub_seed(seed, 2)."""
+    spec = randgen.normalize(randgen.random_spec(n, d, 0.1, randgen.derive_rng(seed, 0)))
+    return randgen.sample_instance(spec, randgen.derive_rng(seed, 1))
+
+
+def recorded_walks(solve, *args, **kwargs):
+    """(points, plane, levels, trace) of every walk of solve(*args, **kwargs)
+    in the order they ran.  For solve_lp: Phase I's, with levels None, then
+    the lifted one's, whose row 0 is the vertex at infinity."""
     walks = []
 
     def recorded(points, plane, *args, **kwargs):
@@ -135,5 +142,5 @@ def recorded_walks(lp, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(phase1, "walk", recorded)
         mp.setattr(interpolate, "walk", recorded)
-        interpolate.solve_lp(lp, rng=seed)
+        solve(*args, **kwargs)
     return walks

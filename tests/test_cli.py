@@ -186,6 +186,16 @@ def test_experiment_bad_config_field(tmp_path, capsys):
     assert "unknown fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2.5), ("threads", 1.5), ("seed", 1.7), ("n", [8.9]), ("d", [True]),
+    ("seed", False),
+])
+def test_experiment_non_integer_config_field(tmp_path, capsys, field, value):
+    path = _write(tmp_path, "config.json", dict(PIVOT_CONFIG, **{field: value}))
+    assert cli.main(["experiment-pivots", "--config", path]) == 2
+    assert f"config field '{field}': need an integer" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

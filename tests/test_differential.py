@@ -14,6 +14,9 @@ from shadowlp.interpolate import (
     GeneralLP,
     solve_lp,
 )
+from shadowlp.randgen import sub_seed
+
+from helpers import smoothed_lp
 
 _HIGHS_STATUS = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE, 3: STATUS_UNBOUNDED}
 
@@ -60,6 +63,19 @@ def test_small_feasible_model_matches_highs(n, d, feasible_lp):
         _assert_matches_highs(lp, result)
         verdicts.append(result.status)
     assert set(verdicts) == {STATUS_OPTIMAL, STATUS_UNBOUNDED}
+
+
+@pytest.mark.parametrize("n,d", [(200, 10), (400, 20), (800, 40)])
+def test_smoothed_pivot_model_matches_highs(n, d):
+    # The pivot experiment's model: past the oracle's reach its verdicts are
+    # nearly all infeasible, which only HiGHS can confirm here.
+    verdicts = []
+    for seed in range(5):
+        lp = smoothed_lp(n, d, seed)
+        result = solve_lp(lp, rng=sub_seed(seed, 2))
+        _assert_matches_highs(lp, result)
+        verdicts.append(result.status)
+    assert STATUS_INFEASIBLE in verdicts
 
 
 def _klee_minty(d):

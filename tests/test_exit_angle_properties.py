@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowlp import randgen
+from shadowlp import interpolate
 from shadowlp.geometry import FacetIndexSet
 from shadowlp.shadow_walk import SweepPlane, WalkStateError, exit_angle
 
-from helpers import feasible_lp, recorded_walks, reference_exit_angle
+from helpers import feasible_lp, recorded_walks, reference_exit_angle, smoothed_lp
 
 # (model, d, n, seed): smoothed and feasible solves at d = 3 and d = 10, and
 # one feasible solve at d = 40.
@@ -26,13 +26,10 @@ CASES = [("smoothed", 3, 40, 0), ("smoothed", 3, 4096, 1), ("feasible", 3, 40, 2
 def _steps(model, d, n, seed):
     """(plane, facet, theta_start, theta_end) of every trace entry of every
     walk of one solve, with the plane each walk swept."""
-    if model == "feasible":
-        lp = feasible_lp(n, d, seed)
-    else:
-        spec = randgen.normalize(randgen.random_spec(n, d, 0.1, randgen.derive_rng(seed, 0)))
-        lp = randgen.sample_instance(spec, randgen.derive_rng(seed, 1))
+    lp = feasible_lp(n, d, seed) if model == "feasible" else smoothed_lp(n, d, seed)
     return [(plane, entry.facet, entry.theta_start, entry.theta_end)
-            for _, plane, _, trace in recorded_walks(lp, seed) for entry in trace]
+            for _, plane, _, trace in recorded_walks(interpolate.solve_lp, lp, rng=seed)
+            for entry in trace]
 
 
 def _outcome(fn, facet, plane, theta):

@@ -17,7 +17,6 @@ from shadowlp.experiments import (
     run_pivot_experiment,
     run_section_experiment,
     strip_timing,
-    trial_seed,
     write_csv,
 )
 
@@ -56,6 +55,13 @@ def test_config_rejects_bad_fields(bad):
         ExperimentConfig(**{**dict(n=[8], d=[3], sigma=[0.1], seed=0), **bad})
 
 
+def test_config_stores_integer_fields_as_int():
+    config = ExperimentConfig(n=[np.int64(8)], d=np.int32(3), sigma=[0.1], trials=np.uint8(2),
+                              seed=np.uint64(2 ** 64 - 1), threads=np.int64(1))
+    assert (config.n, config.d, config.trials, config.threads) == ((8,), (3,), 2, 1)
+    assert type(config.seed) is int and config.seed == 2 ** 64 - 1
+
+
 def test_config_fixture_models_skip_grid_check():
     config = ExperimentConfig(n=[2], d=[3], sigma=[0.1], model="square", seed=0)
     assert config.model == "square"
@@ -65,14 +71,6 @@ def test_from_mapping_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown fields"):
         ExperimentConfig.from_mapping({"n": [8], "d": [3], "sigma": [0.1],
                                        "sigmas": [0.2]})
-
-
-def test_trial_seed_is_deterministic_and_63_bit():
-    a = trial_seed(5, 1, 0, 0)
-    assert a == trial_seed(5, 1, 0, 0)
-    assert a != trial_seed(5, 1, 0, 1)
-    assert a != trial_seed(5, 2, 0, 0)
-    assert 0 <= a < 2 ** 63
 
 
 # ---------------------------------------------------------------------------

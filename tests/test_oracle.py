@@ -14,7 +14,7 @@ from shadowlp.oracle import (
     facet_of,
     section_edge_count_bruteforce,
 )
-from shadowlp.randgen import derive_rng, gaussian
+from shadowlp.randgen import derive_rng, gaussian, sub_seed
 from shadowlp.shadow_walk import SweepPlane
 
 
@@ -167,7 +167,7 @@ def test_classify_lp_agrees_with_solver_on_smoothed_draws():
         if verdict.status == "ambiguous":
             continue
         checked += 1
-        result = solve_lp(lp, rng=derive_rng(603, case, 4), validate=True)
+        result = solve_lp(lp, rng=sub_seed(603, case, 4), validate=True)
         if result.status != verdict.status:
             mismatches += 1
         elif verdict.status == "optimal" and set(result.basis) != set(verdict.basis):

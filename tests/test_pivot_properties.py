@@ -9,11 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shadowlp import randgen, shadow_walk
+from shadowlp import interpolate, shadow_walk
 from shadowlp.geometry import DEFAULT_TOL, FacetIndexSet, SingularSystem, make_facet
 from shadowlp.shadow_walk import pivot
 
-from helpers import recorded_walks
+from helpers import recorded_walks, smoothed_lp
 
 
 @functools.cache
@@ -21,10 +21,9 @@ def _walks(n, seed):
     """(points, levels, facets) of every walk of one smoothed d=3 solve on
     the benchmark's model: Phase I's, with levels None, and the lifted
     one's, whose row 0 is the vertex at infinity."""
-    spec = randgen.normalize(randgen.random_spec(n, 3, 0.1, randgen.derive_rng(seed, 0)))
-    lp = randgen.sample_instance(spec, randgen.derive_rng(seed, 1))
+    walks = recorded_walks(interpolate.solve_lp, smoothed_lp(n, 3, seed), rng=seed)
     return [(points, levels, [entry.facet for entry in trace])
-            for points, _, levels, trace in recorded_walks(lp, seed)]
+            for points, _, levels, trace in walks]
 
 
 def _reference_ratio_test(points, facet, leaving, levels):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from shadowlp import randgen
+from shadowlp.interpolate import GeneralLP, solve_lp
 from shadowlp.randgen import (
     C1,
     SmoothedSpec,
@@ -20,6 +21,8 @@ from shadowlp.randgen import (
     sample_instance,
     sigma_cap,
     simplex_radius,
+    smoothed_points,
+    sub_seed,
 )
 
 
@@ -67,21 +70,29 @@ def test_derive_rng_is_deterministic_and_key_separated():
     assert not np.array_equal(a, c)
 
 
-def test_derive_rng_accepts_generator_and_seedsequence():
-    base = np.random.SeedSequence(99, spawn_key=(4,))
-    assert _same_stream(derive_rng(base, 1, 2), _two_step(base, 1, 2))
-    gen, twin = derive_rng(5), derive_rng(5)
-    got = derive_rng(gen, 1)
-    assert _same_stream(got, _two_step(int(twin.integers(0, 2 ** 63)), 1))
-    assert _same_stream(gen, twin)  # one entropy word drawn from each
+def test_derive_rng_and_solve_lp_refuse_generator_and_seedsequence():
+    lp = GeneralLP(A=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], b=[1.0, 1.0, 1.0], z=[1.0, 1.0])
+    for seed in (np.random.default_rng(5), np.random.SeedSequence(99, spawn_key=(4,))):
+        with pytest.raises(TypeError):
+            derive_rng(seed, 1)
+        with pytest.raises(TypeError):
+            solve_lp(lp, rng=seed)
+
+
+def test_sub_seed_is_deterministic_and_63_bit():
+    a = sub_seed(5, 1, 0, 0)
+    assert a == sub_seed(5, 1, 0, 0)
+    assert a != sub_seed(5, 1, 0, 1)
+    assert a != sub_seed(5, 2, 0, 0)
+    assert 0 <= a < 2 ** 63
+    assert a == int(derive_rng(5, 1, 0, 0).integers(0, 2 ** 63))
 
 
 def _two_step(seed, *key):
-    """The construction derive_rng must reproduce: the seed read as a
-    SeedSequence, then a SeedSequence over its entropy and its spawn key
-    extended by the key."""
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    spawn_key = tuple(base.spawn_key) + tuple(int(k) for k in key)
+    """The construction derive_rng must reproduce: SeedSequence(seed) with
+    its spawn key extended by the key."""
+    base = np.random.SeedSequence(seed)
+    spawn_key = tuple(int(k) for k in key)
     return np.random.default_rng(np.random.SeedSequence(entropy=base.entropy, spawn_key=spawn_key))
 
 
@@ -243,3 +254,13 @@ def test_random_spec_shapes_and_unit_scales():
     assert np.allclose(norms, 1.0)
     assert np.linalg.norm(spec.objective) == pytest.approx(1.0)
     assert spec.sigma == 0.2
+
+
+def test_smoothed_points_draw_centres_then_noise():
+    """The draw order the section experiments and the battery rely on:
+    all n sphere centres first, then all n noise vectors."""
+    points = smoothed_points(derive_rng(312), 40, 3, 0.2)
+    twin = derive_rng(312)
+    centers = gaussian(twin, (40, 3))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    assert np.array_equal(points, centers + gaussian(twin, (40, 3), sigma=0.2))

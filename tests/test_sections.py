@@ -17,7 +17,7 @@ from shadowlp import phase1, sections, shadow_walk
 from shadowlp.geometry import DEFAULT_TOL, SingularSystem
 from shadowlp.interpolate import NumericFailure
 from shadowlp.oracle import section_edge_count_bruteforce
-from shadowlp.randgen import derive_rng, gaussian, haar_rotation
+from shadowlp.randgen import derive_rng, gaussian, haar_rotation, smoothed_points, sub_seed
 from shadowlp.sections import (
     _THETA0,
     SectionReport,
@@ -218,16 +218,14 @@ def _cloud(kind, d, case):
         plane = SweepPlane(rotation[:, 0], rotation[:, 1])
     if kind == "gaussian":
         return gaussian(stream, (n, d)), plane
-    centers = gaussian(stream, (n, d))
-    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    sigma = (0.03, 0.1, 0.3)[case % 3]
+    points = smoothed_points(stream, n, d, (0.03, 0.1, 0.3)[case % 3])
     if kind == "smoothed":
-        return centers + gaussian(stream, (n, d), sigma=sigma), plane
+        return points, plane
     # A smoothed cloud moved off the plane: "missed" so far that the slice
     # is empty, "grazing" so far that it is a small cap or nothing.
     offset = {"missed": 3.0, "grazing": 0.9}[kind] * np.linalg.qr(
         np.column_stack([plane.basis1, plane.basis2]), mode="complete")[0][:, 2]
-    return centers + gaussian(stream, (n, d), sigma=sigma) + offset, plane
+    return points + offset, plane
 
 
 def _regular_polygon(k):
@@ -520,7 +518,7 @@ def test_section_edges_match_bruteforce_on_random_hulls():
         points = gaussian(derive_rng(708, case, 1), (n, 3))
         points += 0.3 * gaussian(derive_rng(708, case, 2), (3,))
         plane = SweepPlane.axis(3)
-        report = section_edges(points, plane, rng=derive_rng(708, case, 3),
+        report = section_edges(points, plane, rng=sub_seed(708, case, 3),
                                validate=True)
         walked = 0 if report.degenerate else report.edge_count
         brute = section_edge_count_bruteforce(points, plane)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -87,6 +88,14 @@ def _integer(name, value):
     raise ValueError(f"config field '{name}': need an integer")
 
 
+def _real(name, value):
+    """value as a float; ValueError naming the field unless it is a real
+    number (a bool or a string is not)."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"config field '{name}': need a number")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid over (n, d, sigma) with a trial count and a base seed.
@@ -102,7 +111,7 @@ class ExperimentConfig:
     sigma: tuple = (0.1,)
     trials: int = 1
     seed: int = 0
-    out: str | None = None
+    out: str | os.PathLike | None = None
     threads: int = 1
     model: str = "smoothed"
 
@@ -112,7 +121,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, values)
         for name in ("trials", "seed", "threads"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        object.__setattr__(self, "sigma", tuple(float(v) for v in _as_tuple(self.sigma)))
+        object.__setattr__(self, "sigma", tuple(_real("sigma", v) for v in _as_tuple(self.sigma)))
+        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
+            raise ValueError("config field 'out': need a path")
         for name in ("n", "d", "sigma"):
             if not getattr(self, name):
                 raise ValueError(f"config field '{name}': must be non-empty")

@@ -17,6 +17,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -73,15 +74,15 @@ def solve_linear(matrix, rhs):
     n = a.shape[0]
     if a.shape != (n, n) or b.shape[0] != n:
         raise ValueError("shape mismatch in solve_linear")
-    scale = np.max(np.abs(a), axis=1)
-    if np.any(scale == 0.0):
+    scale = np.abs(a).max(axis=1)
+    if not scale.all():
         raise SingularSystem("zero row")
     # b.T broadcasts the row scale over a vector and a matrix alike.  Factor
     # and solve stay one dgesv call: OpenBLAS runs dgetrs with several
     # right-hand sides multi-threaded, which is slow when processes share cores.
     lu, _, x, _ = dgesv(a / scale[:, None], (b.T / scale).T)
     # "not >" also rejects a NaN pivot.
-    if not np.min(np.abs(np.diag(lu))) > DEFAULT_TOL.eps_singular:
+    if not np.abs(lu.diagonal()).min() > DEFAULT_TOL.eps_singular:
         raise SingularSystem("pivot below scaled threshold")
     return x
 
@@ -109,6 +110,15 @@ class FacetIndexSet:
     scales: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
+@functools.cache
+def _facet_rhs(d):
+    """make_facet's right-hand sides [1 | I], built once per d and
+    returned read-only; make_facet writes the levels into a copy."""
+    rhs = np.eye(d, d + 1, 1)
+    rhs.flags.writeable = False
+    return rhs
+
+
 def make_facet(points, indices, levels=None):
     """Build a FacetIndexSet from one factorization of its basis B: the
     normal h solves B h = (the members' levels), so <h, a_i> = c_i, and the
@@ -121,11 +131,21 @@ def make_facet(points, indices, levels=None):
         raise ValueError("index set must contain exactly d distinct indices")
     indices = sorted(indices)
     rows = points[indices]
-    rhs = np.eye(d, d + 1, 1)
+    rhs = _facet_rhs(d).copy()
     rhs[:, 0] = 1.0 if levels is None else levels[indices]
     solution = solve_linear(rows, rhs)
     return FacetIndexSet(indices=tuple(indices), normal=solution[:, 0],
                          inverse=solution[:, 1:], scales=np.abs(rows).max(axis=1))
+
+
+def vector_norm(v):
+    """|v| for a 1-D float array, bit for bit numpy.linalg.norm(v): the
+    square root of the dot product of v.ravel(order="K") with itself,
+    which is norm's own formula, without its Python-level dispatch.  The
+    ravel keeps the bits on a strided view, whose BLAS dot product may sum
+    in another order."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def all_below(points, normal, levels=None):

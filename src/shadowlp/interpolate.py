@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase1
-from .geometry import SingularSystem, make_facet
+from .geometry import SingularSystem, make_facet, vector_norm
 from .shadow_walk import OPTIMAL_FACET, SweepPlane, walk
 
 STATUS_OPTIMAL = "optimal"
@@ -51,10 +51,10 @@ class GeneralLP:
             raise ValueError("need n > d >= 2")
         if self.b.shape != (n,) or self.z.shape != (d,):
             raise ValueError("b must have n entries and z must have d entries")
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))
-                and np.all(np.isfinite(self.z))):
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()
+                and np.isfinite(self.z).all()):
             raise ValueError("instance data must be finite")
-        if float(np.linalg.norm(self.z)) == 0.0:
+        if vector_norm(self.z) == 0.0:
             raise ValueError("objective must be nonzero")
 
     @property
@@ -94,7 +94,7 @@ def lift(lp):
     rot = np.zeros(d + 1)
     rot[:d] = lp.z
     return IntLPLift(points=pts, levels=levels, top_index=n + 1,
-                     plane=SweepPlane(pts[0].copy(), rot / np.linalg.norm(rot)))
+                     plane=SweepPlane(pts[0].copy(), rot / vector_norm(rot)))
 
 
 def initial_limit_facet(lifted, unit_indices):

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import randgen
-from .geometry import DEFAULT_TOL, FacetIndexSet, SingularSystem, make_facet
+from .geometry import DEFAULT_TOL, FacetIndexSet, SingularSystem, make_facet, vector_norm
 from .shadow_walk import UNBOUNDED, SweepPlane, walk
 
 OPTIMAL = "optimal"
@@ -81,6 +81,12 @@ def simplex_vertices(d, radius):
     return anchor, vertices
 
 
+def _max_row_norm(points):
+    """max_i |a_i|: numpy.linalg.norm(points, axis=1)'s own formula,
+    without its Python-level dispatch."""
+    return float(np.sqrt((points * points).sum(axis=1)).max())
+
+
 def add_constraints(points, norm_bound, rotation, rng, max_norm=None):
     """One attempt at the added block.
 
@@ -97,7 +103,7 @@ def add_constraints(points, norm_bound, rotation, rng, max_norm=None):
     points = np.asarray(points, dtype=float)
     n, d = points.shape
     if max_norm is None:
-        max_norm = float(np.max(np.linalg.norm(points, axis=1)))
+        max_norm = _max_row_norm(points)
     anchor, vertices = simplex_vertices(d, randgen.simplex_radius(d))
     z0 = 2.0 * norm_bound * (rotation @ anchor)
     centers = 2.0 * norm_bound * (vertices @ rotation.T)
@@ -107,9 +113,9 @@ def add_constraints(points, norm_bound, rotation, rng, max_norm=None):
         facet = make_facet(added, range(d))
     except SingularSystem:
         return None
-    if float(np.min(z0 @ facet.inverse)) < -DEFAULT_TOL.eps_feas:
+    if float((z0 @ facet.inverse).min()) < -DEFAULT_TOL.eps_feas:
         return None  # cone check failed: z0 escaped the cone of the added block
-    if 1.0 / float(np.linalg.norm(facet.normal)) < max_norm:
+    if 1.0 / vector_norm(facet.normal) < max_norm:
         return None  # distance check failed: block not far enough out
     return AddedBlock(added_points=added, facet=facet, start_objective=z0,
                       centers=centers)
@@ -129,7 +135,7 @@ def solve_unit(points, objective, rng=None, validate=False):
     if not (n > d >= 2):
         raise ValueError("need n > d >= 2")
     z = np.asarray(objective, dtype=float)
-    max_norm = float(np.max(np.linalg.norm(points, axis=1)))
+    max_norm = _max_row_norm(points)
     norm_bound = randgen.norm_ceiling(max_norm)
     pivots_total = 0
     for attempt in range(MAX_RETRIES):
@@ -140,7 +146,10 @@ def solve_unit(points, objective, rng=None, validate=False):
             continue
         full = np.vstack([points, block.added_points])
         # Row n + j of full is row j of the added block: same basis, new labels.
-        start = replace(block.facet, indices=tuple(range(n, n + d)))
+        facet = block.facet
+        start = FacetIndexSet(indices=tuple(range(n, n + d)), normal=facet.normal,
+                              inverse=facet.inverse, updates=facet.updates,
+                              scales=facet.scales)
         try:
             plane = SweepPlane.through(block.start_objective, z)
         except ValueError:

@@ -85,8 +85,8 @@ def haar_rotation(d, rng):
     while True:
         g = gaussian(rng, (d, d))
         q, r = np.linalg.qr(g)
-        diag = np.diag(r)
-        if np.min(np.abs(diag)) <= 1e-300:
+        diag = r.diagonal()
+        if np.abs(diag).min() <= 1e-300:
             continue  # essentially impossible; redraw rather than divide by zero
         return q * np.sign(diag)
 

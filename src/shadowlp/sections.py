@@ -23,13 +23,13 @@ linear subspace of dimension below d, so every basis of d rows is singular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from . import phase1
-from .geometry import DEFAULT_TOL, SingularSystem, make_facet
+from .geometry import DEFAULT_TOL, FacetIndexSet, SingularSystem, make_facet, vector_norm
 from .interpolate import NumericFailure
 from .shadow_walk import WalkStateError, climb, exit_angle, sweep_full
 
@@ -139,7 +139,7 @@ def _advance(rows, levels, y, direction):
     null space of the rows already active, so none of them is a candidate.
     Returns the moved y and the new row's index; raises NumericFailure when
     no row blocks the ray."""
-    u = direction / np.linalg.norm(direction)
+    u = direction / vector_norm(direction)
     den = rows @ u
     cand = (den > DEFAULT_TOL.eps_feas).nonzero()[0]
     if not cand.size:
@@ -161,15 +161,17 @@ def _max_margin(rows, levels):
     vertex.  A singular basis or an unbounded step raises NumericFailure; a
     repeated basis raises CycleSuspected."""
     flat = rows[:, 2] == 0.0
-    if np.any(levels[flat] < 0.0):
+    if (levels[flat] < 0.0).any():
         return None
     rows, levels = rows[~flat], levels[~flat]
     depths = levels / rows[:, 2]
     first = int(depths.argmin())
-    a, b, _ = rows[first]
+    a, b, c = rows[first].tolist()
     y, second = _advance(rows, levels, np.array([0.0, 0.0, depths[first]]),
                          np.array([b, -a, 0.0]))
-    line = np.cross(rows[first], rows[second])
+    # np.cross(rows[first], rows[second]), term by term as numpy evaluates it.
+    e, f, g = rows[second].tolist()
+    line = np.array([b * g - c * f, c * e - a * g, a * f - b * e])
     _, third = _advance(rows, levels, y, line if line[2] >= 0.0 else -line)
     try:
         top = climb(rows, [first, second, third], levels)
@@ -198,9 +200,9 @@ def _hull_start_facet(hull, keep, shifted, x0, plane):
     toward = normals @ q
     ahead = (toward > 0.0).nonzero()[0]
     exits = -(offsets[ahead] + normals[ahead] @ x0) / toward[ahead]
-    for k in ahead[np.argsort(exits, kind="stable")]:
+    for k in ahead[exits.argsort(kind="stable")]:
         # keep ascends, so searchsorted maps point rows to shifted rows.
-        indices = np.searchsorted(keep, hull.simplices[k]).tolist()
+        indices = keep.searchsorted(hull.simplices[k]).tolist()
         try:
             facet = make_facet(shifted, indices)
             exit_angle(facet, plane, _THETA0)
@@ -253,7 +255,8 @@ def section_edges(points, plane, rng=None, validate=False):
     outcome = sweep_full(shifted, plane, start, _THETA0, validate=validate)
     # keep ascends, so the mapped indices stay sorted and the columns of
     # each facet's inverse and scales stay aligned with them.
-    facets = [replace(f, indices=tuple(int(keep[i]) for i in f.indices))
+    facets = [FacetIndexSet(indices=tuple(keep[list(f.indices)].tolist()), normal=f.normal,
+                            inverse=f.inverse, updates=f.updates, scales=f.scales)
               for f in outcome.distinct_facets()]
     return SectionReport(edge_count=len(facets), interior_point=x0,
                          facets=facets, degenerate=False)

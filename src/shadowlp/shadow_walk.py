@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, FacetIndexSet, all_below, make_facet
+from .geometry import DEFAULT_TOL, FacetIndexSet, all_below, make_facet, vector_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,9 +62,9 @@ class SweepPlane:
         object.__setattr__(self, "basis1", b1)
         object.__setattr__(self, "basis2", b2)
         eps = DEFAULT_TOL.eps_feas
-        if abs(np.linalg.norm(b1) - 1.0) > eps or abs(np.linalg.norm(b2) - 1.0) > eps:
+        if abs(vector_norm(b1) - 1.0) > eps or abs(vector_norm(b2) - 1.0) > eps:
             raise ValueError("sweep plane basis must be unit vectors")
-        if abs(float(np.dot(b1, b2))) > eps:
+        if abs(float(b1.dot(b2))) > eps:
             raise ValueError("sweep plane basis must be orthogonal")
 
     def q(self, theta):
@@ -73,7 +73,7 @@ class SweepPlane:
     def theta_of(self, v):
         """Angle of the projection of v onto the plane, in [0, 2*pi)."""
         v = np.asarray(v, dtype=float)
-        t = math.atan2(float(np.dot(v, self.basis2)), float(np.dot(v, self.basis1)))
+        t = math.atan2(float(v.dot(self.basis2)), float(v.dot(self.basis1)))
         t %= TWO_PI
         # collapse rounding artifacts: an angle of -1e-16 must read as 0, not 2*pi
         if TWO_PI - t <= DEFAULT_TOL.eps_angle:
@@ -93,13 +93,13 @@ class SweepPlane:
         the plane undetermined."""
         start = np.asarray(start, dtype=float)
         target = np.asarray(target, dtype=float)
-        ns = float(np.linalg.norm(start))
+        ns = vector_norm(start)
         if ns == 0.0:
             raise ValueError("start direction must be nonzero")
         b1 = start / ns
-        w = target - float(np.dot(target, b1)) * b1
-        nw = float(np.linalg.norm(w))
-        if nw <= DEFAULT_TOL.eps_angle * max(1.0, float(np.linalg.norm(target))):
+        w = target - float(target.dot(b1)) * b1
+        nw = vector_norm(w)
+        if nw <= DEFAULT_TOL.eps_angle * max(1.0, vector_norm(target)):
             raise ValueError("start and target are collinear")
         return cls(basis1=b1, basis2=w / nw)
 

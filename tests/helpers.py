@@ -1,8 +1,9 @@
 """Independent re-checks that only the tests need: a transposed solve for
 cone coefficients, an LP for convex membership, the section's margin LP
-over every point solved by HiGHS, a CSV reader, the numpy formulation of the
-exit angle, programs feasible by construction, the smoothed programs of
-the pivot experiment and a recorder of a solve's walks."""
+over every point solved by HiGHS, a CSV reader, the numpy formulations of
+the linear kernel and the exit angle, programs feasible by construction, the
+smoothed programs of the pivot experiment and a recorder of a solve's
+walks."""
 
 import csv
 import math
@@ -10,10 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgesv
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from shadowlp import interpolate, phase1, randgen, shadow_walk
-from shadowlp.geometry import DEFAULT_TOL, solve_linear
+from shadowlp.geometry import DEFAULT_TOL, SingularSystem, solve_linear
 from shadowlp.shadow_walk import TWO_PI, WalkStateError
 
 
@@ -80,6 +82,22 @@ def read_csv(path):
         reader = csv.reader(handle)
         header = tuple(next(reader))
         return header, [list(row) for row in reader]
+
+
+def reference_solve_linear(matrix, rhs):
+    """geometry.solve_linear through numpy's module-level functions: the
+    row scale by np.max, the zero-row check by np.any and the pivot check
+    by np.min over np.diag.  solve_linear must return the same bits or
+    raise SingularSystem with the same message."""
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    scale = np.max(np.abs(a), axis=1)
+    if np.any(scale == 0.0):
+        raise SingularSystem("zero row")
+    lu, _, x, _ = dgesv(a / scale[:, None], (b.T / scale).T)
+    if not np.min(np.abs(np.diag(lu))) > DEFAULT_TOL.eps_singular:
+        raise SingularSystem("pivot below scaled threshold")
+    return x
 
 
 def reference_exit_angle(facet, plane, theta_now):

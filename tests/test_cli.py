@@ -196,6 +196,19 @@ def test_experiment_non_integer_config_field(tmp_path, capsys, field, value):
     assert f"config field '{field}': need an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("sigma", True, "need a number"), ("sigma", "0.3", "need a number"), ("out", 7, "need a path"),
+])
+def test_experiment_config_field_of_the_wrong_type(tmp_path, capsys, field, value, message):
+    # A bool or string sigma is not read as a number, and an integer out is
+    # not opened as a file descriptor.
+    path = _write(tmp_path, "config.json", dict(PIVOT_CONFIG, **{field: value}))
+    assert cli.main(["experiment-pivots", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert f"config field '{field}': {message}" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 

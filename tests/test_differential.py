@@ -78,6 +78,22 @@ def test_smoothed_pivot_model_matches_highs(n, d):
     assert STATUS_INFEASIBLE in verdicts
 
 
+@pytest.mark.parametrize("n", [4096, 16384])
+@pytest.mark.parametrize("model", ["smoothed", "feasible"])
+def test_large_programs_at_d3_match_highs(model, n, feasible_lp):
+    # The solve-d3-n4096 benchmark's size and four times it: every pivot's
+    # ratio test runs over all n rows.  The smoothed programs are
+    # infeasible and the feasible ones optimal, so both verdicts are checked.
+    for seed in range(3):
+        if model == "smoothed":
+            lp, rng, status = smoothed_lp(n, 3, seed), sub_seed(seed, 2), STATUS_INFEASIBLE
+        else:
+            lp, rng, status = feasible_lp(n, 3, seed), seed, STATUS_OPTIMAL
+        result = solve_lp(lp, rng=rng)
+        assert result.status == status
+        _assert_matches_highs(lp, result)
+
+
 def _klee_minty(d):
     """Klee and Minty's cube: max sum_j 2^(d-j) x_j subject to
     sum_{i<j} 2^(j-i+1) x_i + x_j <= 5^j and x >= 0, optimum 5^d."""

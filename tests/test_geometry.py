@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import shadowlp
-from shadowlp import randgen
+from shadowlp import geometry, randgen
 from shadowlp.geometry import (
     DEFAULT_TOL,
     VIEWPOINTS,
@@ -25,7 +25,7 @@ from shadowlp.geometry import (
     viewpoint_for_edge,
 )
 
-from helpers import cone_coefficients
+from helpers import cone_coefficients, reference_solve_linear
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +266,21 @@ def test_make_facet_orders_indices_and_validates():
     assert np.allclose(points[[0, 2]] @ leveled.normal, [1.0, 0.0])
     with pytest.raises(ValueError):
         make_facet(points, (0, 0))
+
+
+def test_make_facet_writes_levels_into_a_copy_of_its_cached_right_hand_sides():
+    points = randgen.gaussian(randgen.derive_rng(31), (7, 4))
+    levels = np.linspace(0.5, 1.5, 7)
+    for lv in (levels, None):
+        facet = make_facet(points, (5, 1, 2, 0), lv)
+        rhs = np.eye(4, 5, 1)
+        rhs[:, 0] = 1.0 if lv is None else lv[[0, 1, 2, 5]]
+        want = reference_solve_linear(points[[0, 1, 2, 5]], rhs)
+        assert facet.normal.tobytes() == want[:, 0].tobytes()
+        assert facet.inverse.tobytes() == want[:, 1:].tobytes()
+    template = geometry._facet_rhs(4)
+    assert not template.flags.writeable
+    assert np.array_equal(template, np.eye(4, 5, 1))
 
 
 def test_facet_index_set_equality_ignores_normal():

@@ -14,7 +14,7 @@ from scipy.spatial import ConvexHull
 
 import shadowlp
 from shadowlp import phase1, sections, shadow_walk
-from shadowlp.geometry import DEFAULT_TOL, SingularSystem
+from shadowlp.geometry import DEFAULT_TOL, SingularSystem, make_facet
 from shadowlp.interpolate import NumericFailure
 from shadowlp.oracle import section_edge_count_bruteforce
 from shadowlp.randgen import derive_rng, gaussian, haar_rotation, smoothed_points, sub_seed
@@ -159,6 +159,11 @@ def test_reported_facets_index_the_original_rows(d):
         assert list(facet.indices) == sorted(facet.indices)
         rows = points[list(facet.indices)] - report.interior_point
         assert np.allclose(rows @ facet.normal, 1.0, rtol=0.0, atol=DEFAULT_TOL.eps_feas)
+        # the relabelled facet keeps every field aligned with its indices
+        assert facet.scales.tobytes() == np.abs(rows).max(axis=1).tobytes()
+        fresh = make_facet(points - report.interior_point, facet.indices)
+        assert (np.abs(facet.inverse - fresh.inverse).max()
+                <= DEFAULT_TOL.eps_feas * np.abs(fresh.inverse).max())
 
 
 def test_no_hull_reduction_above_dimension_four(monkeypatch):

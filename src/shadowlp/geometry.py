@@ -87,7 +87,7 @@ def solve_linear(matrix, rhs):
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FacetIndexSet:
     """A candidate facet: d sorted indices, the normal of its affine hull
     and the inverse of its basis.
@@ -101,7 +101,7 @@ class FacetIndexSet:
     ``updates`` counts the rank-one updates since B^-1 was last factored
     from the points (0 for a facet from make_facet).  Equality and hashing
     use the index tuple only; two facets are the same facet exactly when
-    their index sets coincide."""
+    their index sets coincide.  Slotted, not frozen: each pivot builds one."""
 
     indices: tuple
     normal: np.ndarray = field(compare=False, repr=False)
@@ -146,6 +146,13 @@ def vector_norm(v):
     in another order."""
     v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
+
+
+def max_row_norm(points):
+    """max_i |a_i|, bit for bit numpy.linalg.norm(points, axis=1).max():
+    norm's formula, with the square root, which is monotone and correctly
+    rounded, taken once after the maximum."""
+    return math.sqrt((points * points).sum(axis=1).max())
 
 
 def all_below(points, normal, levels=None):

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import randgen
-from .geometry import DEFAULT_TOL, FacetIndexSet, SingularSystem, make_facet, vector_norm
+from .geometry import (DEFAULT_TOL, FacetIndexSet, SingularSystem, make_facet, max_row_norm,
+                       vector_norm)
 from .shadow_walk import UNBOUNDED, SweepPlane, walk
 
 OPTIMAL = "optimal"
@@ -81,12 +82,6 @@ def simplex_vertices(d, radius):
     return anchor, vertices
 
 
-def _max_row_norm(points):
-    """max_i |a_i|: numpy.linalg.norm(points, axis=1)'s own formula,
-    without its Python-level dispatch."""
-    return float(np.sqrt((points * points).sum(axis=1)).max())
-
-
 def add_constraints(points, norm_bound, rotation, rng, max_norm=None):
     """One attempt at the added block.
 
@@ -103,7 +98,7 @@ def add_constraints(points, norm_bound, rotation, rng, max_norm=None):
     points = np.asarray(points, dtype=float)
     n, d = points.shape
     if max_norm is None:
-        max_norm = _max_row_norm(points)
+        max_norm = max_row_norm(points)
     anchor, vertices = simplex_vertices(d, randgen.simplex_radius(d))
     z0 = 2.0 * norm_bound * (rotation @ anchor)
     centers = 2.0 * norm_bound * (vertices @ rotation.T)
@@ -135,7 +130,7 @@ def solve_unit(points, objective, rng=None, validate=False):
     if not (n > d >= 2):
         raise ValueError("need n > d >= 2")
     z = np.asarray(objective, dtype=float)
-    max_norm = _max_row_norm(points)
+    max_norm = max_row_norm(points)
     norm_bound = randgen.norm_ceiling(max_norm)
     pivots_total = 0
     for attempt in range(MAX_RETRIES):
@@ -144,12 +139,10 @@ def solve_unit(points, objective, rng=None, validate=False):
         block = add_constraints(points, norm_bound, rotation, stream, max_norm=max_norm)
         if block is None:
             continue
-        full = np.vstack([points, block.added_points])
+        full = np.concatenate([points, block.added_points])
         # Row n + j of full is row j of the added block: same basis, new labels.
-        facet = block.facet
-        start = FacetIndexSet(indices=tuple(range(n, n + d)), normal=facet.normal,
-                              inverse=facet.inverse, updates=facet.updates,
-                              scales=facet.scales)
+        start = block.facet
+        start.indices = tuple(range(n, n + d))
         try:
             plane = SweepPlane.through(block.start_objective, z)
         except ValueError:

@@ -15,7 +15,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dorgqr
 from scipy.special import ndtri
+
+from .geometry import max_row_norm, vector_norm
 
 # Scale constant for the added-constraint simplex; radius and smoothing
 # formulas below keep the random start facet numerically honest while the
@@ -81,14 +84,15 @@ def gaussian(rng, shape, center=0.0, sigma=1.0):
 def haar_rotation(d, rng):
     """Haar-distributed orthogonal d x d matrix: QR of an inverse-CDF
     Gaussian matrix with column signs fixed so the triangular factor has a
-    positive diagonal."""
+    positive diagonal.  The QR is numpy.linalg.qr's two LAPACK calls, dgeqrf
+    and dorgqr, without its wrapper; Q is returned in C order, as it is."""
     while True:
         g = gaussian(rng, (d, d))
-        q, r = np.linalg.qr(g)
-        diag = r.diagonal()
+        qr, tau, _, _ = dgeqrf(g)
+        diag = qr.diagonal()
         if np.abs(diag).min() <= 1e-300:
             continue  # essentially impossible; redraw rather than divide by zero
-        return q * np.sign(diag)
+        return np.multiply(dorgqr(qr, tau)[0], np.sign(diag), order="C")
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,7 @@ def normalize(spec):
     again by sigma/cap so the cap binds.  Idempotent; the represented LP is
     classification-equivalent (row scaling)."""
     n, d = spec.centers_A.shape
-    rows = np.hstack([spec.centers_A, spec.centers_b[:, None]])
-    scale = float(np.max(np.linalg.norm(rows, axis=1)))
+    scale = max_row_norm(np.concatenate([spec.centers_A, spec.centers_b[:, None]], axis=1))
     if scale <= 0.0:
         raise ValueError("cannot normalize an all-zero instance")
     a = spec.centers_A / scale
@@ -145,7 +148,7 @@ def sample_instance(spec, rng):
     from .interpolate import GeneralLP
 
     n, d = spec.centers_A.shape
-    centers = np.hstack([spec.centers_A, spec.centers_b[:, None]])
+    centers = np.concatenate([spec.centers_A, spec.centers_b[:, None]], axis=1)
     data = gaussian(rng, (n, d + 1), center=centers, sigma=spec.sigma)
     if spec.objective is not None:
         z = spec.objective
@@ -159,7 +162,7 @@ def smoothed_points(rng, n, d, sigma):
     """n points in R^d: centres uniform on the unit sphere, each moved by
     an independent Gaussian of deviation sigma."""
     centers = gaussian(rng, (n, d))
-    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    centers /= np.sqrt((centers * centers).sum(axis=1, keepdims=True))
     return centers + gaussian(rng, (n, d), sigma=sigma)
 
 
@@ -167,9 +170,8 @@ def random_spec(n, d, sigma, rng):
     """Experiment helper: centers uniform on the unit sphere of R^(d+1)
     (so norms are exactly 1 before normalize), random unit objective."""
     raw = gaussian(rng, (n, d + 1))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    centers = raw / norms
+    centers = raw / np.sqrt((raw * raw).sum(axis=1, keepdims=True))
     zraw = gaussian(rng, (d,))
-    z = zraw / np.linalg.norm(zraw)
+    z = zraw / vector_norm(zraw)
     return SmoothedSpec(centers_A=centers[:, :d], centers_b=centers[:, d],
                         sigma=sigma, objective=z)

@@ -47,7 +47,7 @@ class WalkInvariantViolation(Exception):
     """A validated walk produced a facet violating a structural invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SweepPlane:
     """Oriented 2-plane through the origin with orthonormal basis, swept by
     q(theta) = basis1 cos(theta) + basis2 sin(theta)."""
@@ -56,11 +56,9 @@ class SweepPlane:
     basis2: np.ndarray
 
     def __post_init__(self):
-        b1 = np.asarray(self.basis1, dtype=float)
-        b2 = np.asarray(self.basis2, dtype=float)
         # Keep the float arrays: q() scales the basis by floats.
-        object.__setattr__(self, "basis1", b1)
-        object.__setattr__(self, "basis2", b2)
+        self.basis1 = b1 = np.asarray(self.basis1, dtype=float)
+        self.basis2 = b2 = np.asarray(self.basis2, dtype=float)
         eps = DEFAULT_TOL.eps_feas
         if abs(vector_norm(b1) - 1.0) > eps or abs(vector_norm(b2) - 1.0) > eps:
             raise ValueError("sweep plane basis must be unit vectors")
@@ -104,7 +102,7 @@ class SweepPlane:
         return cls(basis1=b1, basis2=w / nw)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEntry:
     """One facet of a walk together with its half-open angular interval
     [theta_start, theta_end)."""

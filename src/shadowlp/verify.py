@@ -25,6 +25,7 @@ from .geometry import (
     DEFAULT_TOL,
     NoViewpoint,
     angular_distance,
+    max_row_norm,
     viewpoint_for_edge,
 )
 from .interpolate import STATUS_OPTIMAL, solve_lp
@@ -159,7 +160,7 @@ def suite_phase1_statistics(seed=VERIFY_SEED):
         witness = result.facet.normal
         attempt = randgen.derive_rng(seed, 2, i, 2)
         rotation = randgen.haar_rotation(d, attempt)
-        norm_bound = randgen.norm_ceiling(float(np.max(np.linalg.norm(points, axis=1))))
+        norm_bound = randgen.norm_ceiling(max_row_norm(points))
         block = add_constraints(points, norm_bound, rotation, attempt)
         ok = (block is not None
               and float(np.max(block.added_points @ witness)) <= 1.0 + band)

@@ -1,9 +1,9 @@
 """Independent re-checks that only the tests need: a transposed solve for
 cone coefficients, an LP for convex membership, the section's margin LP
 over every point solved by HiGHS, a CSV reader, the numpy formulations of
-the linear kernel and the exit angle, programs feasible by construction, the
-smoothed programs of the pivot experiment and a recorder of a solve's
-walks."""
+the linear kernel, the exit angle and the Haar rotation, programs feasible
+by construction, the smoothed programs of the pivot experiment and a
+recorder of a solve's walks."""
 
 import csv
 import math
@@ -98,6 +98,20 @@ def reference_solve_linear(matrix, rhs):
     if not np.min(np.abs(np.diag(lu))) > DEFAULT_TOL.eps_singular:
         raise SingularSystem("pivot below scaled threshold")
     return x
+
+
+def reference_haar_rotation(d, rng):
+    """randgen.haar_rotation through numpy.linalg.qr, which makes the same
+    two LAPACK calls (dgeqrf, dorgqr) behind its Python-level wrapper.
+    haar_rotation must return the same bits, in C order, and leave rng at
+    the same place in its stream."""
+    while True:
+        g = randgen.gaussian(rng, (d, d))
+        q, r = np.linalg.qr(g)
+        diag = r.diagonal()
+        if np.abs(diag).min() <= 1e-300:
+            continue
+        return q * np.sign(diag)
 
 
 def reference_exit_angle(facet, plane, theta_now):

@@ -1,5 +1,6 @@
 """Linear-algebra and planar-geometry primitives."""
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -21,6 +22,7 @@ from shadowlp.geometry import (
     all_below,
     angular_distance,
     make_facet,
+    max_row_norm,
     solve_linear,
     viewpoint_for_edge,
 )
@@ -284,9 +286,38 @@ def test_make_facet_writes_levels_into_a_copy_of_its_cached_right_hand_sides():
 
 
 def test_facet_index_set_equality_ignores_normal():
-    a = FacetIndexSet((0, 2), np.array([1.0, 0.0]), np.eye(2))
+    """Equality and hash follow the index tuple only, so sets and dicts
+    dedupe facets by it; dataclasses.replace builds a new facet."""
+    a = FacetIndexSet((0, 2), np.array([1.0, 0.0]), np.eye(2), 3, np.ones(2))
     b = FacetIndexSet((0, 2), np.array([0.5, 0.5]), 2.0 * np.eye(2))
+    c = FacetIndexSet((1, 2), np.array([1.0, 0.0]), np.eye(2), 3, np.ones(2))
     assert a == b and hash(a) == hash(b)
+    assert a != c and a != (0, 2) and not a == (0, 2)
+    assert len({a, b, c}) == 2 and list(dict.fromkeys([a, c, b])) == [a, c]
+    fresh = dataclasses.replace(a, updates=0)
+    assert fresh is not a and fresh == a and a.updates == 3 and fresh.updates == 0
+    assert fresh.normal is a.normal and fresh.inverse is a.inverse and fresh.scales is a.scales
+    assert dataclasses.is_dataclass(a) and not hasattr(a, "__dict__")
+
+
+def test_max_row_norm_is_the_largest_numpy_row_norm():
+    """Bit for bit numpy.linalg.norm(points, axis=1).max() on C-order,
+    column-major and strided arrays, on rows of mixed scale and on rows
+    holding zeros, infinities and NaNs."""
+    rng = np.random.default_rng(52)
+    for trial in range(300):
+        n, d = int(rng.integers(1, 60)), int(rng.integers(1, 45))
+        p = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-150, 150, size=(n, 1))
+        if trial % 5 == 1:
+            p = np.asfortranarray(p)
+        elif trial % 5 == 2:
+            p = rng.standard_normal((2 * n, 2 * d))[::2, ::2]
+        elif trial % 5 == 3:
+            p[rng.integers(n)] = rng.choice([0.0, np.inf, np.nan])
+        want = float(np.max(np.linalg.norm(p, axis=1)))
+        got = max_row_norm(p)
+        assert type(got) is float
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from shadowlp.geometry import make_facet
 from shadowlp.phase1 import GaveUp, add_constraints, simplex_vertices, solve_unit
 from shadowlp.randgen import derive_rng, gaussian, haar_rotation, norm_ceiling, sub_seed
 
-from helpers import cone_coefficients
+from helpers import cone_coefficients, recorded_walks
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +217,29 @@ def test_solve_unit_mean_iterations_small_on_smoothed_inputs():
                             rng=sub_seed(409, case, 3))
         iterations.append(result.iterations)
     assert np.mean(iterations) <= 6.0
+
+
+@pytest.mark.parametrize("seed", [1, 28])
+def test_each_attempt_walks_its_own_point_array(seed):
+    """Each walked attempt's points are the program's rows followed by that
+    attempt's own added block, still after the solve has returned: a walk
+    keeps its points by reference, so one array shared by the attempts
+    would hold the last attempt's block in every record."""
+    n, d = 12, 2
+    points = randgen.smoothed_points(derive_rng(415, 0), n, d, 0.3)
+    z = gaussian(derive_rng(415, 1), (d,))
+    walks = recorded_walks(solve_unit, points, z, rng=seed)
+    norm_bound = norm_ceiling(float(np.max(np.linalg.norm(points, axis=1))))
+    blocks = []
+    for attempt in range(solve_unit(points, z, rng=seed).iterations):
+        stream = derive_rng(seed, attempt)
+        block = add_constraints(points, norm_bound, haar_rotation(d, stream), stream)
+        if block is not None:
+            blocks.append(block.added_points)
+    assert len(walks) == len(blocks) >= 4
+    for (walked, _, _, _), added in zip(walks, blocks):
+        assert np.array_equal(walked[:n], points)
+        assert np.array_equal(walked[n:], added)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["parallel", "antiparallel"])

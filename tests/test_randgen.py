@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlp import randgen
 from shadowlp.interpolate import GeneralLP, solve_lp
@@ -24,6 +26,8 @@ from shadowlp.randgen import (
     smoothed_points,
     sub_seed,
 )
+
+from helpers import reference_haar_rotation
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +177,18 @@ def test_haar_rotation_is_orthogonal():
         assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-9
 
 
+@settings(max_examples=200)
+@given(d=st.integers(2, 41), seed=st.integers(0, 2 ** 63 - 1))
+def test_haar_rotation_keeps_the_bits_of_numpy_qr(d, seed):
+    """The dgeqrf + dorgqr form gives numpy.linalg.qr's bytes, in C order,
+    and leaves the stream where the numpy form leaves it."""
+    rng, twin = derive_rng(seed), derive_rng(seed)
+    got, want = haar_rotation(d, rng), reference_haar_rotation(d, twin)
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert rng.integers(0, 2 ** 63) == twin.integers(0, 2 ** 63)
+
+
 def test_haar_rotation_uniformity_mean():
     rng = derive_rng(306)
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -254,6 +270,31 @@ def test_random_spec_shapes_and_unit_scales():
     assert np.allclose(norms, 1.0)
     assert np.linalg.norm(spec.objective) == pytest.approx(1.0)
     assert spec.sigma == 0.2
+
+
+@settings(max_examples=60)
+@given(n=st.integers(3, 200), d=st.integers(2, 12), seed=st.integers(0, 2 ** 63 - 1))
+def test_random_spec_and_normalize_keep_the_bits_of_numpy_norm(n, d, seed):
+    """random_spec's unit rows and objective and normalize's scale are
+    numpy.linalg.norm's formula; the results are its bytes."""
+    if n <= d:
+        n = d + 1
+    spec = random_spec(n, d, 5.0, derive_rng(seed))
+    twin = derive_rng(seed)
+    raw = gaussian(twin, (n, d + 1))
+    centers = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    zraw = gaussian(twin, (d,))
+    assert spec.centers_A.tobytes() == centers[:, :d].tobytes()
+    assert spec.centers_b.tobytes() == centers[:, d].tobytes()
+    assert spec.objective.tobytes() == (zraw / np.linalg.norm(zraw)).tobytes()
+    # Rows of norm up to 3, so the first scale is not 1; sigma 5 makes the cap bind.
+    spec = SmoothedSpec(spec.centers_A * 3.0, spec.centers_b, 5.0)
+    rows = np.hstack([spec.centers_A, spec.centers_b[:, None]])
+    scale = float(np.max(np.linalg.norm(rows, axis=1)))
+    f = (5.0 / scale) / sigma_cap(d, n)
+    got = normalize(spec)
+    assert got.centers_A.tobytes() == (spec.centers_A / scale / f).tobytes()
+    assert got.centers_b.tobytes() == (spec.centers_b / scale / f).tobytes()
 
 
 def test_smoothed_points_draw_centres_then_noise():

@@ -30,10 +30,12 @@ from helpers import cone_coefficients
 
 
 def test_sweep_plane_requires_orthonormal_basis():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="orthogonal"):
         SweepPlane(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unit vectors"):
         SweepPlane(np.array([2.0, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="unit vectors"):
+        SweepPlane(np.array([1.0, 0.0]), np.array([0.0, 1.0 + 1e-6]))
 
 
 def test_sweep_plane_parametrization_roundtrip():

@@ -71,6 +71,7 @@ class IntLPLift:
     """Lifted point set: row 0 is the vertex at infinity, the direction
     straight down; rows 1..n are (a_i, 1 - b_i), so row i + 1 is constraint
     i; row n + 1 (top_index) is the unit vector along the lifted axis.
+    The points are column-major, as Phase I's are, for the ratio test.
     ``levels`` is 0 for row 0 and 1 for every other row.  The sweep plane
     has basis1 = row 0 and basis2 = (z, 0) / |z|, so the sweep runs from
     straight down at angle 0 to straight up at angle pi."""
@@ -84,7 +85,7 @@ class IntLPLift:
 def lift(lp):
     """Embed a GeneralLP one dimension up (see module docstring)."""
     n, d = lp.n, lp.d
-    pts = np.zeros((n + 2, d + 1))
+    pts = np.zeros((n + 2, d + 1), order="F")
     pts[0, d] = -1.0
     pts[1:n + 1, :d] = lp.A
     pts[1:n + 1, d] = 1.0 - lp.b

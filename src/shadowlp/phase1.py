@@ -124,8 +124,12 @@ def solve_unit(points, objective, rng=None, validate=False):
     pivots_total sums the pivots of every walk including failed attempts;
     iterations counts attempts.  rng is an int seed or None; attempt k
     draws from derive_rng(rng, k).  Raises GaveUp after MAX_RETRIES
-    attempts without a clean terminal facet."""
-    points = np.asarray(points, dtype=float)
+    attempts without a clean terminal facet.
+
+    The walks run over column-major arrays, on which the ratio test's two
+    matrix-vector products run along columns: one copy of the rows per
+    call, and one fresh array per attempt, the rows followed by its block."""
+    points = np.asarray(points, dtype=float, order="F")
     n, d = points.shape
     if not (n > d >= 2):
         raise ValueError("need n > d >= 2")
@@ -139,7 +143,9 @@ def solve_unit(points, objective, rng=None, validate=False):
         block = add_constraints(points, norm_bound, rotation, stream, max_norm=max_norm)
         if block is None:
             continue
-        full = np.concatenate([points, block.added_points])
+        full = np.empty((n + d, d), order="F")
+        full[:n] = points
+        full[n:] = block.added_points
         # Row n + j of full is row j of the added block: same basis, new labels.
         start = block.facet
         start.indices = tuple(range(n, n + d))

@@ -66,9 +66,14 @@ def derive_rng(seed, *key):
 
 
 def sub_seed(seed, *key):
-    """63-bit child seed for a (seed, key...) address: the first word of
-    derive_rng(seed, *key)."""
-    return int(derive_rng(seed, *key).integers(0, 2 ** 63))
+    """63-bit child seed for a (seed, key...) address: the first 64-bit word
+    of derive_rng(seed, *key) shifted right by one.
+
+    This is bit for bit derive_rng(seed, *key).integers(0, 2 ** 63), without
+    its wrapper: numpy draws that by Lemire's method with range 2^63, whose
+    rejection threshold (2^64 - 2^63) mod 2^63 is 0, so it never draws
+    again, and the high word of x * 2^63 is x >> 1."""
+    return int(derive_rng(seed, *key).bit_generator.random_raw()) >> 1
 
 
 def _open_uniform(rng, shape):

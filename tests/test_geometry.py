@@ -320,6 +320,28 @@ def test_max_row_norm_is_the_largest_numpy_row_norm():
         assert np.array_equal(got, want, equal_nan=True)
 
 
+@pytest.mark.parametrize("d", [2, 3, 7, 8, 11, 41])
+def test_max_row_norm_in_every_layout_the_solver_passes(d):
+    """Bit for bit numpy.linalg.norm(x, axis=1).max() on the layouts the
+    solver hands it: C order, the strided view of A in a generated instance
+    and the column-major copy Phase I walks.  Below d = 8 numpy sums a row
+    in column order in every layout, so the three agree bit for bit; from
+    d = 8 on, a C-order row is summed in eight partial sums and may round
+    differently."""
+    rng = np.random.default_rng(53 + d)
+    for _ in range(20):
+        n = int(rng.integers(d + 1, 300))
+        whole = rng.standard_normal((n, d + 1)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        layouts = (np.ascontiguousarray(whole[:, :d]), whole[:, :d],
+                   np.asfortranarray(whole[:, :d]))
+        norms = []
+        for x in layouts:
+            norms.append(max_row_norm(x))
+            assert norms[-1] == float(np.linalg.norm(x, axis=1).max())
+        if d < 8:
+            assert norms[0] == norms[1] == norms[2]
+
+
 # ---------------------------------------------------------------------------
 # angular_distance
 

@@ -18,7 +18,7 @@ from shadowlp.interpolate import (
 )
 from shadowlp.shadow_walk import UNBOUNDED, WalkOutcome
 
-from helpers import cone_coefficients
+from helpers import cone_coefficients, recorded_walks, smoothed_lp
 
 
 def _lp_optimal():
@@ -159,6 +159,31 @@ def test_solve_lp_deterministic_given_seed():
             a.phase1_iterations) == (b.status, b.basis, b.pivots_phase1,
                                      b.pivots_phase2, b.phase1_iterations)
     assert np.array_equal(a.x_opt, b.x_opt)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_solve_lp_walks_column_major_points_whatever_the_layout_of_a(d):
+    """Every Phase-I attempt and the lifted walk run over F-contiguous
+    arrays, and the solve does not depend on how A is laid out: its strided
+    view in the generated instance, a C-order copy and a column-major copy
+    give the same answer bit for bit."""
+    phase1_walks = 0
+    for seed in range(4):
+        lp = smoothed_lp(40, d, seed)
+        results = []
+        for a in (lp.A, np.ascontiguousarray(lp.A), np.asfortranarray(lp.A)):
+            program = GeneralLP(A=a, b=lp.b, z=lp.z)
+            walks = recorded_walks(solve_lp, program, rng=seed)
+            assert all(points.flags.f_contiguous for points, _, _, _ in walks)
+            lifted = [levels is not None for _, _, levels, _ in walks]
+            assert lifted == [False] * (len(walks) - 1) + [True]
+            phase1_walks += len(walks) - 1
+            result = solve_lp(program, rng=seed)
+            results.append((result.status, result.basis, result.pivots_phase1,
+                            result.pivots_phase2, result.phase1_iterations,
+                            None if result.x_opt is None else result.x_opt.tobytes()))
+        assert results[1] == results[0] and results[2] == results[0]
+    assert phase1_walks > 3 * 4  # some solve walked more than one attempt
 
 
 def test_general_lp_validation():

@@ -1,5 +1,6 @@
-"""Property test of the ratio test: on facets taken from real walks, pivot
-must agree with a per-point reference loop bit for bit."""
+"""Property tests of the ratio test: on facets taken from real walks, pivot
+must agree with a per-point reference loop bit for bit, and must not depend
+on the memory layout of the points."""
 
 import functools
 from dataclasses import replace
@@ -17,11 +18,11 @@ from helpers import recorded_walks, smoothed_lp
 
 
 @functools.cache
-def _walks(n, seed):
-    """(points, levels, facets) of every walk of one smoothed d=3 solve on
-    the benchmark's model: Phase I's, with levels None, and the lifted
-    one's, whose row 0 is the vertex at infinity."""
-    walks = recorded_walks(interpolate.solve_lp, smoothed_lp(n, 3, seed), rng=seed)
+def _walks(n, seed, d=3):
+    """(points, levels, facets) of every walk of one smoothed solve on the
+    benchmark's model: Phase I's, with levels None, and the lifted one's,
+    whose row 0 is the vertex at infinity."""
+    walks = recorded_walks(interpolate.solve_lp, smoothed_lp(n, d, seed), rng=seed)
     return [(points, levels, [entry.facet for entry in trace])
             for points, _, levels, trace in walks]
 
@@ -100,6 +101,69 @@ def test_pivot_matches_a_per_point_reference(n, seed, lifted, duplicated, reset_
         fresh = make_facet(points, new_indices, levels)
         for name in ("normal", "inverse", "scales"):
             assert np.array_equal(getattr(new_facet, name), getattr(fresh, name))
+
+
+def _pivot_or_singular(points, facet, leaving, levels):
+    try:
+        return pivot(points, facet, leaving, levels)
+    except SingularSystem:
+        return SingularSystem
+
+
+def _same_step(c_step, f_step, bits):
+    """Two pivots agree: the same entering index, index tuple and update
+    count, and a new normal, B^-1 and row scales equal bit for bit, or else
+    within 1e-12 of the largest entry."""
+    if c_step is None or c_step is SingularSystem:
+        assert f_step is c_step
+        return
+    assert f_step[0] == c_step[0]
+    c_facet, f_facet = c_step[1], f_step[1]
+    assert (f_facet.indices, f_facet.updates) == (c_facet.indices, c_facet.updates)
+    for name in ("normal", "inverse", "scales"):
+        c_value, f_value = getattr(c_facet, name), getattr(f_facet, name)
+        if bits:
+            assert np.array_equal(f_value, c_value), name
+        else:
+            assert np.abs(f_value - c_value).max() <= 1e-12 * np.abs(c_value).max(), name
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.sampled_from([20, 4096]), d=st.sampled_from([2, 3]), seed=st.integers(0, 3),
+       lifted=st.booleans(), reset_updates=st.booleans(), data=st.data())
+def test_pivot_does_not_depend_on_the_layout_of_the_points(n, d, seed, lifted, reset_updates,
+                                                           data):
+    """The same step on C-order and column-major copies of a walk's points
+    (unit levels, or the lifted levels with row 0 at level 0): the same
+    entering index and new index tuple, and a new normal and B^-1 within
+    1e-12.  Where the two layouts' products <g, a> and <h, a> agree bit for
+    bit, the step does too: pivot does no other layout-dependent arithmetic.
+    Whether they agree is the BLAS kernel's choice.  OpenBLAS's SkylakeX
+    kernels round a two-term row alike in both layouts except on the last
+    (rows mod 4) rows of the column-major product, so the points are also
+    tried padded with zero rows, which are never candidates, to a multiple
+    of 32 rows; its Haswell kernels, which AMD Zen also runs, round about a
+    quarter of such products differently."""
+    walks = [w for w in _walks(n, seed, d) if (w[1] is not None) == lifted]
+    assert walks
+    points, levels, facets = data.draw(st.sampled_from(walks))
+    facet = data.draw(st.sampled_from(facets))
+    leaving = data.draw(st.sampled_from(facet.indices))
+    if reset_updates:
+        facet = replace(facet, updates=0)
+    tries = [(points, levels)]
+    if points.shape[1] == 2:
+        assert levels is None  # a lifted walk has at least three columns
+        padded = np.zeros((-(-len(points) // 32) * 32, 2))
+        padded[:len(points)] = points
+        tries.append((padded, None))
+    for rows, row_levels in tries:
+        c_points, f_points = np.ascontiguousarray(rows), np.asfortranarray(rows)
+        assert c_points.flags.c_contiguous and f_points.flags.f_contiguous
+        g = -facet.inverse[:, facet.indices.index(leaving)]
+        same_products = all(np.array_equal(c_points @ v, f_points @ v) for v in (g, facet.normal))
+        _same_step(_pivot_or_singular(c_points, facet, leaving, row_levels),
+                   _pivot_or_singular(f_points, facet, leaving, row_levels), same_products)
 
 
 @pytest.mark.parametrize("outside, expected", [

@@ -89,7 +89,14 @@ def test_sub_seed_is_deterministic_and_63_bit():
     assert a != sub_seed(5, 1, 0, 1)
     assert a != sub_seed(5, 2, 0, 0)
     assert 0 <= a < 2 ** 63
-    assert a == int(derive_rng(5, 1, 0, 0).integers(0, 2 ** 63))
+    # The first word shifted right by one is numpy's integers(0, 2 ** 63) on
+    # the same stream: 20 000 (seed, key) pairs, keys of length 0 to 4.
+    picker = np.random.default_rng(1202)
+    seeds = picker.integers(0, 2 ** 64, size=20_000, dtype=np.uint64)
+    lengths = picker.integers(0, 5, size=seeds.size)
+    for seed, length in zip(seeds.tolist(), lengths.tolist()):
+        key = picker.integers(0, 2 ** 32, size=length).tolist()
+        assert sub_seed(seed, *key) == int(derive_rng(seed, *key).integers(0, 2 ** 63)), (seed, key)
 
 
 def _two_step(seed, *key):

@@ -43,8 +43,9 @@ print("facet normal h (unit optimum is h / <h, h> scaled to the hull):",
 lifted = lift(lp)
 print("\nlifted rows: the vertex at infinity (level 0), then (a_i, 1 - b_i),")
 print("then the top constraint:")
-print(lifted.points)
-print("levels:", lifted.levels)
+print(lifted.point_set.points)
+print("levels:", lifted.point_set.levels)
+print("row scales (each row's largest |entry|):", lifted.point_set.scales)
 print("the sweep turns the objective a half turn, from straight down (angle 0)")
 print("to straight up (angle pi), in", lifted.plane)
 

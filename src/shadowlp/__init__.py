@@ -26,6 +26,7 @@ from .geometry import (
     DEFAULT_TOL,
     FacetIndexSet,
     NoViewpoint,
+    PointSet,
     SingularSystem,
     Tolerance,
     angular_distance,
@@ -59,7 +60,7 @@ from .verify import SuiteResult, run_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL", "FacetIndexSet", "NoViewpoint", "SingularSystem",
+    "DEFAULT_TOL", "FacetIndexSet", "NoViewpoint", "PointSet", "SingularSystem",
     "Tolerance", "angular_distance", "viewpoint_for_edge",
     "CycleSuspected", "SweepPlane", "WalkInvariantViolation", "WalkOutcome",
     "sweep_full", "walk",

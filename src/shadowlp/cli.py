@@ -59,10 +59,12 @@ def _load_instance(path):
     extra = sorted(set(data) - set(required))
     if extra:
         raise CLIError(f"instance file {path!r}: unknown fields {extra}")
-    try:
-        n, d = int(data["n"]), int(data["d"])
-    except (TypeError, ValueError):
-        raise CLIError(f"instance file {path!r}: fields 'n' and 'd' must be integers")
+    for name in ("n", "d"):
+        try:
+            experiments._integer(name, data[name])
+        except ValueError:
+            raise CLIError(f"instance file {path!r}: field {name!r} must be an integer")
+    n, d = data["n"], data["d"]
     for name, length, width in (("A", n, d), ("b", n, None), ("z", d, None)):
         value = data[name]
         if not isinstance(value, list) or len(value) != length:
@@ -198,6 +200,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and not 0 <= args.seed < experiments.SEED_LIMIT:
+            raise CLIError(f"--seed: need an integer in [0, 2**64), got {args.seed}")
         return args.func(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,6 +74,7 @@ _AGGREGATE_COLUMNS = (
 )
 
 SECTION_MODELS = ("smoothed", "gaussian", "square", "degenerate")
+SEED_LIMIT = 2 ** 64  # seeds are integers in [0, SEED_LIMIT)
 
 
 def _as_tuple(value):
@@ -142,7 +143,7 @@ class ExperimentConfig:
                 raise ValueError(f"config field 'sigma': need sigma > 0, got {sv}")
         if self.trials < 1:
             raise ValueError(f"config field 'trials': need trials >= 1, got {self.trials}")
-        if not (0 <= self.seed < 2 ** 64):
+        if not (0 <= self.seed < SEED_LIMIT):
             raise ValueError(f"config field 'seed': need a 64-bit value, got {self.seed}")
         if self.threads < 1:
             raise ValueError(f"config field 'threads': need threads >= 1, got {self.threads}")

@@ -2,11 +2,11 @@
 
 Conventions used across the package:
 
-* A polytope is given by an (n, d) array of rows a_1..a_n together with the
-  implicit origin, and optional levels c_1..c_n (all 1 when not given).  A
-  row of level 1 is a point; a row of level 0 is a direction u, the
-  "vertex at infinity", which adds the recession ray {t*u : t >= 0} to the
-  hull.
+* A polytope is a PointSet: an (n, d) array of rows a_1..a_n together with
+  the implicit origin, optional levels c_1..c_n (all 1 when not given) and
+  each row's largest |entry|.  A row of level 1 is a point; a row of level
+  0 is a direction u, the "vertex at infinity", which adds the recession
+  ray {t*u : t >= 0} to the hull.
 * A facet is a d-element index set I.  Its normal h solves <h, a_i> = c_i
   for i in I, so the facet's affine hull is {x : <h, x> = 1} and it
   contains the directions among its rows.  A row a_i is "below" that
@@ -87,17 +87,30 @@ def solve_linear(matrix, rhs):
     return x
 
 
+@dataclass(slots=True)
+class PointSet:
+    """The point set of one walk.  ``points`` keeps the layout its builder
+    chose, and a float array is not copied; ``levels`` is None when every
+    level is 1, so that a pivot gathers none; ``scales`` holds each row's
+    largest |entry|, computed once here for the nonsingularity certificate
+    of shadow_walk._updated_facet."""
+
+    points: np.ndarray
+    levels: np.ndarray | None = None
+    scales: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.points = np.asarray(self.points, dtype=float)
+        self.scales = np.abs(self.points).max(axis=1)
+
+
 @dataclass(slots=True, unsafe_hash=True)
 class FacetIndexSet:
     """A candidate facet: d sorted indices, the normal of its affine hull
     and the inverse of its basis.
 
     The basis B stacks the facet's rows in index order, so column j of
-    ``inverse`` = B^-1 belongs to indices[j], and so does ``scales[j]``, the
-    largest |entry| of that row: the row scales of the nonsingularity
-    certificate, carried so that a pivot's update never gathers the basis
-    rows (make_facet and the oracle set them; a facet built without them
-    cannot be pivoted).
+    ``inverse`` = B^-1 belongs to indices[j].
     ``updates`` counts the rank-one updates since B^-1 was last factored
     from the points (0 for a facet from make_facet).  Equality and hashing
     use the index tuple only; two facets are the same facet exactly when
@@ -107,7 +120,6 @@ class FacetIndexSet:
     normal: np.ndarray = field(compare=False, repr=False)
     inverse: np.ndarray = field(compare=False, repr=False)
     updates: int = field(default=0, compare=False, repr=False)
-    scales: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @functools.cache
@@ -119,23 +131,21 @@ def _facet_rhs(d):
     return rhs
 
 
-def make_facet(points, indices, levels=None):
-    """Build a FacetIndexSet from one factorization of its basis B: the
-    normal h solves B h = (the members' levels), so <h, a_i> = c_i, and the
-    inverse is B^-1.  The walk's pivots update these in place of a
-    factorization and call this every d-th pivot (see shadow_walk.pivot).
-    Raises SingularSystem for degenerate index sets."""
-    points = np.asarray(points, dtype=float)
-    d = points.shape[1]
+def make_facet(ps, indices):
+    """Build a FacetIndexSet over rows of ps from one factorization of its
+    basis B: the normal h solves B h = (the members' levels), so
+    <h, a_i> = c_i, and the inverse is B^-1.  The walk's pivots update these
+    in place of a factorization and call this every d-th pivot (see
+    shadow_walk.pivot).  Raises SingularSystem for degenerate index sets."""
+    d = ps.points.shape[1]
     if len(set(indices)) != d:
         raise ValueError("index set must contain exactly d distinct indices")
     indices = sorted(indices)
-    rows = points[indices]
     rhs = _facet_rhs(d).copy()
-    rhs[:, 0] = 1.0 if levels is None else levels[indices]
-    solution = solve_linear(rows, rhs)
+    rhs[:, 0] = 1.0 if ps.levels is None else ps.levels[indices]
+    solution = solve_linear(ps.points[indices], rhs)
     return FacetIndexSet(indices=tuple(indices), normal=solution[:, 0],
-                         inverse=solution[:, 1:], scales=np.abs(rows).max(axis=1))
+                         inverse=solution[:, 1:])
 
 
 def vector_norm(v):
@@ -155,12 +165,12 @@ def max_row_norm(points):
     return math.sqrt((points * points).sum(axis=1).max())
 
 
-def all_below(points, normal, levels=None):
-    """True when every row satisfies <h, a_i> <= c_i + eps_feas."""
-    dots = np.asarray(points, dtype=float) @ normal
-    if levels is None:
+def all_below(ps, normal):
+    """True when every row of ps satisfies <h, a_i> <= c_i + eps_feas."""
+    dots = ps.points @ normal
+    if ps.levels is None:
         return not np.max(dots) > 1.0 + DEFAULT_TOL.eps_feas
-    return not np.any(dots > levels + DEFAULT_TOL.eps_feas)
+    return not np.any(dots > ps.levels + DEFAULT_TOL.eps_feas)
 
 
 def angular_distance(x, y):

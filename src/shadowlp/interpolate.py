@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase1
-from .geometry import SingularSystem, make_facet, vector_norm
+from .geometry import PointSet, SingularSystem, make_facet, vector_norm
 from .shadow_walk import OPTIMAL_FACET, SweepPlane, walk
 
 STATUS_OPTIMAL = "optimal"
@@ -68,16 +68,15 @@ class GeneralLP:
 
 @dataclass
 class IntLPLift:
-    """Lifted point set: row 0 is the vertex at infinity, the direction
-    straight down; rows 1..n are (a_i, 1 - b_i), so row i + 1 is constraint
-    i; row n + 1 (top_index) is the unit vector along the lifted axis.
-    The points are column-major, as Phase I's are, for the ratio test.
-    ``levels`` is 0 for row 0 and 1 for every other row.  The sweep plane
+    """Lifted PointSet: row 0 is the vertex at infinity, the direction
+    straight down, at level 0; rows 1..n are (a_i, 1 - b_i), so row i + 1
+    is constraint i; row n + 1 (top_index) is the unit vector along the
+    lifted axis.  Every row but row 0 has level 1.  The points are
+    column-major, as Phase I's are, for the ratio test.  The sweep plane
     has basis1 = row 0 and basis2 = (z, 0) / |z|, so the sweep runs from
     straight down at angle 0 to straight up at angle pi."""
 
-    points: np.ndarray
-    levels: np.ndarray
+    point_set: PointSet
     top_index: int
     plane: SweepPlane
 
@@ -94,7 +93,7 @@ def lift(lp):
     levels[0] = 0.0
     rot = np.zeros(d + 1)
     rot[:d] = lp.z
-    return IntLPLift(points=pts, levels=levels, top_index=n + 1,
+    return IntLPLift(point_set=PointSet(pts, levels), top_index=n + 1,
                      plane=SweepPlane(pts[0].copy(), rot / vector_norm(rot)))
 
 
@@ -103,7 +102,7 @@ def initial_limit_facet(lifted, unit_indices):
     label rows of A, joined with the vertex at infinity.  It is the limit
     of facet(q) as q rotates off the bottom of the arc."""
     indices = [0] + [i + 1 for i in unit_indices]
-    return make_facet(lifted.points, indices, lifted.levels)
+    return make_facet(lifted.point_set, indices)
 
 
 @dataclass
@@ -142,8 +141,7 @@ def solve_lp(lp, rng=None, validate=False):
         start = initial_limit_facet(lifted, unit.facet.indices)
     except SingularSystem as exc:
         raise NumericFailure(f"degenerate lifted start facet: {exc}") from exc
-    outcome = walk(lifted.points, lifted.plane, start, 0.0, math.pi,
-                   levels=lifted.levels, validate=validate)
+    outcome = walk(lifted.point_set, lifted.plane, start, 0.0, math.pi, validate=validate)
     if outcome.status != OPTIMAL_FACET:
         raise NumericFailure("lifted walk left the cone; impossible when Phase I is bounded")
     final = outcome.facet

@@ -75,17 +75,12 @@ def _facet_candidates(points, levels):
             for row in np.flatnonzero(ok)[below]]
 
 
-def _facet(ids, normal, mat):
-    return FacetIndexSet(indices=ids, normal=normal, inverse=np.linalg.inv(mat),
-                         scales=np.abs(mat).max(axis=1))
-
-
 def enumerate_facets(points, levels=None):
     """Every index set whose affine hull supports the polytope from below:
     the complete facet list of Conv(0, points), with the rays of rows of
     level 0 (see geometry)."""
     cands = _facet_candidates(points, levels)
-    return [_facet(*cand) for cand in cands]
+    return [FacetIndexSet(ids, normal, np.linalg.inv(mat)) for ids, normal, mat in cands]
 
 
 def facet_of(points, direction, levels=None):
@@ -102,7 +97,7 @@ def facet_of(points, direction, levels=None):
         except np.linalg.LinAlgError:
             continue
         if float(np.min(lam)) >= -DEFAULT_TOL.eps_feas:
-            matches.append(_facet(ids, normal, mat))
+            matches.append(FacetIndexSet(ids, normal, np.linalg.inv(mat)))
     if not matches:
         return None
     if len(matches) > 1:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import randgen
-from .geometry import (DEFAULT_TOL, FacetIndexSet, SingularSystem, make_facet, max_row_norm,
-                       vector_norm)
+from .geometry import (DEFAULT_TOL, FacetIndexSet, PointSet, SingularSystem, make_facet,
+                       max_row_norm, vector_norm)
 from .shadow_walk import UNBOUNDED, SweepPlane, walk
 
 OPTIMAL = "optimal"
@@ -105,7 +105,7 @@ def add_constraints(points, norm_bound, rotation, rng, max_norm=None):
     sigma = 2.0 * norm_bound * randgen.added_sigma(d, n)
     added = randgen.gaussian(rng, (d, d), center=centers, sigma=sigma)
     try:
-        facet = make_facet(added, range(d))
+        facet = make_facet(PointSet(added), range(d))
     except SingularSystem:
         return None
     if float((z0 @ facet.inverse).min()) < -DEFAULT_TOL.eps_feas:
@@ -128,7 +128,7 @@ def solve_unit(points, objective, rng=None, validate=False):
 
     The walks run over column-major arrays, on which the ratio test's two
     matrix-vector products run along columns: one copy of the rows per
-    call, and one fresh array per attempt, the rows followed by its block."""
+    call, and one fresh PointSet per attempt, the rows followed by its block."""
     points = np.asarray(points, dtype=float, order="F")
     n, d = points.shape
     if not (n > d >= 2):
@@ -153,7 +153,7 @@ def solve_unit(points, objective, rng=None, validate=False):
             plane = SweepPlane.through(block.start_objective, z)
         except ValueError:
             continue  # z0 collinear with z: redraw rather than pick a plane
-        outcome = walk(full, plane, start, 0.0, plane.theta_of(z), validate=validate)
+        outcome = walk(PointSet(full), plane, start, 0.0, plane.theta_of(z), validate=validate)
         pivots_total += outcome.pivots
         if outcome.status == UNBOUNDED:
             return UnitResult(UNIT_UNBOUNDED, None, pivots_total, attempt + 1)

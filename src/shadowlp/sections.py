@@ -29,7 +29,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from . import phase1
-from .geometry import DEFAULT_TOL, FacetIndexSet, SingularSystem, make_facet, vector_norm
+from .geometry import DEFAULT_TOL, FacetIndexSet, PointSet, SingularSystem, make_facet, vector_norm
 from .interpolate import NumericFailure
 from .shadow_walk import WalkStateError, climb, exit_angle, sweep_full
 
@@ -174,7 +174,7 @@ def _max_margin(rows, levels):
     line = np.array([b * g - c * f, c * e - a * g, a * f - b * e])
     _, third = _advance(rows, levels, y, line if line[2] >= 0.0 else -line)
     try:
-        top = climb(rows, [first, second, third], levels)
+        top = climb(PointSet(rows, levels), [first, second, third])
     except SingularSystem as exc:
         raise NumericFailure(f"margin LP: {exc}") from exc
     if top is None:
@@ -190,8 +190,8 @@ def _hull_interior_point(hull, plane):
 
 
 def _hull_start_facet(hull, keep, shifted, x0, plane):
-    """facet(q(theta0)) of the shifted hull rows, read off the hull's
-    simplices: among those with n.q > 0, in ascending exit distance
+    """facet(q(theta0)) of the PointSet of shifted hull rows, read off the
+    hull's simplices: among those with n.q > 0, in ascending exit distance
     t = -(c + n.x0) / n.q, the first that make_facet accepts and that
     exit_angle finds pierced at theta0, the pierce test the walk applies.
     Raises NumericFailure when none qualifies."""
@@ -244,9 +244,9 @@ def section_edges(points, plane, rng=None, validate=False):
         x0 = None  # no full-dimensional hull
     if x0 is None:
         return SectionReport(edge_count=0, interior_point=None, facets=[], degenerate=True)
-    shifted = points[keep] - x0
+    shifted = PointSet(points[keep] - x0)
     if hull is None:
-        unit = phase1.solve_unit(shifted, plane.q(_THETA0), rng=rng, validate=validate)
+        unit = phase1.solve_unit(shifted.points, plane.q(_THETA0), rng=rng, validate=validate)
         if unit.status != phase1.OPTIMAL:
             raise NumericFailure("sweep start: unit program unbounded despite interior origin")
         start = unit.facet
@@ -254,9 +254,8 @@ def section_edges(points, plane, rng=None, validate=False):
         start = _hull_start_facet(hull, keep, shifted, x0, plane)
     outcome = sweep_full(shifted, plane, start, _THETA0, validate=validate)
     # keep ascends, so the mapped indices stay sorted and the columns of
-    # each facet's inverse and scales stay aligned with them.
-    facets = [FacetIndexSet(indices=tuple(keep[list(f.indices)].tolist()), normal=f.normal,
-                            inverse=f.inverse, updates=f.updates, scales=f.scales)
+    # each facet's inverse stay aligned with them.
+    facets = [FacetIndexSet(tuple(keep[list(f.indices)].tolist()), f.normal, f.inverse, f.updates)
               for f in outcome.distinct_facets()]
     return SectionReport(edge_count=len(facets), interior_point=x0,
                          facets=facets, degenerate=False)

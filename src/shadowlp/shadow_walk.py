@@ -171,32 +171,31 @@ def exit_angle(facet, plane, theta_now):
     return theta_now + best_delta, best_index
 
 
-def pivot(points, facet, leaving, levels=None):
+def pivot(ps, facet, leaving):
     """Minimal-ratio pivot across the ridge facet.indices minus {leaving}.
 
     g is the hyperplane rotation direction: <g, a_i> = 0 on the ridge and
     <g, a_leaving> = -1, i.e. minus the leaving index's column of B^-1.
     Among candidates k outside the facet with <g, a_k> > eps_feas, the
     entering index minimizes (c_k - <h, a_k>) / <g, a_k> over the levels c
-    (all 1 when levels is None), ties broken by smallest index.  Only the
-    candidates' ratios are divided; they are taken in ascending index
-    order, so the first minimum is the smallest index.  The candidate test
-    runs over every row, members included: only when the first minimum
-    lands on a facet member (a ridge member whose <g, a_i> rounds above
-    eps_feas) is the selection redone without the members.  A non-member
-    first minimum has no earlier non-member tied with it, so either way the
-    winner is the one of a test over non-members alone.  The new index tuple is the ridge with the
-    entering index inserted in order.  Returns (entering, new_facet) or None
-    when no candidate exists, which certifies unboundedness beyond the exit
-    angle.
+    (all 1 when ps.levels is None), ties broken by smallest index.  Only the
+    candidates' ratios are divided; they are taken in ascending index order,
+    so the first minimum is the smallest index.  The candidate test runs
+    over every row, members included: only when the first minimum lands on a
+    facet member (a ridge member whose <g, a_i> rounds above eps_feas) is
+    the selection redone without the members.  A non-member first minimum
+    has no earlier non-member tied with it, so either way the winner is the
+    one of a test over non-members alone.  The new index tuple is the ridge
+    with the entering index inserted in order.  Returns (entering,
+    new_facet) or None when no candidate exists, which certifies
+    unboundedness beyond the exit angle.
 
-    The new facet comes from a rank-one update of the current normal,
-    B^-1 and row scales (see _updated_facet).  It is factored from the
-    points by make_facet instead on every d-th consecutive pivot, and
-    whenever the updated inverse cannot certify that make_facet would accept
-    the new basis; make_facet then raises SingularSystem for a degenerate
-    one."""
-    points = np.asarray(points, dtype=float)
+    The new facet comes from a rank-one update of the current normal and
+    B^-1 (see _updated_facet), so any facet over rows of ps can be pivoted.
+    It is factored from the points by make_facet instead on every d-th
+    consecutive pivot, and whenever the updated inverse cannot certify that
+    make_facet would accept the new basis; make_facet then raises
+    SingularSystem for a degenerate one."""
     indices = facet.indices
     if leaving not in indices:
         raise ValueError("leaving index must belong to the facet")
@@ -204,12 +203,12 @@ def pivot(points, facet, leaving, levels=None):
     g = -facet.inverse[:, j]
     h = facet.normal
 
-    den = points @ g
+    den = ps.points @ g
     cand = (den > DEFAULT_TOL.eps_feas).nonzero()[0]
     best = None
     if cand.size:
-        level = 1.0 if levels is None else levels[cand]
-        ratios = (level - (points @ h)[cand]) / den[cand]
+        level = 1.0 if ps.levels is None else ps.levels[cand]
+        ratios = (level - (ps.points @ h)[cand]) / den[cand]
         m = int(ratios.argmin())  # first occurrence: smallest index on a tie
         if int(cand[m]) in indices:  # rare: select again without the members
             outside = ~np.isin(cand, indices)
@@ -225,58 +224,53 @@ def pivot(points, facet, leaving, levels=None):
     new_indices = ridge[:p] + (entering,) + ridge[p:]
     new_facet = None
     if facet.updates + 1 < len(indices):
-        new_facet = _updated_facet(points, facet, j, entering, ratio, new_indices)
+        new_facet = _updated_facet(ps, facet, j, entering, ratio, new_indices)
     if new_facet is None:
-        new_facet = make_facet(points, new_indices, levels)
+        new_facet = make_facet(ps, new_indices)
     return entering, new_facet
 
 
-def _updated_facet(points, facet, j, entering, ratio, new_indices):
+def _updated_facet(ps, facet, j, entering, ratio, new_indices):
     """The facet over new_indices, which replaces indices[j] of the given
-    facet by entering, from its normal, B^-1 and row scales without a
-    factorization.
+    facet by entering, from its normal and B^-1 without a factorization.
 
     Normal: h' = h + ratio * g with g = -B^-1 e_j, so <h', a> is unchanged
     on the ridge and the entering row's level at that row.
     Inverse (Sherman-Morrison): the basis changes in row j to a_k, so with
     u = a_k B^-1 and pivot element u_j = -<g, a_k>, column j of B'^-1 is
     col_j / u_j and every other column m is col_m - col_j u_m / u_j; the
-    columns are then put in the order of new_indices.  The row scales s
-    shift the same way, with max|a_k| in the entering index's place.
+    columns are then put in the order of new_indices.
 
     Returns None, so that the caller factors the basis instead, unless
-    ||B'^-1 diag(s)||_inf < 1 / eps_singular.  That product is the inverse
+    ||B'^-1 diag(s)||_inf < 1 / eps_singular, where s gathers the new
+    members' row scales from ps.scales.  That product is the inverse
     of the row-equilibrated basis make_facet factors, and every pivot of a
     partially pivoted LU is at least 1 / ||A^-1||_inf, so a basis that
     passes would pass make_facet's singularity test too."""
     inverse = facet.inverse
-    a_k = points[entering]
-    u = a_k @ inverse
+    u = ps.points[entering] @ inverse
     col = inverse[:, j] / u[j]
     new_inverse = inverse - col[:, None] * u
-    scales = facet.scales.copy()
     # Column j moves to the entering index's place p in new_indices; the
     # columns in between shift by one over it.
     p = new_indices.index(entering)
     if p > j:
         new_inverse[:, j:p] = new_inverse[:, j + 1:p + 1]
-        scales[j:p] = scales[j + 1:p + 1]
     elif p < j:
         new_inverse[:, p + 1:j + 1] = new_inverse[:, p:j]
-        scales[p + 1:j + 1] = scales[p:j]
     new_inverse[:, p] = col
-    scales[p] = max(map(abs, a_k.tolist()))
+    scales = ps.scales[list(new_indices)]
     if not (np.abs(new_inverse) @ scales).max() < 1.0 / DEFAULT_TOL.eps_singular:
         return None
     return FacetIndexSet(new_indices, facet.normal - ratio * inverse[:, j], new_inverse,
-                         facet.updates + 1, scales)
+                         facet.updates + 1)
 
 
-def climb(points, indices, levels=None):
-    """Primal simplex over the facets of the rows at the levels: from the
-    facet over ``indices``, whose normal h must satisfy <h, a_i> <= c_i on
-    every row, pivot until h maximizes its last coordinate over that
-    polyhedron, and return the final facet.
+def climb(ps, indices):
+    """Primal simplex over the facets of the PointSet ps: from the facet
+    over ``indices``, whose normal h must satisfy <h, a_i> <= c_i on every
+    row, pivot until h maximizes its last coordinate over that polyhedron,
+    and return the final facet.
 
     The last coordinate's multipliers at a facet are the last row of B^-1.
     The leaving index is the smallest member whose multiplier is below
@@ -285,13 +279,13 @@ def climb(points, indices, levels=None):
     Returns None when a pivot finds no entering index (the program is
     unbounded).  Raises CycleSuspected when a facet comes back, and
     SingularSystem when make_facet refuses a basis."""
-    facet = make_facet(points, indices, levels)
+    facet = make_facet(ps, indices)
     seen = {facet.indices}
     while True:
         below = (facet.inverse[-1] < -DEFAULT_TOL.eps_feas).nonzero()[0]
         if not below.size:
             return facet
-        step = pivot(points, facet, facet.indices[below[0]], levels)
+        step = pivot(ps, facet, facet.indices[below[0]])
         if step is None:
             return None
         facet = step[1]
@@ -300,19 +294,17 @@ def climb(points, indices, levels=None):
         seen.add(facet.indices)
 
 
-def _validate_step(points, old, new, levels):
+def _validate_step(ps, old, new):
     shared = set(old.indices) & set(new.indices)
     if len(shared) != len(old.indices) - 1:
         raise WalkInvariantViolation("adjacent facets must share all but one index")
-    if not all_below(points, new.normal, levels):
+    if not all_below(ps, new.normal):
         raise WalkInvariantViolation(f"facet {new.indices} is not valid (some point above)")
     if not new.updates:
         return
-    if not np.array_equal(new.scales, np.abs(points[list(new.indices)]).max(axis=1)):
-        raise WalkInvariantViolation(f"facet {new.indices}: carried row scales are stale")
     # An updated normal and B^-1 must match a fresh factorization to within
     # eps_feas relative to the fresh one's largest entry.
-    fresh = make_facet(points, new.indices, levels)
+    fresh = make_facet(ps, new.indices)
     for name, got, want in (("normal", new.normal, fresh.normal),
                             ("inverse", new.inverse, fresh.inverse)):
         if not np.max(np.abs(got - want)) <= DEFAULT_TOL.eps_feas * np.max(np.abs(want)):
@@ -320,10 +312,9 @@ def _validate_step(points, old, new, levels):
                 f"facet {new.indices}: updated {name} departs from a fresh factorization")
 
 
-def walk(points, plane, start_facet, theta_start, theta_target,
-         levels=None, validate=False):
-    """Walk facet(q(theta)) from theta_start until the current facet's
-    interval reaches theta_target.
+def walk(ps, plane, start_facet, theta_start, theta_target, validate=False):
+    """Walk facet(q(theta)) of the PointSet ps from theta_start until the
+    current facet's interval reaches theta_target.
 
     Returns a WalkOutcome whose status is OPTIMAL_FACET with the limit facet
     from the approaching side, or UNBOUNDED when the objective family leaves
@@ -334,10 +325,9 @@ def walk(points, plane, start_facet, theta_start, theta_target,
     Raises CycleSuspected when a pivot enters a facet entered before; the
     start facet may come back once, as it does at the end of a full sweep.
     """
-    points = np.asarray(points, dtype=float)
     if not theta_target > theta_start:
         raise ValueError("theta_target must exceed theta_start")
-    if validate and not all_below(points, start_facet.normal, levels):
+    if validate and not all_below(ps, start_facet.normal):
         raise WalkInvariantViolation("start facet is not valid")
 
     trace = []
@@ -351,13 +341,13 @@ def walk(points, plane, start_facet, theta_start, theta_target,
             trace.append(TraceEntry(current, theta, theta_target))
             return WalkOutcome(OPTIMAL_FACET, current, pivots, trace)
         theta_exit, leaving = hit
-        step = pivot(points, current, leaving, levels)
+        step = pivot(ps, current, leaving)
         if step is None:
             trace.append(TraceEntry(current, theta, theta_exit))
             return WalkOutcome(UNBOUNDED, None, pivots, trace)
         _, new_facet = step
         if validate:
-            _validate_step(points, current, new_facet, levels)
+            _validate_step(ps, current, new_facet)
         trace.append(TraceEntry(current, theta, theta_exit))
         if new_facet.indices in entered:
             recent = ", ".join(f"{e.facet.indices}@{e.theta_start:.9g}" for e in trace[-4:])
@@ -369,7 +359,7 @@ def walk(points, plane, start_facet, theta_start, theta_target,
         pivots += 1
 
 
-def _closes(points, plane, trace):
+def _closes(ps, plane, trace):
     """The sweep ends on its start facet, or one pivot at the end angle
     reaches it: with a vertex on the start ray the trace may begin on the
     facet just past that vertex."""
@@ -380,11 +370,11 @@ def _closes(points, plane, trace):
     hit = exit_angle(last, plane, end)
     if hit is None or hit[0] > end + DEFAULT_TOL.eps_angle:
         return False
-    step = pivot(points, last, hit[1])
+    step = pivot(ps, last, hit[1])
     return step is not None and step[1] == first
 
 
-def sweep_full(points, plane, start_facet, theta_start=0.0, validate=False):
+def sweep_full(ps, plane, start_facet, theta_start=0.0, validate=False):
     """Sweep q through a full circle starting inside start_facet's interval.
 
     Requires the origin in the relative interior of the polytope's slice by
@@ -393,7 +383,7 @@ def sweep_full(points, plane, start_facet, theta_start=0.0, validate=False):
     start facet may appear twice, once at each end, and walk raises
     CycleSuspected when any other facet would.  The status is the walk's
     own, OPTIMAL_FACET, and pivots equals len(trace) - 1."""
-    outcome = walk(points, plane, start_facet, theta_start, theta_start + TWO_PI,
+    outcome = walk(ps, plane, start_facet, theta_start, theta_start + TWO_PI,
                    validate=validate)
     if outcome.status == UNBOUNDED:
         raise WalkStateError("unbounded during a full sweep: origin not interior to the slice")
@@ -401,6 +391,6 @@ def sweep_full(points, plane, start_facet, theta_start=0.0, validate=False):
         total = sum(e.theta_end - e.theta_start for e in outcome.trace)
         if abs(total - TWO_PI) > DEFAULT_TOL.eps_feas:
             raise WalkInvariantViolation(f"sweep intervals cover {total!r}, expected 2*pi")
-        if not _closes(points, plane, outcome.trace):
+        if not _closes(ps, plane, outcome.trace):
             raise WalkInvariantViolation("full sweep did not close on its start facet")
     return outcome

@@ -162,13 +162,14 @@ def smoothed_lp(n, d, seed):
 
 def recorded_walks(solve, *args, **kwargs):
     """(points, plane, levels, trace) of every walk of solve(*args, **kwargs)
-    in the order they ran.  For solve_lp: Phase I's, with levels None, then
-    the lifted one's, whose row 0 is the vertex at infinity."""
+    in the order they ran, read off each walk's PointSet.  For solve_lp:
+    Phase I's, with levels None, then the lifted one's, whose row 0 is the
+    vertex at infinity."""
     walks = []
 
-    def recorded(points, plane, *args, **kwargs):
-        outcome = shadow_walk.walk(points, plane, *args, **kwargs)
-        walks.append((points, plane, kwargs.get("levels"), outcome.trace))
+    def recorded(ps, plane, *args, **kwargs):
+        outcome = shadow_walk.walk(ps, plane, *args, **kwargs)
+        walks.append((ps.points, plane, ps.levels, outcome.trace))
         return outcome
 
     with pytest.MonkeyPatch.context() as mp:

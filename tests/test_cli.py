@@ -96,6 +96,30 @@ def test_solve_reports_bad_row_shape(tmp_path, capsys):
     assert "row 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("n", 3.5), ("d", 2.9), ("n", True), ("n", "3")],
+                         ids=["float-n", "float-d", "bool-n", "string-n"])
+def test_solve_rejects_a_size_that_is_not_an_integer(tmp_path, capsys, field, value):
+    # int() would truncate 3.5 to 3 and solve; the config's rule refuses it.
+    path = _write(tmp_path, "size.json", dict(OPTIMAL_INSTANCE, **{field: value}))
+    assert cli.main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert f"field '{field}' must be an integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_solve_rejects_a_seed_outside_64_bits_before_solving(tmp_path, capsys, monkeypatch,
+                                                             seed):
+    path = _write(tmp_path, "opt.json", OPTIMAL_INSTANCE)
+    assert cli.main(["solve", path, "--seed", str(2 ** 64 - 1)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "solve_lp", lambda *args, **kwargs: pytest.fail("solved"))
+    assert cli.main(["solve", path, "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert f"--seed: need an integer in [0, 2**64), got {seed}" in captured.err
+    assert captured.out == ""
+
+
 def test_solve_missing_file(capsys):
     assert cli.main(["solve", "/nonexistent/instance.json"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -238,6 +262,15 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli.verify, "run_all", fake_run_all)
     assert cli.main(["verify", "--suites", "6"]) == 1
     assert "FAIL  criterion 6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_verify_rejects_a_seed_outside_64_bits_before_running(monkeypatch, capsys, seed):
+    monkeypatch.setattr(cli.verify, "run_all", lambda **kwargs: pytest.fail("ran"))
+    assert cli.main(["verify", "--suites", "6", "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert f"--seed: need an integer in [0, 2**64), got {seed}" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_rejects_bad_suite_lists(capsys):

@@ -17,6 +17,7 @@ from shadowlp.geometry import (
     VIEWPOINTS,
     FacetIndexSet,
     NoViewpoint,
+    PointSet,
     SingularSystem,
     Tolerance,
     all_below,
@@ -197,20 +198,20 @@ def test_no_function_takes_a_budget_or_a_scale_that_no_caller_sets():
 
 def test_facet_normal_standard_basis_gives_all_ones():
     d = 4
-    h = make_facet(np.eye(d), range(d)).normal
+    h = make_facet(PointSet(np.eye(d)), range(d)).normal
     assert np.allclose(h, np.ones(d))
 
 
 def test_facet_normal_scaled_basis():
     points = np.array([[2.0, 0.0], [0.0, 2.0]])
-    assert np.allclose(make_facet(points, (0, 1)).normal, [0.5, 0.5])
+    assert np.allclose(make_facet(PointSet(points), (0, 1)).normal, [0.5, 0.5])
 
 
 def test_facet_normal_with_infinite_vertex():
     # Row 0 is the direction (0,-1), of level 0: <h, (1,0)> = 1 and
     # <h, (0,-1)> = 0 force h = (1, 0).
     points = np.array([[0.0, -1.0], [1.0, 0.0]])
-    facet = make_facet(points, (1, 0), levels=np.array([0.0, 1.0]))
+    facet = make_facet(PointSet(points, levels=np.array([0.0, 1.0])), (1, 0))
     assert facet.indices == (0, 1)
     assert np.allclose(facet.normal, [1.0, 0.0])
     # inverse columns follow the sorted indices: the direction first
@@ -223,7 +224,7 @@ def test_facet_normal_incidence_property_on_random_sets():
         d = int(rng.integers(2, 6))
         points = rng.standard_normal((d, d))
         try:
-            facet = make_facet(points, range(d))
+            facet = make_facet(PointSet(points), range(d))
         except SingularSystem:
             continue
         assert np.max(np.abs(points @ facet.normal - 1.0)) <= 10.0 * DEFAULT_TOL.eps_feas
@@ -231,19 +232,18 @@ def test_facet_normal_incidence_property_on_random_sets():
 
 
 def test_all_below_equality_and_violation():
-    points = np.eye(2)
     ones = np.ones(2)
-    assert all_below(points, ones)
-    assert not all_below(np.vstack([points, [0.9, 0.9]]), ones)
+    assert all_below(PointSet(np.eye(2)), ones)
+    assert not all_below(PointSet(np.vstack([np.eye(2), [0.9, 0.9]])), ones)
 
 
 def test_all_below_checks_infinite_direction():
     # A row of level 0 is a direction: it must satisfy <h, u> <= 0.
     h = np.array([1.0, 0.0])
     levels = np.array([0.0, 1.0])
-    assert all_below(np.array([[0.0, -1.0], [1.0, 0.0]]), h, levels)
-    assert all_below(np.array([[1.0, 0.0], [1.0, 0.0]]), h)
-    assert not all_below(np.array([[1.0, 0.0], [1.0, 0.0]]), h, levels)
+    assert all_below(PointSet(np.array([[0.0, -1.0], [1.0, 0.0]]), levels), h)
+    assert all_below(PointSet(np.array([[1.0, 0.0], [1.0, 0.0]])), h)
+    assert not all_below(PointSet(np.array([[1.0, 0.0], [1.0, 0.0]]), levels), h)
 
 
 def test_cone_coefficients_examples():
@@ -260,21 +260,20 @@ def test_cone_coefficients_examples():
 
 def test_make_facet_orders_indices_and_validates():
     points = np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.9]])
-    facet = make_facet(points, (2, 0))
+    facet = make_facet(PointSet(points), (2, 0))
     assert facet.indices == (0, 2)
-    assert np.array_equal(facet.scales, [1.0, 0.9])
     # the right-hand side follows the sorted indices' levels
-    leveled = make_facet(points, (2, 0), levels=np.array([1.0, 1.0, 0.0]))
+    leveled = make_facet(PointSet(points, levels=np.array([1.0, 1.0, 0.0])), (2, 0))
     assert np.allclose(points[[0, 2]] @ leveled.normal, [1.0, 0.0])
     with pytest.raises(ValueError):
-        make_facet(points, (0, 0))
+        make_facet(PointSet(points), (0, 0))
 
 
 def test_make_facet_writes_levels_into_a_copy_of_its_cached_right_hand_sides():
     points = randgen.gaussian(randgen.derive_rng(31), (7, 4))
     levels = np.linspace(0.5, 1.5, 7)
     for lv in (levels, None):
-        facet = make_facet(points, (5, 1, 2, 0), lv)
+        facet = make_facet(PointSet(points, lv), (5, 1, 2, 0))
         rhs = np.eye(4, 5, 1)
         rhs[:, 0] = 1.0 if lv is None else lv[[0, 1, 2, 5]]
         want = reference_solve_linear(points[[0, 1, 2, 5]], rhs)
@@ -288,16 +287,42 @@ def test_make_facet_writes_levels_into_a_copy_of_its_cached_right_hand_sides():
 def test_facet_index_set_equality_ignores_normal():
     """Equality and hash follow the index tuple only, so sets and dicts
     dedupe facets by it; dataclasses.replace builds a new facet."""
-    a = FacetIndexSet((0, 2), np.array([1.0, 0.0]), np.eye(2), 3, np.ones(2))
+    a = FacetIndexSet((0, 2), np.array([1.0, 0.0]), np.eye(2), 3)
     b = FacetIndexSet((0, 2), np.array([0.5, 0.5]), 2.0 * np.eye(2))
-    c = FacetIndexSet((1, 2), np.array([1.0, 0.0]), np.eye(2), 3, np.ones(2))
+    c = FacetIndexSet((1, 2), np.array([1.0, 0.0]), np.eye(2), 3)
+    assert [f.name for f in dataclasses.fields(a)] == ["indices", "normal", "inverse", "updates"]
     assert a == b and hash(a) == hash(b)
     assert a != c and a != (0, 2) and not a == (0, 2)
     assert len({a, b, c}) == 2 and list(dict.fromkeys([a, c, b])) == [a, c]
     fresh = dataclasses.replace(a, updates=0)
     assert fresh is not a and fresh == a and a.updates == 3 and fresh.updates == 0
-    assert fresh.normal is a.normal and fresh.inverse is a.inverse and fresh.scales is a.scales
+    assert fresh.normal is a.normal and fresh.inverse is a.inverse
     assert dataclasses.is_dataclass(a) and not hasattr(a, "__dict__")
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_point_set_keeps_its_array_and_scales_its_rows_once(order):
+    """PointSet.scales is np.abs(points).max(axis=1) bit for bit in either
+    layout; a float array is kept as given, and unit levels stay None."""
+    rng = np.random.default_rng(53)
+    points = np.asarray(rng.standard_normal((300, 5)) * 10.0 ** rng.uniform(-8, 8, (300, 1)),
+                        order=order)
+    ps = PointSet(points)
+    assert ps.points is points and ps.levels is None
+    assert ps.scales.tobytes() == np.abs(points).max(axis=1).tobytes()
+    levels = np.ones(300)
+    assert PointSet(points, levels).levels is levels
+    assert dataclasses.is_dataclass(ps) and not hasattr(ps, "__dict__")
+
+
+def test_no_walk_function_takes_levels():
+    """Rows and levels travel together in a PointSet: its constructor is the
+    one function of the walk layer that takes levels."""
+    taking = [name for name, fn in _package_functions()
+              if name.split(".")[1] in ("geometry", "shadow_walk")
+              and "levels" in inspect.signature(fn).parameters]
+    assert taking == []
+    assert list(inspect.signature(PointSet).parameters) == ["points", "levels"]
 
 
 def test_max_row_norm_is_the_largest_numpy_row_norm():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shadowlp import oracle, phase1, randgen
-from shadowlp.geometry import make_facet
+from shadowlp.geometry import PointSet, make_facet
 from shadowlp.phase1 import GaveUp, add_constraints, simplex_vertices, solve_unit
 from shadowlp.randgen import derive_rng, gaussian, haar_rotation, norm_ceiling, sub_seed
 
@@ -83,7 +83,7 @@ def test_add_constraints_unsmoothed_block_geometry(monkeypatch):
                        2.0 * m0 * math.sqrt(1.0 + r * r))
     # the affine hull of the block sits at distance exactly 2*m0 from the
     # origin, twice the required clearance
-    h = make_facet(block.added_points, range(3)).normal
+    h = make_facet(PointSet(block.added_points), range(3)).normal
     assert 1.0 / np.linalg.norm(h) == pytest.approx(2.0 * m0, rel=1e-9)
     # the known direction really pierces the block
     lam = cone_coefficients(block.added_points, range(3), block.start_objective)
@@ -294,7 +294,7 @@ def test_numb_halfspace_witness_square_corner():
     points = np.eye(2)
     z = np.array([1.0, 1.0])
     facet = oracle.facet_of(points, z)
-    h = make_facet(points, facet.indices).normal
+    h = make_facet(PointSet(points), facet.indices).normal
     assert np.allclose(h, [1.0, 1.0])
 
     # a point strictly below the witness halfspace never changes the answer

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shadowlp import interpolate, shadow_walk
-from shadowlp.geometry import DEFAULT_TOL, FacetIndexSet, SingularSystem, make_facet
+from shadowlp.geometry import DEFAULT_TOL, FacetIndexSet, PointSet, SingularSystem, make_facet
 from shadowlp.shadow_walk import pivot
 
 from helpers import recorded_walks, smoothed_lp
@@ -63,6 +63,8 @@ def test_pivot_matches_a_per_point_reference(n, seed, lifted, duplicated, reset_
     if reset_updates:
         facet = replace(facet, updates=0)  # the pivot then tries the update
 
+    ps = PointSet(points, levels)
+    assert ps.scales.tobytes() == np.abs(points).max(axis=1).tobytes()
     expected = _reference_ratio_test(points, facet, leaving, levels)
     updates = []
     real_update = shadow_walk._updated_facet
@@ -74,7 +76,7 @@ def test_pivot_matches_a_per_point_reference(n, seed, lifted, duplicated, reset_
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shadow_walk, "_updated_facet", spy)
         try:
-            step = pivot(points, facet, leaving, levels)
+            step = pivot(ps, facet, leaving)
         except SingularSystem:
             step = SingularSystem
     if expected is None:
@@ -84,35 +86,33 @@ def test_pivot_matches_a_per_point_reference(n, seed, lifted, duplicated, reset_
     j = facet.indices.index(leaving)
     new_indices = tuple(sorted(facet.indices[:j] + facet.indices[j + 1:] + (entering,)))
     for args in updates:
-        assert args[2:6] == (j, entering, ratio, new_indices)
+        assert args[0] is ps and args[2:6] == (j, entering, ratio, new_indices)
     assert len(updates) == (facet.updates + 1 < len(facet.indices))
     if step is SingularSystem:
         with pytest.raises(SingularSystem):
-            make_facet(points, new_indices, levels)
+            make_facet(ps, new_indices)
         return
     got_entering, new_facet = step
     assert got_entering == entering
     assert new_facet.indices == new_indices
     if new_facet.updates:
         assert np.array_equal(new_facet.normal, facet.normal - ratio * facet.inverse[:, j])
-        rows = points[list(new_indices)]
-        assert np.array_equal(new_facet.scales, np.abs(rows).max(axis=1))
     else:
-        fresh = make_facet(points, new_indices, levels)
-        for name in ("normal", "inverse", "scales"):
+        fresh = make_facet(ps, new_indices)
+        for name in ("normal", "inverse"):
             assert np.array_equal(getattr(new_facet, name), getattr(fresh, name))
 
 
-def _pivot_or_singular(points, facet, leaving, levels):
+def _pivot_or_singular(ps, facet, leaving):
     try:
-        return pivot(points, facet, leaving, levels)
+        return pivot(ps, facet, leaving)
     except SingularSystem:
         return SingularSystem
 
 
 def _same_step(c_step, f_step, bits):
     """Two pivots agree: the same entering index, index tuple and update
-    count, and a new normal, B^-1 and row scales equal bit for bit, or else
+    count, and a new normal and B^-1 equal bit for bit, or else
     within 1e-12 of the largest entry."""
     if c_step is None or c_step is SingularSystem:
         assert f_step is c_step
@@ -120,7 +120,7 @@ def _same_step(c_step, f_step, bits):
     assert f_step[0] == c_step[0]
     c_facet, f_facet = c_step[1], f_step[1]
     assert (f_facet.indices, f_facet.updates) == (c_facet.indices, c_facet.updates)
-    for name in ("normal", "inverse", "scales"):
+    for name in ("normal", "inverse"):
         c_value, f_value = getattr(c_facet, name), getattr(f_facet, name)
         if bits:
             assert np.array_equal(f_value, c_value), name
@@ -158,12 +158,15 @@ def test_pivot_does_not_depend_on_the_layout_of_the_points(n, d, seed, lifted, r
         padded[:len(points)] = points
         tries.append((padded, None))
     for rows, row_levels in tries:
-        c_points, f_points = np.ascontiguousarray(rows), np.asfortranarray(rows)
+        c_set = PointSet(np.ascontiguousarray(rows), row_levels)
+        f_set = PointSet(np.asfortranarray(rows), row_levels)
+        c_points, f_points = c_set.points, f_set.points
         assert c_points.flags.c_contiguous and f_points.flags.f_contiguous
+        assert c_set.scales.tobytes() == f_set.scales.tobytes()
         g = -facet.inverse[:, facet.indices.index(leaving)]
         same_products = all(np.array_equal(c_points @ v, f_points @ v) for v in (g, facet.normal))
-        _same_step(_pivot_or_singular(c_points, facet, leaving, row_levels),
-                   _pivot_or_singular(f_points, facet, leaving, row_levels), same_products)
+        _same_step(_pivot_or_singular(c_set, facet, leaving),
+                   _pivot_or_singular(f_set, facet, leaving), same_products)
 
 
 @pytest.mark.parametrize("outside, expected", [
@@ -176,10 +179,9 @@ def test_pivot_never_enters_a_member_with_the_smallest_ratio(outside, expected):
     # (0, -1): leaving index 0 gives g = (0, 1), so the ridge member 1 has
     # <g, a_1> = 1 > eps_feas and ratio (1 - 0) / 1 = 1.
     points = np.array([[1.0, 0.0], [0.0, 1.0], outside])
-    facet = FacetIndexSet((0, 1), np.zeros(2), np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                          scales=np.ones(2))
+    facet = FacetIndexSet((0, 1), np.zeros(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert _reference_ratio_test(points, facet, 0, None) == expected
-    step = pivot(points, facet, 0)
+    step = pivot(PointSet(points), facet, 0)
     if expected is None:
         assert step is None
         return

@@ -14,7 +14,7 @@ from scipy.spatial import ConvexHull
 
 import shadowlp
 from shadowlp import phase1, sections, shadow_walk
-from shadowlp.geometry import DEFAULT_TOL, SingularSystem, make_facet
+from shadowlp.geometry import DEFAULT_TOL, PointSet, SingularSystem, make_facet
 from shadowlp.interpolate import NumericFailure
 from shadowlp.oracle import section_edge_count_bruteforce
 from shadowlp.randgen import derive_rng, gaussian, haar_rotation, smoothed_points, sub_seed
@@ -135,7 +135,8 @@ def test_margin_lp_gets_only_the_hull_vertices_in_the_plane(monkeypatch):
 def test_phase1_and_sweep_get_only_the_hull_vertices(monkeypatch, d):
     # The hull's simplices give the start facet: Phase I never runs, the
     # nearest facet along q(theta0) is the pierced one, so one factorization
-    # finds it, and the sweep sees the hull vertices alone.
+    # finds it, and the sweep sees the hull vertices alone, in the same
+    # point set as that factorization.
     units = _count_calls(monkeypatch, phase1, "solve_unit")
     starts = _count_calls(monkeypatch, sections, "make_facet")
     sweeps = _count_calls(monkeypatch, sections, "sweep_full")
@@ -146,8 +147,10 @@ def test_phase1_and_sweep_get_only_the_hull_vertices(monkeypatch, d):
     assert len(starts) == 1
     expected = points[np.sort(ConvexHull(points).vertices)] - report.interior_point
     assert len(sweeps) == 1
-    (rows, *_), _ = sweeps[0]
-    assert np.array_equal(rows, expected)
+    (ps, *_), _ = sweeps[0]
+    assert starts[0][0][0] is ps
+    assert np.array_equal(ps.points, expected)
+    assert ps.scales.tobytes() == np.abs(expected).max(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -159,9 +162,8 @@ def test_reported_facets_index_the_original_rows(d):
         assert list(facet.indices) == sorted(facet.indices)
         rows = points[list(facet.indices)] - report.interior_point
         assert np.allclose(rows @ facet.normal, 1.0, rtol=0.0, atol=DEFAULT_TOL.eps_feas)
-        # the relabelled facet keeps every field aligned with its indices
-        assert facet.scales.tobytes() == np.abs(rows).max(axis=1).tobytes()
-        fresh = make_facet(points - report.interior_point, facet.indices)
+        # the relabelled facet keeps its inverse aligned with its indices
+        fresh = make_facet(PointSet(points - report.interior_point), facet.indices)
         assert (np.abs(facet.inverse - fresh.inverse).max()
                 <= DEFAULT_TOL.eps_feas * np.abs(fresh.inverse).max())
 
@@ -268,9 +270,9 @@ def test_hull_path_matches_the_no_hull_path():
             empty += 1
             continue
         assert np.max(np.abs(x0 - ref)) <= 1e-9, i
-        shifted = points[keep] - x0
+        shifted = PointSet(points[keep] - x0)
         start = sections._hull_start_facet(hull, keep, shifted, x0, plane)
-        unit = phase1.solve_unit(shifted, plane.q(_THETA0), rng=i)
+        unit = phase1.solve_unit(shifted.points, plane.q(_THETA0), rng=i)
         assert unit.status == phase1.OPTIMAL, i
         if start == unit.facet:
             continue
@@ -295,7 +297,7 @@ def test_hull_start_facet_is_the_pierced_half_of_a_split_face():
     hull = ConvexHull(cube)
     keep = np.sort(hull.vertices)
     x0 = sections._hull_interior_point(hull, plane)
-    start = sections._hull_start_facet(hull, keep, cube[keep] - x0, x0, plane)
+    start = sections._hull_start_facet(hull, keep, PointSet(cube[keep] - x0), x0, plane)
     exit_angle(start, plane, _THETA0)  # raises unless pierced
 
 
@@ -397,7 +399,7 @@ def test_margin_lp_raises_when_a_pivot_fails(monkeypatch, step, error):
     # that finds no entering row reports an unbounded program.
     calls = []
 
-    def failing(points, facet, leaving, levels=None):
+    def failing(ps, facet, leaving):
         calls.append(leaving)
         return (leaving, facet) if step == "stuck" else None
 

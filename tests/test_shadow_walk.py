@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from shadowlp import interpolate, oracle, phase1, randgen, shadow_walk
-from shadowlp.geometry import DEFAULT_TOL, SingularSystem, make_facet
+from shadowlp.geometry import DEFAULT_TOL, PointSet, SingularSystem, make_facet
 from shadowlp.interpolate import GeneralLP, lift
 from shadowlp.shadow_walk import (
     OPTIMAL_FACET,
@@ -77,8 +78,7 @@ def test_sweep_plane_through_collinear_raises():
 
 
 def test_exit_angle_quarter_turn_on_basis_facet():
-    points = np.eye(2)
-    facet = make_facet(points, (0, 1))
+    facet = make_facet(PointSet(np.eye(2)), (0, 1))
     theta_exit, leaving = exit_angle(facet, SweepPlane.axis(2), 0.0)
     assert theta_exit == pytest.approx(math.pi / 2)
     assert leaving == 0
@@ -121,7 +121,7 @@ def test_exit_angle_matches_theta_grid_scan(triangle):
 
 
 def test_exit_angle_rejects_unpierced_facet(triangle):
-    facet = make_facet(triangle, (0, 2))
+    facet = make_facet(PointSet(triangle), (0, 2))
     # q(pi/2) = (0,1) is pierced by {1,2}, not {0,2}.
     with pytest.raises(WalkStateError):
         exit_angle(facet, SweepPlane.axis(2), math.pi / 2)
@@ -129,13 +129,13 @@ def test_exit_angle_rejects_unpierced_facet(triangle):
 
 def test_exit_angle_rotation_equivariance(triangle):
     theta = 0.1
-    facet = make_facet(triangle, (0, 2))
+    facet = make_facet(PointSet(triangle), (0, 2))
     base = exit_angle(facet, SweepPlane.axis(2), theta)
     rotation = randgen.haar_rotation(2, randgen.derive_rng(203))
     rotated_points = triangle @ rotation.T
     plane = SweepPlane(rotation @ np.array([1.0, 0.0]),
                        rotation @ np.array([0.0, 1.0]))
-    rotated_facet = make_facet(rotated_points, (0, 2))
+    rotated_facet = make_facet(PointSet(rotated_points), (0, 2))
     got = exit_angle(rotated_facet, plane, theta)
     assert got[0] == pytest.approx(base[0])
     assert got[1] == base[1]
@@ -146,23 +146,21 @@ def test_exit_angle_rotation_equivariance(triangle):
 
 
 def test_pivot_example_enters_other_axis(triangle):
-    facet = make_facet(triangle, (0, 2))
-    entering, new_facet = pivot(triangle, facet, 0)
+    ps = PointSet(triangle)
+    entering, new_facet = pivot(ps, make_facet(ps, (0, 2)), 0)
     assert entering == 1
     assert new_facet.indices == (1, 2)
 
 
 def test_pivot_single_facet_has_no_entering():
-    points = np.eye(2)
-    facet = make_facet(points, (0, 1))
-    assert pivot(points, facet, 0) is None
+    ps = PointSet(np.eye(2))
+    assert pivot(ps, make_facet(ps, (0, 1)), 0) is None
 
 
 def test_pivot_tie_between_duplicate_rows_enters_smaller_index():
     # rows 1 and 3 are the same point, so their ratios tie exactly
-    points = np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.9], [0.0, 1.0]])
-    facet = make_facet(points, (0, 2))
-    entering, new_facet = pivot(points, facet, 0)
+    ps = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.9], [0.0, 1.0]]))
+    entering, new_facet = pivot(ps, make_facet(ps, (0, 2)), 0)
     assert entering == 1
     assert new_facet.indices == (1, 2)
 
@@ -176,11 +174,12 @@ def test_pivot_tie_with_vertex_at_infinity_enters_infinity():
     lp = GeneralLP(A=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
                    b=np.array([0.5, 0.5, 0.75]), z=np.array([1.0, 1.0]))
     lifted = lift(lp)
-    facet = make_facet(lifted.points, (1, 2, lifted.top_index), lifted.levels)
-    entering, new_facet = pivot(lifted.points, facet, lifted.top_index, lifted.levels)
+    ps = lifted.point_set
+    facet = make_facet(ps, (1, 2, lifted.top_index))
+    entering, new_facet = pivot(ps, facet, lifted.top_index)
     assert entering == 0
     assert new_facet.indices == (0, 1, 2)
-    assert float(lifted.points[3] @ new_facet.normal) == 1.0  # row 3 tied
+    assert float(ps.points[3] @ new_facet.normal) == 1.0  # row 3 tied
 
 
 def test_pivot_shares_d_minus_one_indices_randomized():
@@ -192,7 +191,7 @@ def test_pivot_shares_d_minus_one_indices_randomized():
         facets = oracle.enumerate_facets(points)
         for facet in facets:
             for leaving in facet.indices:
-                out = pivot(points, facet, leaving)
+                out = pivot(PointSet(points), facet, leaving)
                 if out is None:
                     continue
                 _, new_facet = out
@@ -207,9 +206,8 @@ def test_pivot_shares_d_minus_one_indices_randomized():
 
 
 def test_walk_target_inside_start_interval_means_zero_pivots():
-    points = np.eye(2)
-    facet = make_facet(points, (0, 1))
-    outcome = walk(points, SweepPlane.axis(2), facet, 0.2, 0.3)
+    ps = PointSet(np.eye(2))
+    outcome = walk(ps, SweepPlane.axis(2), make_facet(ps, (0, 1)), 0.2, 0.3)
     assert outcome.status == OPTIMAL_FACET
     assert outcome.pivots == 0
     assert outcome.facet.indices == (0, 1)
@@ -217,10 +215,10 @@ def test_walk_target_inside_start_interval_means_zero_pivots():
 
 def test_walk_triangle_one_pivot(triangle):
     plane = SweepPlane.through(np.array([1.0, 0.1]), np.array([0.1, 1.0]))
-    start = make_facet(triangle, (0, 2))
+    ps = PointSet(triangle)
     theta0 = plane.theta_of(np.array([1.0, 0.1]))
     theta1 = plane.theta_of(np.array([0.1, 1.0]))
-    outcome = walk(triangle, plane, start, theta0, theta1, validate=True)
+    outcome = walk(ps, plane, make_facet(ps, (0, 2)), theta0, theta1, validate=True)
     assert outcome.status == OPTIMAL_FACET
     assert outcome.pivots == 1
     assert [e.facet.indices for e in outcome.trace] == [(0, 2), (1, 2)]
@@ -229,17 +227,16 @@ def test_walk_triangle_one_pivot(triangle):
 
 def test_walk_detects_unbounded_direction(triangle):
     # Rotating toward -e1 leaves cone{(1,0),(0,1),(0.9,0.9)}.
-    plane = SweepPlane.axis(2)
-    start = make_facet(triangle, (0, 2))
-    outcome = walk(triangle, plane, start, 0.0, math.pi, validate=True)
+    ps = PointSet(triangle)
+    outcome = walk(ps, SweepPlane.axis(2), make_facet(ps, (0, 2)), 0.0, math.pi, validate=True)
     assert outcome.status == UNBOUNDED
     assert oracle.facet_of(triangle, np.array([-1.0, 0.0])) is None
 
 
 def test_walk_trace_is_monotone_and_local(triangle):
-    plane = SweepPlane.axis(2)
-    start = make_facet(triangle, (0, 2))
-    outcome = walk(triangle, plane, start, 0.0, math.pi / 2, validate=True)
+    ps = PointSet(triangle)
+    outcome = walk(ps, SweepPlane.axis(2), make_facet(ps, (0, 2)), 0.0, math.pi / 2,
+                   validate=True)
     ends = [e.theta_start for e in outcome.trace]
     assert all(b > a for a, b in zip(ends, ends[1:]))
     for prev, cur in zip(outcome.trace, outcome.trace[1:]):
@@ -265,7 +262,7 @@ def test_walk_terminal_facet_matches_oracle_on_random_instances():
         if start is None:
             continue
         plane = SweepPlane.through(z0, z1)
-        outcome = walk(points, plane, start, plane.theta_of(z0),
+        outcome = walk(PointSet(points), plane, start, plane.theta_of(z0),
                        plane.theta_of(z1), validate=True)
         if want is None:
             assert outcome.status == UNBOUNDED
@@ -285,10 +282,10 @@ def test_walk_refactors_every_d_th_pivot(solve_linear_calls):
     # Pivots update B^-1; every d-th one (here every second) factors the
     # basis afresh, and no pivot of this well-conditioned polygon needs a
     # guarded refactor.
-    points = _dodecagon()
-    start = make_facet(points, (0, 1))
+    ps = PointSet(_dodecagon())
+    start = make_facet(ps, (0, 1))
     solve_linear_calls.clear()
-    outcome = walk(points, SweepPlane.axis(2), start, 0.1, 6.0)
+    outcome = walk(ps, SweepPlane.axis(2), start, 0.1, 6.0)
     assert outcome.pivots == 11
     assert len(solve_linear_calls) == outcome.pivots // 2
     assert [e.facet.updates for e in outcome.trace] == [0, 1] * 6
@@ -302,18 +299,18 @@ def test_walk_raises_cycle_suspected_when_a_pivot_returns_to_its_facet(monkeypat
     real_pivot = shadow_walk.pivot
     left = []
 
-    def bad_pivot(points, facet, leaving, levels=None):
+    def bad_pivot(ps, facet, leaving):
         left.append(facet.indices)
         if len(left) > 50:
             raise RuntimeError("sabotage budget exhausted")
         if len(left) <= honest:
-            return real_pivot(points, facet, leaving, levels)
+            return real_pivot(ps, facet, leaving)
         return leaving, facet
 
     monkeypatch.setattr(shadow_walk, "pivot", bad_pivot)
-    points = _dodecagon()
+    ps = PointSet(_dodecagon())
     with pytest.raises(CycleSuspected) as info:
-        walk(points, SweepPlane.axis(2), make_facet(points, (0, 1)), 0.1, 6.0)
+        walk(ps, SweepPlane.axis(2), make_facet(ps, (0, 1)), 0.1, 6.0)
     # The start facet may be re-entered once, any other facet not at all.
     assert len(left) == max(honest, 1) + 1
     assert f"facet {left[-1]} entered again" in str(info.value)
@@ -332,20 +329,20 @@ def _near_singular_pivot_points():
 
 
 def test_pivot_raises_singular_system_on_near_ridge_entering_point():
-    points = _near_singular_pivot_points()
-    facet = make_facet(points, (0, 1))
-    assert float(points[2] @ -facet.inverse[:, 0]) > DEFAULT_TOL.eps_feas
+    ps = PointSet(_near_singular_pivot_points())
+    facet = make_facet(ps, (0, 1))
+    assert float(ps.points[2] @ -facet.inverse[:, 0]) > DEFAULT_TOL.eps_feas
     with pytest.raises(SingularSystem):
-        make_facet(points, (1, 2))
+        make_facet(ps, (1, 2))
     with pytest.raises(SingularSystem):
-        pivot(points, facet, 0)
+        pivot(ps, facet, 0)
 
 
 def test_walk_raises_singular_system_on_near_ridge_entering_point():
     # The first exit is at pi/2, where the coefficient of e1 crosses zero.
-    points = _near_singular_pivot_points()
+    ps = PointSet(_near_singular_pivot_points())
     with pytest.raises(SingularSystem):
-        walk(points, SweepPlane.axis(2), make_facet(points, (0, 1)), 0.1, 3.0)
+        walk(ps, SweepPlane.axis(2), make_facet(ps, (0, 1)), 0.1, 3.0)
 
 
 def test_update_guard_refuses_every_basis_make_facet_refuses():
@@ -363,34 +360,34 @@ def test_update_guard_refuses_every_basis_make_facet_refuses():
         entering = rng.standard_normal(d - 1) @ np.delete(basis, j, axis=0)
         entering = entering / np.max(np.abs(entering)) \
             + 10.0 ** rng.uniform(-14, -6) * rng.standard_normal(d)
-        points = np.vstack([basis, entering * 10.0 ** rng.uniform(-6, 6)])
+        ps = PointSet(np.vstack([basis, entering * 10.0 ** rng.uniform(-6, 6)]))
         try:
-            facet = make_facet(points, range(d))
+            facet = make_facet(ps, range(d))
         except SingularSystem:
             continue
         new_indices = tuple(i for i in range(d + 1) if i != j)
         try:
-            make_facet(points, new_indices)
+            make_facet(ps, new_indices)
         except SingularSystem:
             refused += 1
-            assert shadow_walk._updated_facet(points, facet, j, d, 0.0, new_indices) is None
+            assert shadow_walk._updated_facet(ps, facet, j, d, 0.0, new_indices) is None
     assert refused >= 300
 
 
-def _assert_matches_fresh_factorization(points, facet, levels):
-    fresh = make_facet(points, facet.indices, levels)
+def _assert_matches_fresh_factorization(ps, facet):
+    fresh = make_facet(ps, facet.indices)
     for got, want in ((facet.normal, fresh.normal), (facet.inverse, fresh.inverse)):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def _recorded_walks(monkeypatch):
-    """Record (points, levels, outcome) of every walk solve_lp makes, Phase
-    I's and the lifted one's."""
+    """Record (point set, outcome) of every walk solve_lp makes, Phase I's
+    and the lifted one's."""
     walks = []
 
-    def recorded(points, *args, **kwargs):
-        outcome = walk(points, *args, **kwargs)
-        walks.append((points, kwargs.get("levels"), outcome))
+    def recorded(ps, *args, **kwargs):
+        outcome = walk(ps, *args, **kwargs)
+        walks.append((ps, outcome))
         return outcome
 
     monkeypatch.setattr(phase1, "walk", recorded)
@@ -404,14 +401,14 @@ def test_updated_facets_match_a_fresh_factorization(n, d, feasible_lp, monkeypat
     for seed in range(3):
         interpolate.solve_lp(feasible_lp(n, d, 300 + seed), rng=seed)
     updated = from_infinite = 0
-    for points, levels, outcome in walks:
+    for ps, outcome in walks:
         for prev, entry in zip([None] + outcome.trace, outcome.trace):
-            _assert_matches_fresh_factorization(points, entry.facet, levels)
+            _assert_matches_fresh_factorization(ps, entry.facet)
             updated += entry.facet.updates > 0
             # the lifted walk's first pivot updates a basis holding the
             # vertex at infinity, row 0
             from_infinite += (entry.facet.updates > 0 and prev is not None
-                              and levels is not None and prev.facet.indices[0] == 0)
+                              and ps.levels is not None and prev.facet.indices[0] == 0)
     assert updated >= 10 and from_infinite == 3
 
 
@@ -424,14 +421,15 @@ def test_pivots_from_every_facet_of_lifted_polytopes_match_a_fresh_factorization
         n, d = int(rng.integers(4, 8)), int(rng.integers(2, 4))
         lifted = lift(GeneralLP(A=rng.standard_normal((n, d)),
                                 b=rng.standard_normal(n), z=rng.standard_normal(d)))
-        for facet in oracle.enumerate_facets(lifted.points, lifted.levels):
+        ps = lifted.point_set
+        for facet in oracle.enumerate_facets(ps.points, ps.levels):
             for leaving in facet.indices:
-                step = pivot(lifted.points, facet, leaving, lifted.levels)
+                step = pivot(ps, facet, leaving)
                 if step is None:
                     continue
                 entering, new_facet = step
                 assert new_facet.updates == 1
-                _assert_matches_fresh_factorization(lifted.points, new_facet, lifted.levels)
+                _assert_matches_fresh_factorization(ps, new_facet)
                 entered += entering == 0
                 stayed += facet.indices[0] == 0 and leaving != 0
     assert entered >= 20 and stayed >= 20
@@ -444,9 +442,9 @@ def test_pivots_from_every_facet_of_lifted_polytopes_match_a_fresh_factorization
     lambda f: replace(f, normal=f.normal * (1.0 - 1e-6)),
 ], ids=["unpermuted-inverse", "shrunk-normal"])
 def test_validated_walk_detects_sabotaged_update(sabotage, monkeypatch):
-    points = _dodecagon()
-    start = make_facet(points, (0, 1))
-    assert walk(points, SweepPlane.axis(2), start, 0.1, 6.0, validate=True).pivots == 11
+    ps = PointSet(_dodecagon())
+    start = make_facet(ps, (0, 1))
+    assert walk(ps, SweepPlane.axis(2), start, 0.1, 6.0, validate=True).pivots == 11
     real = shadow_walk._updated_facet
 
     def sabotaged(*args):
@@ -455,28 +453,7 @@ def test_validated_walk_detects_sabotaged_update(sabotage, monkeypatch):
 
     monkeypatch.setattr(shadow_walk, "_updated_facet", sabotaged)
     with pytest.raises(WalkInvariantViolation, match="fresh factorization"):
-        walk(points, SweepPlane.axis(2), start, 0.1, 6.0, validate=True)
-
-
-@pytest.mark.parametrize("stale", [
-    # the current facet's scales, as an update that never shifts them leaves
-    lambda old, new: old.scales,
-    # one unit in the last place above the true row maxima
-    lambda old, new: np.nextafter(new.scales, np.inf),
-], ids=["unshifted", "one-ulp"])
-def test_validated_walk_detects_stale_row_scales(stale, monkeypatch):
-    points = _dodecagon()
-    start = make_facet(points, (0, 1))
-    real = shadow_walk._updated_facet
-
-    def sabotaged(points, facet, *args):
-        new = real(points, facet, *args)
-        return None if new is None else replace(new, scales=stale(facet, new))
-
-    monkeypatch.setattr(shadow_walk, "_updated_facet", sabotaged)
-    assert walk(points, SweepPlane.axis(2), start, 0.1, 6.0).pivots == 11
-    with pytest.raises(WalkInvariantViolation, match="row scales are stale"):
-        walk(points, SweepPlane.axis(2), start, 0.1, 6.0, validate=True)
+        walk(ps, SweepPlane.axis(2), start, 0.1, 6.0, validate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +461,8 @@ def test_validated_walk_detects_stale_row_scales(stale, monkeypatch):
 
 
 def test_sweep_square_finds_four_facets(square, axis_plane):
-    start = make_facet(square, (0, 1))
-    outcome = sweep_full(square, axis_plane(2), start, math.pi / 2, validate=True)
+    ps = PointSet(square)
+    outcome = sweep_full(ps, axis_plane(2), make_facet(ps, (0, 1)), math.pi / 2, validate=True)
     assert outcome.status == OPTIMAL_FACET
     distinct = outcome.distinct_facets()
     assert len(distinct) == 4
@@ -511,10 +488,33 @@ def test_sweep_distinct_facets_match_bruteforce_sections(axis_plane):
         brute = oracle.section_edge_count_bruteforce(points, plane)
         if brute == 0:
             continue
-        outcome = sweep_full(points, plane, start, 0.0, validate=True)
+        outcome = sweep_full(PointSet(points), plane, start, 0.0, validate=True)
         assert len(outcome.distinct_facets()) == brute
         done += 1
     assert done >= 15
+
+
+@pytest.mark.parametrize("on_vertex", [False, True], ids=["inside-facet", "on-vertex"])
+def test_levelled_sweep_matches_the_sweep_of_the_scaled_points(on_vertex, axis_plane):
+    """Rows at level 2 bound the same facets as the rows halved at level 1,
+    so the two validated sweeps visit the same index tuples.  Started on a
+    hull vertex, on the facet just past it, a sweep ends one facet short of
+    its start, and the closure check must pivot at the rows' levels."""
+    if on_vertex:
+        points = randgen.gaussian(randgen.derive_rng(211, 0), (30, 2))
+        v, w = ConvexHull(points).vertices[:2].tolist()  # counterclockwise
+        plane = SweepPlane.through(points[v], [-points[v][1], points[v][0]])
+        theta, start = 0.0, (v, w)
+    else:
+        points = randgen.gaussian(randgen.derive_rng(210), (40, 3))
+        plane, theta = axis_plane(3), 0.3
+        start = oracle.facet_of(points, plane.q(theta)).indices
+    traces = []
+    for ps in (PointSet(points, levels=np.full(len(points), 2.0)), PointSet(points / 2)):
+        outcome = sweep_full(ps, plane, make_facet(ps, start), theta, validate=True)
+        traces.append([e.facet.indices for e in outcome.trace])
+    assert traces[0] == traces[1]
+    assert (traces[0][-1] != traces[0][0]) == on_vertex
 
 
 def test_exit_angle_always_finite_for_facets_of_pointed_hulls():

@@ -68,9 +68,9 @@ def test_walks_stay_on_valid_facets_in_angular_order(seed, d, n, sigma, feasible
     lp = _program(seed, d, n, sigma, feasible)
     walks = []
 
-    def recorded(points, plane, start, theta_start, theta_target, **kwargs):
-        outcome = shadow_walk.walk(points, plane, start, theta_start, theta_target, **kwargs)
-        walks.append((points, kwargs.get("levels"), theta_start, outcome.trace))
+    def recorded(ps, plane, start, theta_start, theta_target, **kwargs):
+        outcome = shadow_walk.walk(ps, plane, start, theta_start, theta_target, **kwargs)
+        walks.append((ps, theta_start, outcome.trace))
         return outcome
 
     with pytest.MonkeyPatch.context() as mp:
@@ -78,8 +78,8 @@ def test_walks_stay_on_valid_facets_in_angular_order(seed, d, n, sigma, feasible
         mp.setattr(interpolate, "walk", recorded)
         solve_lp(lp, rng=seed)
     assert walks
-    for points, levels, theta_start, trace in walks:
-        assert all(all_below(points, e.facet.normal, levels) for e in trace)
+    for ps, theta_start, trace in walks:
+        assert all(all_below(ps, e.facet.normal) for e in trace)
         ends = [theta_start] + [e.theta_end for e in trace[:-1]]
         assert [e.theta_start for e in trace] == ends
         assert all(e.theta_end >= e.theta_start for e in trace)

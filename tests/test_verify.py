@@ -54,20 +54,20 @@ def test_oracle_equivalence_detects_sabotaged_pivot(monkeypatch):
     real_pivot = shadow_walk.pivot
     calls = {"count": 0}
 
-    def bad_pivot(points, facet, leaving, levels=None):
+    def bad_pivot(ps, facet, leaving):
         calls["count"] += 1
         if calls["count"] > 200:
             raise RuntimeError("sabotage budget exhausted")
-        out = real_pivot(points, facet, leaving, levels)
+        out = real_pivot(ps, facet, leaving)
         if out is None:
             return None
         entering, new_facet = out
-        others = [k for k in range(len(points))
+        others = [k for k in range(len(ps.points))
                   if k not in facet.indices and k != entering]
         for fake in others:
             kept = tuple(i for i in facet.indices if i != leaving) + (fake,)
             try:
-                return fake, make_facet(points, kept, levels)
+                return fake, make_facet(ps, kept)
             except Exception:
                 continue
         return out

@@ -16,7 +16,6 @@ from shadowlp.phase1 import simplex_vertices
 from shadowlp.randgen import (
     added_sigma,
     gaussian,
-    haar_rotation,
     norm_ceiling,
     simplex_radius,
     smoothed_points,
@@ -38,11 +37,14 @@ print("centroid:", vertices.mean(axis=0), " distances to anchor:",
 n = 40
 raw = gaussian(rng, (n, d))
 points = 0.8 * raw / np.linalg.norm(raw, axis=1, keepdims=True)
-m0 = norm_ceiling(float(np.max(np.linalg.norm(points, axis=1))))
-print(f"\nunit program with n={n} rows, max |a_i| = 0.8 -> grid bound m0 = {m0}")
+max_norm = float(np.max(np.linalg.norm(points, axis=1)))
+print(f"\nunit program with n={n} rows, max |a_i| = 0.8 -> grid bound"
+      f" m0 = {norm_ceiling(max_norm)}")
 print(f"added-block smoothing deviation: {added_sigma(d, n):.2e} (relative)")
 
-block = add_constraints(points, m0, haar_rotation(d, rng), rng)
+# One attempt draws its rotation and then its block from the stream, and
+# places the block at distance 2 * m0.
+block = add_constraints(points, max_norm, rng)
 print("attempt result:", "accepted" if block is not None else "rejected")
 if block is not None:
     print("start objective z0 =", block.start_objective,
@@ -81,8 +83,7 @@ for d in (3, 4):
         if unit.status != "optimal":
             continue
         h = unit.facet.normal
-        m = norm_ceiling(float(np.max(np.linalg.norm(pts, axis=1))))
-        blk = add_constraints(pts, m, haar_rotation(d, stream), stream)
+        blk = add_constraints(pts, float(np.max(np.linalg.norm(pts, axis=1))), stream)
         if blk is not None and float(np.max(blk.added_points @ h)) <= 1.0 + 1e-8:
             successes += 1
     print(f"  d={d}: {successes}/{trials} = {successes / trials:.2f}"

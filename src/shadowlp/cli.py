@@ -13,12 +13,13 @@ Instance files are JSON objects ``{"d": int, "n": int, "A": [[...]],
 "b": [...], "z": [...]}`` with row-major A.  Exit codes: 0 on a solved
 instance (optimal, unbounded or infeasible all count as solved) or a clean
 run, 1 on numeric failure or failed verification, 2 on parse or validation
-errors (diagnostics name the offending line or field).
+errors (diagnostics name the offending line or field) or unwritable output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -46,6 +47,13 @@ def _load_json(path, what):
     except json.JSONDecodeError as exc:
         raise CLIError(f"parse error in {what} {path!r}: {exc.msg} "
                        f"(line {exc.lineno}, column {exc.colno})")
+
+
+def _open_out(path):
+    try:
+        return open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext()
+    except OSError as exc:
+        raise CLIError(f"cannot write output {path!r}: {exc.strerror}")
 
 
 def _load_instance(path):
@@ -122,12 +130,10 @@ def _build_config(args):
 
 def _run_experiment(args, runner):
     config = _build_config(args)
-    header, rows = runner(config)
+    with _open_out(config.out) as out:
+        (out or sys.stdout).write(experiments.csv_text(*runner(config)))
     if config.out:
-        experiments.write_csv(config.out, header, rows)
         print(f"wrote {config.out}")
-    else:
-        sys.stdout.write(experiments.csv_text(header, rows))
     return 0
 
 
@@ -157,12 +163,11 @@ def _parse_suites(text):
 def cmd_verify(args):
     criteria = _parse_suites(args.suites)
     seed = args.seed if args.seed is not None else verify.VERIFY_SEED
-    results = verify.run_all(seed=seed, echo=print, criteria=criteria)
-    report = verify.summary(results)
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+    with _open_out(args.out) as out:
+        report = verify.summary(verify.run_all(seed=seed, echo=print, criteria=criteria))
+        text = json.dumps(report, indent=2)
+        if out:
+            out.write(text + "\n")
     print(text)
     return 0 if report["passed"] else 1
 

@@ -336,12 +336,6 @@ def csv_text(header, rows, include_timing=True):
     return buf.getvalue()
 
 
-def write_csv(path, header, rows):
-    text = csv_text(header, rows)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-
-
 def rows_as_dicts(header, rows, kind=None):
     """Rows as {column: string} dicts, optionally filtered by kind."""
     out = [dict(zip(header, row)) for row in rows]

@@ -165,6 +165,18 @@ def max_row_norm(points):
     return math.sqrt((points * points).sum(axis=1).max())
 
 
+def checked_objective(points, objective):
+    """The objective of a program over the (n, d) rows points, as a float
+    array; ValueError unless n > d >= 2 and it is finite, nonzero, of shape (d,)."""
+    n, d = points.shape
+    if not (n > d >= 2):
+        raise ValueError("need n > d >= 2")
+    z = np.asarray(objective, dtype=float)
+    if z.shape != (d,) or not np.isfinite(z).all() or vector_norm(z) == 0.0:
+        raise ValueError("objective must be a finite nonzero vector of d entries")
+    return z
+
+
 def all_below(ps, normal):
     """True when every row of ps satisfies <h, a_i> <= c_i + eps_feas."""
     dots = ps.points @ normal

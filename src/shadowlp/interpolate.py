@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase1
-from .geometry import PointSet, SingularSystem, make_facet, vector_norm
+from .geometry import PointSet, SingularSystem, checked_objective, make_facet, vector_norm
 from .shadow_walk import OPTIMAL_FACET, SweepPlane, walk
 
 STATUS_OPTIMAL = "optimal"
@@ -45,17 +45,11 @@ class GeneralLP:
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        self.z = np.asarray(self.z, dtype=float)
-        n, d = self.A.shape
-        if not (n > d >= 2):
-            raise ValueError("need n > d >= 2")
-        if self.b.shape != (n,) or self.z.shape != (d,):
-            raise ValueError("b must have n entries and z must have d entries")
-        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()
-                and np.isfinite(self.z).all()):
+        self.z = checked_objective(self.A, self.z)
+        if self.b.shape != (self.n,):
+            raise ValueError("b must have n entries")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
             raise ValueError("instance data must be finite")
-        if vector_norm(self.z) == 0.0:
-            raise ValueError("objective must be nonzero")
 
     @property
     def n(self):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import randgen
-from .geometry import (DEFAULT_TOL, FacetIndexSet, PointSet, SingularSystem, make_facet,
-                       max_row_norm, vector_norm)
+from .geometry import (DEFAULT_TOL, FacetIndexSet, PointSet, SingularSystem,
+                       checked_objective, make_facet, max_row_norm, vector_norm)
 from .shadow_walk import UNBOUNDED, SweepPlane, walk
 
 OPTIMAL = "optimal"
@@ -35,14 +35,18 @@ class GaveUp(Exception):
 
 @dataclass
 class AddedBlock:
-    """One attempt's added constraints: d smoothed vertices of a dilated
-    regular simplex, its facet over indices 0..d-1 of the added points, its
-    known piercing direction z0, and the unsmoothed centers for diagnostics."""
+    """One attempt: its walk's PointSet, the program's n rows and then d
+    smoothed vertices of a dilated regular simplex (added_points, a view),
+    the start facet over those d rows, its piercing direction z0 and the centers."""
 
-    added_points: np.ndarray
+    point_set: PointSet
     facet: FacetIndexSet
     start_objective: np.ndarray
     centers: np.ndarray
+
+    @property
+    def added_points(self):
+        return self.point_set.points[self.facet.indices[0]:]
 
 
 @dataclass
@@ -82,38 +86,40 @@ def simplex_vertices(d, radius):
     return anchor, vertices
 
 
-def add_constraints(points, norm_bound, rotation, rng, max_norm=None):
-    """One attempt at the added block.
+def add_constraints(points, max_norm, rng):
+    """One attempt at the added block, drawn from the stream rng.
 
-    The unit simplex around e_d is rotated by the given orthogonal matrix,
-    dilated by 2*norm_bound, and its vertices are smoothed with deviation
-    2*norm_bound*added_sigma(d, n).  Returns None
+    The unit simplex around e_d is turned by a Haar rotation, dilated by
+    2*norm_ceiling(max_norm), max_norm = max_i |a_i|, and its vertices are
+    smoothed with deviation the dilation times added_sigma(d, n).  The rows
+    and then the block fill one fresh column-major (n + d, d) PointSet,
+    whose rows n..n+d-1 are the start facet.  Returns None
     (Failure) when either postcondition check fails:
       cone check — z0 must lie in the cone of the added points,
       distance check — dist(0, aff(added points)) = 1/|h| must be at least
-          max_i |a_i|.
+          max_norm.
     Both checks always run; their failure probability is tiny but the walk's
-    correctness depends on them.  max_norm is max_i |a_i|, computed from the
-    points when not given (solve_unit passes it to every attempt)."""
-    points = np.asarray(points, dtype=float)
+    correctness depends on them."""
     n, d = points.shape
-    if max_norm is None:
-        max_norm = max_row_norm(points)
+    rotation = randgen.haar_rotation(d, rng)
+    dilation = 2.0 * randgen.norm_ceiling(max_norm)
     anchor, vertices = simplex_vertices(d, randgen.simplex_radius(d))
-    z0 = 2.0 * norm_bound * (rotation @ anchor)
-    centers = 2.0 * norm_bound * (vertices @ rotation.T)
-    sigma = 2.0 * norm_bound * randgen.added_sigma(d, n)
-    added = randgen.gaussian(rng, (d, d), center=centers, sigma=sigma)
+    z0 = dilation * (rotation @ anchor)
+    centers = dilation * (vertices @ rotation.T)
+    sigma = dilation * randgen.added_sigma(d, n)
+    full = np.empty((n + d, d), order="F")
+    full[:n] = points
+    full[n:] = randgen.gaussian(rng, (d, d), center=centers, sigma=sigma)
+    point_set = PointSet(full)
     try:
-        facet = make_facet(PointSet(added), range(d))
+        facet = make_facet(point_set, range(n, n + d))
     except SingularSystem:
         return None
     if float((z0 @ facet.inverse).min()) < -DEFAULT_TOL.eps_feas:
         return None  # cone check failed: z0 escaped the cone of the added block
     if 1.0 / vector_norm(facet.normal) < max_norm:
         return None  # distance check failed: block not far enough out
-    return AddedBlock(added_points=added, facet=facet, start_objective=z0,
-                      centers=centers)
+    return AddedBlock(point_set, facet, z0, centers)
 
 
 def solve_unit(points, objective, rng=None, validate=False):
@@ -123,37 +129,28 @@ def solve_unit(points, objective, rng=None, validate=False):
     indices, or status "unbounded" when z leaves the cone of the a_i.
     pivots_total sums the pivots of every walk including failed attempts;
     iterations counts attempts.  rng is an int seed or None; attempt k
-    draws from derive_rng(rng, k).  Raises GaveUp after MAX_RETRIES
-    attempts without a clean terminal facet.
+    walks the PointSet add_constraints builds from derive_rng(rng, k).
+    Raises ValueError before any attempt unless checked_objective passes,
+    and GaveUp after MAX_RETRIES attempts without a clean terminal facet.
 
-    The walks run over column-major arrays, on which the ratio test's two
-    matrix-vector products run along columns: one copy of the rows per
-    call, and one fresh PointSet per attempt, the rows followed by its block."""
+    The rows are copied once per call into column-major order, the layout
+    of the attempts' arrays, in which the ratio test's products run along
+    columns."""
     points = np.asarray(points, dtype=float, order="F")
-    n, d = points.shape
-    if not (n > d >= 2):
-        raise ValueError("need n > d >= 2")
-    z = np.asarray(objective, dtype=float)
+    n = points.shape[0]
+    z = checked_objective(points, objective)
     max_norm = max_row_norm(points)
-    norm_bound = randgen.norm_ceiling(max_norm)
     pivots_total = 0
     for attempt in range(MAX_RETRIES):
-        stream = randgen.derive_rng(rng, attempt)
-        rotation = randgen.haar_rotation(d, stream)
-        block = add_constraints(points, norm_bound, rotation, stream, max_norm=max_norm)
+        block = add_constraints(points, max_norm, randgen.derive_rng(rng, attempt))
         if block is None:
             continue
-        full = np.empty((n + d, d), order="F")
-        full[:n] = points
-        full[n:] = block.added_points
-        # Row n + j of full is row j of the added block: same basis, new labels.
-        start = block.facet
-        start.indices = tuple(range(n, n + d))
         try:
             plane = SweepPlane.through(block.start_objective, z)
         except ValueError:
             continue  # z0 collinear with z: redraw rather than pick a plane
-        outcome = walk(PointSet(full), plane, start, 0.0, plane.theta_of(z), validate=validate)
+        outcome = walk(block.point_set, plane, block.facet, 0.0, plane.theta_of(z),
+                       validate=validate)
         pivots_total += outcome.pivots
         if outcome.status == UNBOUNDED:
             return UnitResult(UNIT_UNBOUNDED, None, pivots_total, attempt + 1)
@@ -161,4 +158,3 @@ def solve_unit(points, objective, rng=None, validate=False):
         if all(i < n for i in terminal.indices):
             return UnitResult(OPTIMAL, terminal, pivots_total, attempt + 1)
     raise GaveUp(f"no clean solution in {MAX_RETRIES} attempts")
-

@@ -158,10 +158,7 @@ def suite_phase1_statistics(seed=VERIFY_SEED):
         iter_sum += result.iterations
         # Normal of aff(Facet(z)): the halfspace below it is numb.
         witness = result.facet.normal
-        attempt = randgen.derive_rng(seed, 2, i, 2)
-        rotation = randgen.haar_rotation(d, attempt)
-        norm_bound = randgen.norm_ceiling(max_row_norm(points))
-        block = add_constraints(points, norm_bound, rotation, attempt)
+        block = add_constraints(points, max_row_norm(points), randgen.derive_rng(seed, 2, i, 2))
         ok = (block is not None
               and float(np.max(block.added_points @ witness)) <= 1.0 + band)
         successes += ok

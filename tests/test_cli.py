@@ -180,6 +180,26 @@ def test_experiment_out_writes_file(tmp_path, capsys):
     assert len(rows) == 1 + 5
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("target, reason", [("missing", "No such file or directory"),
+                                            ("directory", "Is a directory")],
+                         ids=["missing-parent", "directory"])
+def test_experiment_unwritable_out_exits_two_before_running(tmp_path, capsys, monkeypatch,
+                                                            where, target, reason):
+    out = str(tmp_path / "missing" / "grid.csv") if target == "missing" else str(tmp_path)
+    config = dict(PIVOT_CONFIG, out=out) if where == "config" else PIVOT_CONFIG
+    argv = ["experiment-pivots", "--config", _write(tmp_path, "config.json", config)]
+    if where == "flag":
+        argv += ["--out", out]
+    monkeypatch.setattr(cli.experiments, "run_pivot_experiment",
+                        lambda config: pytest.fail("ran"))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write output {out!r}: {reason}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_experiment_threads_override_keeps_bytes(tmp_path, capsys):
     path = _write(tmp_path, "config.json", PIVOT_CONFIG)
     assert cli.main(["experiment-pivots", "--config", path]) == 0
@@ -270,6 +290,16 @@ def test_verify_rejects_a_seed_outside_64_bits_before_running(monkeypatch, capsy
     assert cli.main(["verify", "--suites", "6", "--seed", str(seed)]) == 2
     captured = capsys.readouterr()
     assert f"--seed: need an integer in [0, 2**64), got {seed}" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_unwritable_out_exits_two_before_running(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.verify, "run_all", lambda **kwargs: pytest.fail("ran"))
+    out = str(tmp_path / "missing" / "summary.json")
+    assert cli.main(["verify", "--suites", "6", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write output {out!r}: No such file or directory" in captured.err
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

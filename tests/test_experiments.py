@@ -17,7 +17,6 @@ from shadowlp.experiments import (
     run_pivot_experiment,
     run_section_experiment,
     strip_timing,
-    write_csv,
 )
 
 from helpers import read_csv
@@ -181,7 +180,8 @@ def test_error_rows_recorded_without_aborting(monkeypatch):
 def test_csv_roundtrip_and_strip_timing(tmp_path):
     header, rows = run_pivot_experiment(_small_config(trials=2, n=[6], sigma=[0.3]))
     path = tmp_path / "out.csv"
-    write_csv(path, header, rows)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(csv_text(header, rows))
     back_header, back_rows = read_csv(path)
     assert back_header == header
     assert back_rows == rows

@@ -8,7 +8,7 @@ import pytest
 from shadowlp import oracle, phase1, randgen
 from shadowlp.geometry import PointSet, make_facet
 from shadowlp.phase1 import GaveUp, add_constraints, simplex_vertices, solve_unit
-from shadowlp.randgen import derive_rng, gaussian, haar_rotation, norm_ceiling, sub_seed
+from shadowlp.randgen import derive_rng, gaussian, norm_ceiling, sub_seed
 
 from helpers import cone_coefficients, recorded_walks
 
@@ -66,14 +66,17 @@ def _unit_points(n, d, rng, scale=0.9):
     return scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
+def _max_norm(points):
+    return float(np.max(np.linalg.norm(points, axis=1)))
+
+
 def test_add_constraints_unsmoothed_block_geometry(monkeypatch):
     rng = derive_rng(401)
     points = _unit_points(30, 3, rng)
-    m0 = norm_ceiling(float(np.max(np.linalg.norm(points, axis=1))))
+    m0 = norm_ceiling(_max_norm(points))
     assert m0 == pytest.approx(1.0)
-    rotation = haar_rotation(3, rng)
     monkeypatch.setattr(randgen, "added_sigma", lambda d, n: 0.0)
-    block = add_constraints(points, m0, rotation, rng)
+    block = add_constraints(points, _max_norm(points), rng)
     assert block is not None
     assert np.array_equal(block.added_points, block.centers)
     # start objective on the 2*m0 sphere, centers at 2*m0*sqrt(1+r^2)
@@ -94,13 +97,12 @@ def test_add_constraints_factors_once_and_solve_unit_every_d_th_pivot(
         solve_linear_calls, monkeypatch):
     rng = derive_rng(401)
     points = _unit_points(30, 3, rng)
-    m0 = norm_ceiling(float(np.max(np.linalg.norm(points, axis=1))))
-    block = add_constraints(points, m0, haar_rotation(3, rng), rng)
+    block = add_constraints(points, _max_norm(points), rng)
     assert block is not None
     assert len(solve_linear_calls) == 1
     # One factorization per attempt's block, and one every d-th pivot of each
-    # attempt's walk: the start facet is the block's facet relabelled, the
-    # other pivots update B^-1, and none of them needs a guarded refactor.
+    # attempt's walk: the start facet is the block's facet, the other pivots
+    # update B^-1, and none of them needs a guarded refactor.
     walk_pivots = []
     real_walk = phase1.walk
 
@@ -122,11 +124,10 @@ def test_add_constraints_factors_once_and_solve_unit_every_d_th_pivot(
 def test_add_constraints_rejects_block_that_is_too_close(monkeypatch):
     rng = derive_rng(402)
     points = _unit_points(20, 3, rng)
-    max_norm = float(np.max(np.linalg.norm(points, axis=1)))
-    rotation = haar_rotation(3, rng)
     # dilation 2*(max_norm/4) < max_norm violates the distance check
+    monkeypatch.setattr(randgen, "norm_ceiling", lambda max_norm: max_norm / 4.0)
     monkeypatch.setattr(randgen, "added_sigma", lambda d, n: 0.0)
-    block = add_constraints(points, max_norm / 4.0, rotation, rng)
+    block = add_constraints(points, _max_norm(points), rng)
     assert block is None
 
 
@@ -136,10 +137,28 @@ def test_add_constraints_fails_under_absurd_smoothing(monkeypatch):
     monkeypatch.setattr(randgen, "added_sigma", lambda d, n: 5.0)
     outcomes = set()
     for _ in range(200):
-        rotation = haar_rotation(3, rng)
-        block = add_constraints(points, 1.0, rotation, rng)
+        block = add_constraints(points, _max_norm(points), rng)
         outcomes.add(block is None)
     assert True in outcomes  # scattering that wide must break a check sometimes
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_add_constraints_starts_on_the_block_rows_of_its_own_point_set(d):
+    """The start facet is rows n..n+d-1 of the attempt's point set, fresh
+    from make_facet, and is bit for bit the facet of the block alone."""
+    n = 4 * d
+    points = _unit_points(n, d, derive_rng(416, d))
+    block = add_constraints(points, _max_norm(points), derive_rng(417, d))
+    assert block is not None
+    full = block.point_set.points
+    assert full.shape == (n + d, d) and full.flags.f_contiguous
+    assert np.array_equal(full[:n], points)
+    assert np.shares_memory(block.added_points, full)
+    assert block.facet.indices == tuple(range(n, n + d))
+    assert block.facet.updates == 0
+    alone = make_facet(PointSet(np.ascontiguousarray(block.added_points)), range(d))
+    assert block.facet.normal.tobytes() == alone.normal.tobytes()
+    assert block.facet.inverse.tobytes() == alone.inverse.tobytes()
 
 
 def test_add_constraints_check_failure_rate_is_tiny():
@@ -150,8 +169,7 @@ def test_add_constraints_check_failure_rate_is_tiny():
     failures = 0
     trials = 10000
     for _ in range(trials):
-        rotation = haar_rotation(4, rng)
-        if add_constraints(points, 1.0, rotation, rng) is None:
+        if add_constraints(points, _max_norm(points), rng) is None:
             failures += 1
     assert failures / trials <= 0.05
 
@@ -229,11 +247,9 @@ def test_each_attempt_walks_its_own_point_array(seed):
     points = randgen.smoothed_points(derive_rng(415, 0), n, d, 0.3)
     z = gaussian(derive_rng(415, 1), (d,))
     walks = recorded_walks(solve_unit, points, z, rng=seed)
-    norm_bound = norm_ceiling(float(np.max(np.linalg.norm(points, axis=1))))
     blocks = []
     for attempt in range(solve_unit(points, z, rng=seed).iterations):
-        stream = derive_rng(seed, attempt)
-        block = add_constraints(points, norm_bound, haar_rotation(d, stream), stream)
+        block = add_constraints(points, _max_norm(points), derive_rng(seed, attempt))
         if block is not None:
             blocks.append(block.added_points)
     assert len(walks) == len(blocks) >= 4
@@ -279,6 +295,15 @@ def test_solve_unit_gives_up_when_budget_exhausted(triangle, monkeypatch):
     monkeypatch.setattr(phase1, "MAX_RETRIES", 0)
     with pytest.raises(GaveUp):
         solve_unit(triangle, np.array([0.1, 1.0]), rng=410)
+
+
+@pytest.mark.parametrize("z", [[0.0, 0.0], [0.1, 1.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]],
+                         ids=["zero", "length-d+1", "nan", "inf"])
+def test_solve_unit_rejects_a_bad_objective_before_any_attempt(triangle, monkeypatch, z):
+    monkeypatch.setattr(phase1, "add_constraints",
+                        lambda *args: pytest.fail("an attempt ran"))
+    with pytest.raises(ValueError, match="finite nonzero vector of d entries"):
+        solve_unit(triangle, np.array(z), rng=414)
 
 
 def test_solve_unit_rejects_underdetermined_inputs():

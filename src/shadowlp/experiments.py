@@ -32,6 +32,22 @@ from it, so any single row can be replayed in isolation
 ``wall_time_s`` is the only timing column; it is excluded from the
 determinism contract and can be stripped with ``strip_timing`` or omitted
 when rendering (``csv_text(..., include_timing=False)``).
+
+Workers
+-------
+A grid with ``threads > 1`` maps its trials over a process pool that the
+module keeps between calls: one pool per process, forked at the first such
+grid, reused by every later grid of the same worker count and shut down
+and joined before a pool of another count forks.  If a worker has died
+since the last grid (a signal, the OOM killer), the broken pool is dropped
+and the grid runs once more on a fresh one; trials are pure functions of
+their seeds, so the rerun gives the same rows.  A process forked from one
+that holds the pool starts a pool of its own.  The workers end with the
+interpreter, joined by ``concurrent.futures``' exit hook; each also ends
+itself within a second of its parent, should the parent end without exit
+hooks (SIGTERM, ``os._exit``, SIGKILL).  They run the library as it was
+when they were forked: a module attribute patched later in the parent does
+not reach them.
 """
 
 from __future__ import annotations
@@ -39,8 +55,10 @@ from __future__ import annotations
 import csv
 import io
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,6 +269,57 @@ def _format(value):
     return repr(float(value))
 
 
+# The kept worker pool (see the module docstring): (owner pid, workers,
+# executor) or None.
+_POOL = None
+
+
+def _pool(workers):
+    """The kept pool with ``workers`` workers; a pool of another count is
+    shut down and joined before the new one forks.  A pool inherited
+    through a fork is forgotten: its workers and its manager thread belong
+    to the parent, and a grid submitted to it would wait forever."""
+    global _POOL
+    if _POOL is not None and _POOL[0] != os.getpid():
+        _POOL = None
+    if _POOL is not None and _POOL[1] != workers:
+        _drop_pool()
+    if _POOL is None:
+        _POOL = (os.getpid(), workers, ProcessPoolExecutor(
+            max_workers=workers, initializer=_end_with_parent, initargs=(os.getpid(),)))
+    return _POOL[2]
+
+
+def _end_with_parent(parent):
+    """Worker initializer: a daemon thread ends the worker once ``parent``
+    is gone.  An idle worker would never notice by itself, since it holds
+    the write end of its own call queue; a parent that ends without exit
+    hooks (SIGTERM, ``os._exit``, SIGKILL) would leave it waiting forever."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _drop_pool():
+    global _POOL
+    pool = _POOL[2]
+    _POOL = None
+    pool.shutdown()
+
+
+def _parallel_map(tasks, workers):
+    """_run_one over tasks on the kept pool, results in task order.  A pool
+    broken since the last grid is replaced and the grid run once more; a
+    second break raises."""
+    try:
+        return list(_pool(workers).map(_run_one, tasks, chunksize=8))
+    except BrokenProcessPool:
+        _drop_pool()
+    return list(_pool(workers).map(_run_one, tasks, chunksize=8))
+
+
 def _run_grid(config, kind, columns, validate):
     cells = config.cells()
     tasks = []
@@ -261,8 +330,7 @@ def _run_grid(config, kind, columns, validate):
             tasks.append((kind, seed, n, d, sigma, config.model, validate))
 
     if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(_run_one, tasks, chunksize=8))
+        results = _parallel_map(tasks, config.threads)
     else:
         results = [_run_one(task) for task in tasks]
 

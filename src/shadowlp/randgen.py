@@ -77,8 +77,19 @@ def sub_seed(seed, *key):
 
 
 def _open_uniform(rng, shape):
-    """Uniforms strictly inside (0, 1): (k + 0.5) / 2^53 over 53-bit k."""
-    return (rng.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) * (2.0 ** -53)
+    """Uniforms strictly inside (0, 1): (k + 0.5) / 2^53 over 53-bit k.
+
+    On PCG64, the generator of derive_rng and default_rng, k is each raw
+    64-bit word shifted right by 11, bit for bit
+    rng.integers(0, 2 ** 53, size=shape) without its wrapper, for the reason
+    sub_seed gives at 2^63: the rejection threshold (2^64 - 2^53) mod 2^53
+    is 0, and the high word of x * 2^53 is x >> 11.  Other bit generators
+    (MT19937's raw words are 32 bits wide) go through integers."""
+    if type(rng.bit_generator) is np.random.PCG64:
+        k = rng.bit_generator.random_raw(shape) >> 11
+    else:
+        k = rng.integers(0, 1 << 53, size=shape)
+    return (k.astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
 def gaussian(rng, shape, center=0.0, sigma=1.0):

@@ -1,8 +1,18 @@
 """Experiment harness: config validation, grid order, CSV shape, aggregates,
 per-row replay, error capture, and byte determinism."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import shadowlp
 
 from shadowlp import experiments
 from shadowlp.experiments import (
@@ -201,6 +211,143 @@ def test_grid_bytes_deterministic_and_thread_independent():
                                                   threads=2))
     texts = [csv_text(h, r, include_timing=False) for h, r in runs + [threaded]]
     assert texts[0] == texts[1] == texts[2]
+
+
+# ---------------------------------------------------------------------------
+# The kept worker pool
+
+
+def _serial_and_parallel(run, config, workers):
+    """Timing-free CSV texts of ``config`` on one worker and on ``workers``."""
+    return tuple(csv_text(*run(replace(config, threads=t)), include_timing=False)
+                 for t in (1, workers))
+
+
+def _kept_pool():
+    return experiments._POOL[2]
+
+
+def _worker_pids():
+    return set(_kept_pool()._processes)
+
+
+def _python(code, *options, **run):
+    """Run ``code`` in a fresh interpreter that imports this shadowlp."""
+    src = str(Path(shadowlp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = {"capture_output": True, "text": True, **run}
+    return subprocess.run([sys.executable, *options, "-c", code], env=env, timeout=60, **run)
+
+
+def _gone(pid):
+    """True once ``pid`` has ended: no such process, or a zombie that its
+    new parent has not reaped yet (read from /proc where there is one)."""
+    try:
+        os.kill(pid, 0)
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except ProcessLookupError:
+        return True
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def test_consecutive_grids_reuse_the_pool_and_keep_the_bytes():
+    config = _small_config(trials=4)
+    serial, first = _serial_and_parallel(run_pivot_experiment, config, 2)
+    pool, pids = _kept_pool(), _worker_pids()
+    _, second = _serial_and_parallel(run_pivot_experiment, config, 2)
+    assert _kept_pool() is pool and _worker_pids() == pids
+    assert len(pids) == 2
+    assert first == second == serial
+
+
+def test_section_grid_runs_on_the_pool_a_pivot_grid_left():
+    run_pivot_experiment(_small_config(trials=2, threads=2))
+    pool, pids = _kept_pool(), _worker_pids()
+    config = ExperimentConfig(n=[12, 24], d=[3, 5], sigma=[0.1], trials=4, seed=5)
+    serial, parallel = _serial_and_parallel(run_section_experiment, config, 2)
+    assert _kept_pool() is pool and _worker_pids() == pids
+    assert parallel == serial
+
+
+def test_grid_after_a_worker_was_killed_reruns_on_a_fresh_pool():
+    config = _small_config(trials=4)
+    serial, _ = _serial_and_parallel(run_pivot_experiment, config, 2)
+    pool = _kept_pool()
+    victim = pool.submit(os.getpid).result()
+    os.kill(victim, signal.SIGKILL)
+    _, after = _serial_and_parallel(run_pivot_experiment, config, 2)
+    assert after == serial
+    assert _kept_pool() is not pool and victim not in _worker_pids()
+
+
+def test_another_worker_count_replaces_the_pool():
+    config = _small_config(trials=4)
+    serial, two = _serial_and_parallel(run_pivot_experiment, config, 2)
+    old = _worker_pids()
+    experiments._pool(3)
+    assert all(_gone(pid) for pid in old)  # joined before the new pool forks
+    _, three = _serial_and_parallel(run_pivot_experiment, config, 3)
+    assert two == three == serial
+    assert len(_worker_pids()) == 3
+
+
+@pytest.mark.parametrize("entry", ["library", "cli"])
+def test_interpreter_with_a_parallel_grid_exits_and_ends_its_workers(entry, tmp_path):
+    config = tmp_path / "grid.json"
+    config.write_text('{"n": [8], "trials": 4, "seed": 3}')
+    grid = {"library": "e.run_pivot_experiment(e.ExperimentConfig(n=[8], trials=4, seed=3, threads=2))",
+            "cli": (f"cli.main(['experiment-pivots', '--config', {str(config)!r}, '--threads', '2',"
+                    f" '--out', {str(tmp_path / 'grid.csv')!r}])")}[entry]
+    code = ("from shadowlp import cli, experiments as e\n"
+            f"{grid}\n"
+            "print(*e._POOL[2]._processes)")
+    out = _python(code, "-X", "dev", "-W", "error")
+    assert out.returncode == 0, out.stderr
+    pids = [int(pid) for pid in out.stdout.splitlines()[-1].split()]
+    assert len(pids) == 2 and all(_gone(pid) for pid in pids)
+
+
+def test_workers_end_with_a_parent_that_skips_exit_hooks(tmp_path):
+    # os._exit runs no exit hook, so nothing joins the pool; the workers
+    # must see their parent go.  Their pids go to a file: a worker still
+    # holding an inherited stdout pipe would keep subprocess.run waiting.
+    pids_file = tmp_path / "pids"
+    code = ("import os\n"
+            "from shadowlp import experiments as e\n"
+            "e.run_pivot_experiment(e.ExperimentConfig(n=[8], trials=4, seed=3, threads=2))\n"
+            f"open({str(pids_file)!r}, 'w').write(' '.join(map(str, e._POOL[2]._processes)))\n"
+            "os._exit(0)")
+    out = _python(code, capture_output=False, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    assert out.returncode == 0
+    pids = [int(pid) for pid in pids_file.read_text().split()]
+    deadline = time.monotonic() + 10
+    while not all(_gone(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    alive = [pid for pid in pids if not _gone(pid)]
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)  # leave nothing running on failure
+    assert len(pids) == 2 and not alive
+
+
+def test_forked_child_runs_its_grid_on_a_pool_of_its_own():
+    # The child inherits the parent's pool object but none of its workers or
+    # threads; its grid must not be queued there.  The alarm ends a hung
+    # child; it exits through SystemExit so that its own pool is joined.
+    code = ("import os, signal\n"
+            "from shadowlp import experiments as e\n"
+            "config = e.ExperimentConfig(n=[8], trials=4, seed=3, threads=2)\n"
+            "before = e.csv_text(*e.run_pivot_experiment(config), include_timing=False)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    text = e.csv_text(*e.run_pivot_experiment(config), include_timing=False)\n"
+            "    raise SystemExit(0 if text == before else 1)\n"
+            "print(os.waitpid(pid, 0)[1])")
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"]  # the child's wait status: exit code 0
 
 
 def test_fit_log_slope_recovers_power_law():

@@ -99,6 +99,33 @@ def test_sub_seed_is_deterministic_and_63_bit():
         assert sub_seed(seed, *key) == int(derive_rng(seed, *key).integers(0, 2 ** 63)), (seed, key)
 
 
+def test_open_uniform_is_integers_2_53_bit_for_bit():
+    # The raw words shifted right by 11 are numpy's integers(0, 2 ** 53) on
+    # the same stream, and the next raw word agrees too, so the stream is
+    # left where integers leaves it: 3000 seeds over the library's shapes
+    # (a rotation, a Phase-I block, instance and section arrays).
+    shapes = [(2, 2), (3, 3), (10, 10), (40, 40), (16, 4), (4096, 4), (3000, 2), (400, 11)]
+    picker = np.random.default_rng(2053)
+    for seed in picker.integers(0, 2 ** 64, size=3000, dtype=np.uint64).tolist():
+        shape = shapes[seed % len(shapes)]
+        ours, numpys = derive_rng(seed, 1), derive_rng(seed, 1)
+        k = (numpys.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) * 2.0 ** -53
+        assert np.array_equal(randgen._open_uniform(ours, shape), k), (seed, shape)
+        assert ours.bit_generator.random_raw() == numpys.bit_generator.random_raw(), seed
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_open_uniform_on_other_bit_generators_is_integers_2_53(bit_generator):
+    # MT19937's raw words are 32 bits wide: shifting them would leave every
+    # uniform below 2^-32 and every Gaussian near -6.3.
+    for seed in range(50):
+        ours, numpys = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        k = numpys.integers(0, 1 << 53, size=(40, 3))
+        assert np.array_equal(randgen._open_uniform(ours, (40, 3)), (k + 0.5) * 2.0 ** -53)
+        assert ours.integers(0, 2 ** 64, dtype=np.uint64) == numpys.integers(0, 2 ** 64, dtype=np.uint64)
+    assert abs(float(np.mean(randgen.gaussian(np.random.Generator(bit_generator(1)), 4000)))) < 0.1
+
+
 def _two_step(seed, *key):
     """The construction derive_rng must reproduce: SeedSequence(seed) with
     its spawn key extended by the key."""

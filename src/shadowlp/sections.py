@@ -7,15 +7,19 @@ recenters there, finds the start facet facet(q(theta0)) pierced by the ray
 q(theta0), and sweeps the full circle; each distinct facet in the trace
 contributes exactly one edge.
 
-When d <= 4 one Qhull hull per section serves all three stages: x0 comes
-from the margin LP written over its facet equations, three columns that the
-walk's own pivots solve under Bland's rule (shadow_walk.climb), the start
-facet is the first of its facets along q(theta0) that the walk's pierce
-test accepts, and the sweep runs on its vertices, since Conv(points) =
-Conv(hull vertices).  Above d = 4 the same three-column LP runs over cuts
-(interior_point_in_slice): Kelley's cutting-plane method, with Phase I as
-the separation oracle that names a facet of the hull beyond each margin
-point, and Phase I finds the start facet.  A set that spans no
+When d <= 4 one Qhull hull of the candidate rows per section serves all
+three stages.  The candidate rows are those that may be hull vertices: at
+the d and n of _PREFILTER_MIN_ROWS (d = 2, thousands of rows), the rows
+outside two triangles of extreme rows (_candidate_rows); otherwise every
+row.  x0 comes from the margin LP written over the hull's facet
+equations, three columns that the walk's own pivots solve under Bland's
+rule (shadow_walk.climb), the start facet is the first of its facets along
+q(theta0) that the walk's pierce test accepts, and the sweep runs on its
+vertices, since Conv(points) = Conv(hull vertices).  Above d = 4 the same
+three-column LP runs over cuts (interior_point_in_slice): Kelley's
+cutting-plane method, with Phase I as the separation oracle that names a
+facet of the hull beyond each margin point, and Phase I finds the start
+facet.  A set that spans no
 full-dimensional hull (Qhull refuses it, or its centred rank is below d) is
 a degenerate section: recentred at a point of its slice, it lies in a
 linear subspace of dimension below d, so every basis of d rows is singular.
@@ -29,20 +33,34 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from . import phase1
-from .geometry import DEFAULT_TOL, FacetIndexSet, PointSet, SingularSystem, make_facet, vector_norm
+from .geometry import (DEFAULT_TOL, FacetIndexSet, PointSet, SingularSystem, make_facet,
+                       solve_linear, vector_norm)
 from .interpolate import NumericFailure
 from .shadow_walk import WalkStateError, climb, exit_angle, sweep_full
 
 # Largest d at which a section runs on one Qhull hull.  Whole sections, hull
 # path against cut path (interior_point_in_slice, then Phase I for the start
-# facet), medians of 5 clouds in ms, Gaussian/smoothed (sigma=0.1) points,
-# 2-vCPU host: d=4, n=1000: 7.8/13.5 vs 33/42; d=4, n=1e4: 15/33 vs 66/92;
-# d=5, n=100: 7.9/12.6 vs 40/26; d=5, n=1000: 26/80 vs 37/57; d=5, n=3000:
-# 33/211 vs 87/49; d=6, n=100: 24/40 vs 37/30; d=6, n=300: 59/272 vs 38/48.
-# On smoothed points, the model of the section experiments, the hull's facet
-# count grows fast with n, so from d=5 on the cut path wins there from
-# n=1000 up; d=5 stays off the hull path.
+# facet), medians of 5 clouds (each the median of 3 interleaved runs) in ms,
+# Gaussian/smoothed (sigma=0.1) points, 2-vCPU host: d=4, n=1000: 3.1/6.4 vs
+# 10.8/14.4; d=4, n=1e4: 8.0/24 vs 26/40; d=5, n=100: 3.6/9.0 vs 12.2/14.5;
+# d=5, n=1000: 16.5/51 vs 19.1/20.8; d=5, n=3000: 22/105 vs 24.5/25.2; d=6,
+# n=100: 11.9/27 vs 11.4/11.6; d=6, n=300: 46/139 vs 16.6/22.5.  Forcing the
+# prefilter (_PREFILTER_MIN_ROWS) moves these hull-path times by -6% to
+# +17%: from d = 4 on it drops too few rows to pay.  On smoothed points,
+# the model of the section experiments, the hull's facet count grows fast
+# with n, so from d=5 on the cut path wins there from n=1000 up; d=5 stays
+# off the hull path.
 _HULL_MAX_DIM = 4
+# Fewest rows, by d, from which section_edges hands Qhull only the rows
+# that may be hull vertices (_candidate_rows); at any other d it hands it
+# every row.  Whole sections, prefilter against none, medians over clouds of
+# the per-cloud time ratio, 9-15 interleaved repetitions, 2-vCPU host:
+# d=2, Gaussian: n=1000: 1.03, 1500: 1.03, 2000: 0.89, 2500: 0.78, 3000:
+# 0.81, 1e4: 0.48; smoothed (sigma=0.1): 2000: 1.03, 2500: 0.97, 3000: 0.98,
+# 1e4: 0.97.  At d = 3 and 4 the simplices hold few rows of a smoothed
+# cloud, the model of the section experiments: d=3, n=1000: 1.06, n=1e4:
+# 1.03; d=4, n=1000: 1.03 (Gaussian d=3: 1.04 and 0.72; d=4: 1.05 and 0.92).
+_PREFILTER_MIN_ROWS = {2: 2500}
 # Not a multiple of pi/4: the margin LP's corner directions (multiples of
 # pi/2) and the diagonals of symmetric fixtures stay off the start ray.
 _THETA0 = 1.0
@@ -110,6 +128,43 @@ def interior_point_in_slice(points, plane):
         if found.keys() <= cuts.keys():
             raise NumericFailure("margin LP: a facet already in the master cuts again")
         cuts.update((k, row) for k, row in found.items() if k not in cuts)
+
+
+def _candidate_rows(points):
+    """The rows of points that may be vertices of Conv(points), ascending:
+    all rows less those strictly inside one of 2^(d-1) simplices of extreme
+    rows (the prefilter of Akl and Toussaint, 1978).  Each simplex has the
+    rows of least and of greatest first coordinate and, for each further
+    axis k, the row of least or of greatest k-th coordinate; at d = 2 its
+    two triangles tile the quadrilateral of the four extremes.  Each simplex
+    lies in Conv(points), so a row whose d + 1 barycentric coordinates in
+    one of them all exceed eps_feas is no hull vertex; barycentric
+    coordinates are affine-invariant, so the band needs no scale.  A
+    simplex that solve_linear finds singular drops nothing.  Every row is
+    kept when an extreme row is not finite: any NaN or infinite entry is
+    then one of the extremes, and Qhull refuses the set as it would
+    without the filter."""
+    n, d = points.shape
+    # Lifted rows (p, 1), one contiguous row per coordinate: the extremes
+    # reduce contiguous rows, and a simplex's barycentric coordinates are
+    # one product with the inverse of its lifted vertex columns.
+    lifted = np.ones((d + 1, n))
+    lifted[:d] = points.T
+    corners = lifted[:, np.concatenate([lifted[:d].argmin(axis=1), lifted[:d].argmax(axis=1)])]
+    if not np.isfinite(corners).all():
+        return np.arange(n)
+    # Corner k is the least row along e_k and corner d + k the greatest;
+    # simplex s takes the greatest along e_k when bit k - 1 of s is set.
+    picks = [[0, d] + [k + d * ((s >> (k - 1)) & 1) for k in range(1, d)]
+             for s in range(1 << (d - 1))]
+    inside = np.zeros(n, dtype=bool)
+    for simplex in corners[:, picks].transpose(1, 0, 2):
+        try:
+            inverse = solve_linear(simplex, np.eye(d + 1))
+        except SingularSystem:
+            continue
+        inside |= (inverse @ lifted).min(axis=0) > DEFAULT_TOL.eps_feas
+    return (~inside).nonzero()[0]
 
 
 def _hull(points):
@@ -223,19 +278,31 @@ def section_edges(points, plane, rng=None, validate=False):
 
     When d <= 4 and Qhull accepts the points, one hull serves every stage:
     the margin LP runs over its facet equations, the start facet is one of
-    its simplices, and the sweep sees only its vertices.  The count is then
+    its simplices, and the sweep sees only its vertices.  Qhull gets only
+    the rows that may be hull vertices (_candidate_rows, at the d and n of
+    _PREFILTER_MIN_ROWS), which has the same vertices.  The count is then
     the number of geometric edges of the slice: a point inside a hull edge
     or face never becomes a facet member, and the count does not depend on
     row order.  Above d = 4 the margin LP runs over cuts that Phase I
     finds (interior_point_in_slice, which seeds its own Phase I), and a
     Phase I seeded by ``rng``, an int seed or None, finds the start facet;
-    the hull path draws no random numbers.  Facet indices refer to the rows of ``points``; of
-    duplicate rows, any copy may be the one reported."""
+    the hull path draws no random numbers.  Facet indices refer to the
+    rows of ``points``; of duplicate rows, any copy may be the one
+    reported."""
     points = np.asarray(points, dtype=float)
     d = points.shape[1]
-    hull = _hull(points) if d <= _HULL_MAX_DIM else None
+    hull = None
+    if d <= _HULL_MAX_DIM:
+        rows, candidates = np.arange(len(points)), points
+        if len(points) >= _PREFILTER_MIN_ROWS.get(d, np.inf):
+            rows = _candidate_rows(points)
+            candidates = points[rows]
+        hull = _hull(candidates)
     if hull is not None:
-        keep = np.sort(hull.vertices)
+        # The hull numbers the rows it was given: vertices in its numbering,
+        # keep in that of points.  Both ascend, as rows does.
+        vertices = np.sort(hull.vertices)
+        keep = rows[vertices]
         x0 = _hull_interior_point(hull, plane)
     elif d > _HULL_MAX_DIM:
         keep = np.arange(len(points))
@@ -251,7 +318,7 @@ def section_edges(points, plane, rng=None, validate=False):
             raise NumericFailure("sweep start: unit program unbounded despite interior origin")
         start = unit.facet
     else:
-        start = _hull_start_facet(hull, keep, shifted, x0, plane)
+        start = _hull_start_facet(hull, vertices, shifted, x0, plane)
     outcome = sweep_full(shifted, plane, start, _THETA0, validate=validate)
     # keep ascends, so the mapped indices stay sorted and the columns of
     # each facet's inverse stay aligned with them.

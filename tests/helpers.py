@@ -1,9 +1,10 @@
 """Independent re-checks that only the tests need: a transposed solve for
 cone coefficients, an LP for convex membership, the section's margin LP
 over every point solved by HiGHS, a CSV reader, the numpy formulations of
-the linear kernel, the exit angle and the Haar rotation, programs feasible
-by construction, the smoothed programs of the pivot experiment and a
-recorder of a solve's walks."""
+the linear kernel, the exit angle and the Haar rotation, the section's hull
+path on the hull of every row, programs feasible by construction, the
+smoothed programs of the pivot experiment and a recorder of a solve's
+walks."""
 
 import csv
 import math
@@ -14,8 +15,8 @@ import pytest
 from scipy.linalg.lapack import dgesv
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from shadowlp import interpolate, phase1, randgen, shadow_walk
-from shadowlp.geometry import DEFAULT_TOL, SingularSystem, solve_linear
+from shadowlp import interpolate, phase1, randgen, sections, shadow_walk
+from shadowlp.geometry import DEFAULT_TOL, PointSet, SingularSystem, solve_linear
 from shadowlp.shadow_walk import TWO_PI, WalkStateError
 
 
@@ -141,6 +142,26 @@ def reference_exit_angle(facet, plane, theta_now):
     if best_delta is None:
         return None
     return theta_now + best_delta, best_index
+
+
+def reference_section_edges(points, plane):
+    """sections.section_edges at d <= 4 with Qhull's hull of every row, as it
+    ran before the candidate-row prefilter: the same margin LP, start-facet
+    search and sweep.  Returns a SectionReport whose facets are index
+    tuples; section_edges must report the same count, flag and tuples."""
+    points = np.asarray(points, dtype=float)
+    hull = sections._hull(points)
+    x0 = None if hull is None else sections._hull_interior_point(hull, plane)
+    if x0 is None:
+        return sections.SectionReport(edge_count=0, interior_point=None, facets=[],
+                                       degenerate=True)
+    keep = np.sort(hull.vertices)
+    shifted = PointSet(points[keep] - x0)
+    start = sections._hull_start_facet(hull, keep, shifted, x0, plane)
+    outcome = shadow_walk.sweep_full(shifted, plane, start, sections._THETA0)
+    facets = [tuple(keep[list(f.indices)].tolist()) for f in outcome.distinct_facets()]
+    return sections.SectionReport(edge_count=len(facets), interior_point=x0, facets=facets,
+                                  degenerate=False)
 
 
 def feasible_lp(n, d, seed):

@@ -26,7 +26,8 @@ from shadowlp.sections import (
 )
 from shadowlp.shadow_walk import CycleSuspected, SweepPlane, exit_angle, sweep_full
 
-from helpers import convex_membership, highs_vertex_margin, margin_constraints
+from helpers import (convex_membership, highs_vertex_margin, margin_constraints,
+                     reference_section_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +300,107 @@ def test_hull_start_facet_is_the_pierced_half_of_a_split_face():
     x0 = sections._hull_interior_point(hull, plane)
     start = sections._hull_start_facet(hull, keep, PointSet(cube[keep] - x0), x0, plane)
     exit_angle(start, plane, _THETA0)  # raises unless pierced
+
+
+# ---------------------------------------------------------------------------
+# the hull of the candidate rows against the hull of every row
+
+
+@pytest.fixture(params=["rule", "forced"])
+def prefilter(request, monkeypatch):
+    """section_edges as it runs ("rule": the prefilter at d = 2 from
+    _PREFILTER_MIN_ROWS rows) and with the prefilter at every d <= 4 and
+    every n ("forced"), so that small and flat sets meet it too."""
+    if request.param == "forced":
+        monkeypatch.setattr(sections, "_PREFILTER_MIN_ROWS", {2: 0, 3: 0, 4: 0})
+    return request.param
+
+
+def _assert_matches_reference(points, plane):
+    """section_edges reports what the hull path on every row reports (the
+    same count, flag and facet index tuples, x0 within 1e-12); returns
+    whether x0 is bit-equal."""
+    report = section_edges(points, plane)
+    ref = reference_section_edges(points, plane)
+    assert (report.edge_count, report.degenerate) == (ref.edge_count, ref.degenerate)
+    assert [f.indices for f in report.facets] == ref.facets
+    if ref.interior_point is None:
+        assert report.interior_point is None
+        return True
+    assert np.max(np.abs(report.interior_point - ref.interior_point)) <= 1e-12
+    return report.interior_point.tobytes() == ref.interior_point.tobytes()
+
+
+def test_candidate_hull_matches_the_hull_of_every_row(prefilter):
+    clouds = [_cloud(kind, d, case) for kind in ("gaussian", "smoothed")
+              for d in (2, 3, 4) for case in range(10)]
+    clouds += [_cloud("missed", d, case) for d in (3, 4) for case in range(4)]
+    # Planar clouds large enough for the prefilter as it runs.
+    for case in range(8):
+        stream = derive_rng(721, case)
+        n = int(stream.integers(sections._PREFILTER_MIN_ROWS[2], 6000))
+        plane = SweepPlane.axis(2) if case % 2 == 0 else SweepPlane(*haar_rotation(2, stream).T)
+        points = gaussian(stream, (n, 2)) if case < 4 else smoothed_points(stream, n, 2, 0.1)
+        clouds.append((points, plane))
+    bit_equal = sum(_assert_matches_reference(points, plane) for points, plane in clouds)
+    print(f"{prefilter}: x0 bit-equal on {bit_equal} of {len(clouds)} clouds")
+
+
+def test_qhull_sees_few_rows_of_a_gaussian_plane_cloud(monkeypatch):
+    shapes = []
+    real = sections.ConvexHull
+
+    def spied(points, *args, **kwargs):
+        shapes.append(np.shape(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(sections, "ConvexHull", spied)
+    points = gaussian(derive_rng(722), (3000, 2))
+    assert not section_edges(points, SweepPlane.axis(2)).degenerate
+    assert len(shapes) == 1 and shapes[0][0] < 300
+
+
+def _degenerate_clouds():
+    """Flat sets, sets whose extremes share rows, simplices and the shifted
+    cube, each with its sweep plane."""
+    stream = derive_rng(723)
+    flat3 = gaussian(stream, (30, 3))
+    flat3[:, 0] = 0.0  # meets the sweep plane in a segment
+    flat2 = np.outer(gaussian(stream, (25,)), [1.0, -0.5])  # a segment in the plane
+    corner = np.vstack([gaussian(stream, (40, 3)), [[9.0, 9.0, 9.0]]])  # every maximum
+    same = np.tile([[0.3, -0.2]], (12, 1))  # every extreme on one row
+    lattice = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=2)))  # ties
+    clouds = [(flat3, SweepPlane.axis(3)), (flat2, SweepPlane.axis(2)),
+              (corner, SweepPlane.axis(3)), (same, SweepPlane.axis(2)),
+              (lattice, SweepPlane.axis(2)), _shifted_cube()]
+    clouds += [(gaussian(stream, (d + 1, d)) + 0.1, SweepPlane.axis(d)) for d in (2, 3, 4)]
+    return clouds
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_degenerate_sets_match_the_hull_of_every_row(prefilter, case):
+    # The shifted cube's count is the reference's, not the slice's 4 edges:
+    # split faces are counted per triangle on both paths.
+    _assert_matches_reference(*_degenerate_clouds()[case])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("d, n", [(2, 3000), (3, 50)])
+def test_a_non_finite_row_fails_as_on_the_hull_of_every_row(prefilter, bad, d, n):
+    # Qhull refuses NaN with ValueError and an infinite row as too flat, so
+    # the set is degenerate; the prefilter must not turn either into
+    # another error or a count.
+    points = gaussian(derive_rng(724, d), (n, d))
+    points[n // 3, d - 1] = bad
+    plane = SweepPlane.axis(d)
+    try:
+        expected = reference_section_edges(points, plane)
+    except Exception as exc:  # the type is what is compared
+        with pytest.raises(type(exc)):
+            section_edges(points, plane)
+    else:
+        report = section_edges(points, plane)
+        assert (report.edge_count, report.degenerate) == (expected.edge_count, expected.degenerate)
 
 
 # ---------------------------------------------------------------------------

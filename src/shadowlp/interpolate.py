@@ -117,12 +117,12 @@ class LPResult:
 def solve_lp(lp, rng=None, validate=False):
     """Two-phase shadow-vertex solve of a GeneralLP.
 
-    Phase I solves the unit program on the rows of A; unboundedness there is
-    unboundedness of the original objective direction and is reported as
-    such.  Phase II walks the lifted polytope from the Phase-I limit facet to
-    the top of the arc and reads the verdict, the basis and x_opt off the
-    final facet.  Raises NumericFailure when the lifted walk contradicts
-    exact-arithmetic theory (degenerate input); raises
+    Phase I solves the unit program on the rows of A; unboundedness there
+    means z leaves the cone of the rows, and is reported as unbounded even
+    when no x is feasible.  Phase II walks the lifted polytope from the
+    Phase-I limit facet to the top of the arc and reads the verdict, the basis
+    and x_opt off the final facet.  Raises NumericFailure when the lifted walk
+    contradicts exact-arithmetic theory (degenerate input); raises
     shadow_walk.CycleSuspected when a walk repeats a facet and phase1.GaveUp
     when Phase I runs out of attempts."""
     unit = phase1.solve_unit(lp.A, lp.z, rng=rng, validate=validate)

@@ -12,17 +12,18 @@ three stages.  The candidate rows are those that may be hull vertices: at
 the d and n of _PREFILTER_MIN_ROWS (d = 2, thousands of rows), the rows
 outside two triangles of extreme rows (_candidate_rows); otherwise every
 row.  x0 comes from the margin LP written over the hull's facet
-equations, three columns that the walk's own pivots solve under Bland's
-rule (shadow_walk.climb), the start facet is the first of its facets along
-q(theta0) that the walk's pierce test accepts, and the sweep runs on its
-vertices, since Conv(points) = Conv(hull vertices).  Above d = 4 the same
-three-column LP runs over cuts (interior_point_in_slice): Kelley's
-cutting-plane method, with Phase I as the separation oracle that names a
-facet of the hull beyond each margin point, and Phase I finds the start
-facet.  A set that spans no
-full-dimensional hull (Qhull refuses it, or its centred rank is below d) is
-a degenerate section: recentred at a point of its slice, it lies in a
-linear subspace of dimension below d, so every basis of d rows is singular.
+equations, three columns that the walk's own ratio test opens and its
+pivots solve under Bland's rule (shadow_walk.ratio_test and climb), the
+start facet is the first of its facets along q(theta0) that the walk's
+pierce test accepts, and the sweep runs on its vertices, since
+Conv(points) = Conv(hull vertices).  Above d = 4 the same three-column LP
+runs over cuts (interior_point_in_slice): Kelley's cutting-plane method,
+with Phase I as the separation oracle that names a facet of the hull
+beyond each margin point, and Phase I finds the start facet.  A set that
+spans no full-dimensional hull (Qhull refuses it, or its centred rank is
+below d) is a degenerate section: recentred at a point of its slice, it
+lies in a linear subspace of dimension below d, so every basis of d rows
+is singular.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import phase1
 from .geometry import (DEFAULT_TOL, FacetIndexSet, PointSet, SingularSystem, make_facet,
                        solve_linear, vector_norm)
 from .interpolate import NumericFailure
-from .shadow_walk import WalkStateError, climb, exit_angle, sweep_full
+from .shadow_walk import WalkStateError, climb, exit_angle, ratio_test, sweep_full
 
 # Largest d at which a section runs on one Qhull hull.  Whole sections, hull
 # path against cut path (interior_point_in_slice, then Phase I for the start
@@ -187,49 +188,45 @@ def _margin_rows(equations, plane):
     return np.column_stack([nb1, nb2, np.maximum(np.abs(nb1), np.abs(nb2))]), -offsets
 
 
-def _advance(rows, levels, y, direction):
-    """Move y along the direction until one more row becomes active: among
-    the rows with <R_k, u> > eps_feas for the unit direction u, the
-    smallest step, ties to the smallest index.  The direction lies in the
-    null space of the rows already active, so none of them is a candidate.
-    Returns the moved y and the new row's index; raises NumericFailure when
-    no row blocks the ray."""
+def _advance(ps, y, direction):
+    """Move y along the direction until one more row of the PointSet ps
+    becomes active: shadow_walk.ratio_test over every row, for y moving
+    along the unit direction u.  The direction lies in the null space of
+    the rows already active, so none of them is a candidate.  Returns the
+    moved y and the new row's index; raises NumericFailure when no row
+    blocks the ray."""
     u = direction / vector_norm(direction)
-    den = rows @ u
-    cand = (den > DEFAULT_TOL.eps_feas).nonzero()[0]
-    if not cand.size:
+    step = ratio_test(ps, y, u, ())
+    if step is None:
         raise NumericFailure("margin LP: unbounded ray")
-    steps = (levels[cand] - rows[cand] @ y) / den[cand]
-    m = int(steps.argmin())  # first occurrence: smallest index on a tie
-    return y + steps[m] * u, int(cand[m])
+    return y + step[0] * u, step[1]
 
 
 def _max_margin(rows, levels):
-    """Maximize eps over R y <= r, y = (s, t, eps), by the walk's own pivots.
-    Returns the optimal y, or None when a row with no component in the
-    plane (k = 0) has r < 0: the plane misses the hull.
+    """Maximize eps over R y <= r, y = (s, t, eps), by the walk's own ratio
+    test and pivots.  Returns the optimal y, or None when a row with no
+    component in the plane (k = 0) has r < 0: the plane misses the hull.
 
-    Other k = 0 rows constrain nothing and are dropped.  eps is free, so
-    (0, 0, min r_i/k_i) is feasible.  Two moves make three rows active: the
-    first keeps eps and the second runs along the line of the two active
-    rows, oriented not to lower it.  climb runs Bland's rule from that
-    vertex.  A singular basis or an unbounded step raises NumericFailure; a
-    repeated basis raises CycleSuspected."""
+    Other k = 0 rows constrain nothing; one PointSet holds the rest.  eps is
+    free, so (0, 0, min r_i/k_i) is feasible.  Two moves (_advance) make
+    three rows active: the first keeps eps and the second runs along the
+    line of the two active rows, oriented not to lower it.  climb runs
+    Bland's rule from that vertex.  A singular basis or an unbounded step
+    raises NumericFailure; a repeated basis raises CycleSuspected."""
     flat = rows[:, 2] == 0.0
     if (levels[flat] < 0.0).any():
         return None
-    rows, levels = rows[~flat], levels[~flat]
-    depths = levels / rows[:, 2]
+    ps = PointSet(rows[~flat], levels[~flat])
+    depths = ps.levels / ps.points[:, 2]
     first = int(depths.argmin())
-    a, b, c = rows[first].tolist()
-    y, second = _advance(rows, levels, np.array([0.0, 0.0, depths[first]]),
-                         np.array([b, -a, 0.0]))
-    # np.cross(rows[first], rows[second]), term by term as numpy evaluates it.
-    e, f, g = rows[second].tolist()
+    a, b, c = ps.points[first].tolist()
+    y, second = _advance(ps, np.array([0.0, 0.0, depths[first]]), np.array([b, -a, 0.0]))
+    # np.cross(ps.points[first], ps.points[second]), term by term as numpy evaluates it.
+    e, f, g = ps.points[second].tolist()
     line = np.array([b * g - c * f, c * e - a * g, a * f - b * e])
-    _, third = _advance(rows, levels, y, line if line[2] >= 0.0 else -line)
+    _, third = _advance(ps, y, line if line[2] >= 0.0 else -line)
     try:
-        top = climb(PointSet(rows, levels), [first, second, third])
+        top = climb(ps, [first, second, third])
     except SingularSystem as exc:
         raise NumericFailure(f"margin LP: {exc}") from exc
     if top is None:

@@ -5,7 +5,7 @@ tracks facet(q): the facet of Conv(0, a_1..a_n) (plus the recession ray of
 each row of level 0, see geometry) pierced by the ray through a rotating
 objective q.  q sweeps a circle inside a fixed 2-plane; each time a cone
 coefficient of the current facet crosses zero the walk pivots to the unique
-adjacent facet across that ridge.
+adjacent facet across that ridge, whose new row ratio_test picks.
 Exit angles are found analytically: each cone coefficient is a sinusoid
 lam_j(theta) = v_j cos(theta) + w_j sin(theta), so its next downward zero
 crossing is available in closed form from the facet's basis inverse B^-1.
@@ -15,7 +15,8 @@ from the points every d-th pivot and whenever the update cannot certify
 that the new basis is nonsingular.
 climb uses the same pivots with Bland's rule in place of the rotating
 objective: a primal simplex that maximizes the normal's last coordinate,
-which solves the section's margin LP (see sections).
+which solves the section's margin LP (see sections); ratio_test also
+makes that LP's two opening moves.
 """
 
 from __future__ import annotations
@@ -171,24 +172,44 @@ def exit_angle(facet, plane, theta_now):
     return theta_now + best_delta, best_index
 
 
+def ratio_test(ps, h, g, members):
+    """The minimal-ratio rule of every pivot: the row of the PointSet ps
+    that first blocks h moving along g.  Among candidates k outside
+    ``members`` with <g, a_k> > eps_feas it minimizes
+    (c_k - <h, a_k>) / <g, a_k> over the levels c (all 1 when ps.levels is
+    None), ties to the smallest index.  Only the candidates' ratios are
+    divided, in ascending index order, so the first minimum is the smallest
+    index.  The candidate test runs over every row, members included: only
+    when the first minimum is a member (a ridge member whose <g, a_i> rounds
+    above eps_feas) is the selection redone without the members, since a
+    non-member first minimum has no earlier non-member tied with it.
+    Returns (ratio, row), or None when no row is a candidate."""
+    den = ps.points @ g
+    cand = (den > DEFAULT_TOL.eps_feas).nonzero()[0]
+    if not cand.size:
+        return None
+    level = 1.0 if ps.levels is None else ps.levels[cand]
+    ratios = (level - (ps.points @ h)[cand]) / den[cand]
+    m = int(ratios.argmin())  # first occurrence: smallest index on a tie
+    if int(cand[m]) in members:  # rare: select again without the members
+        outside = ~np.isin(cand, members)
+        cand, ratios = cand[outside], ratios[outside]
+        if not cand.size:
+            return None
+        m = int(ratios.argmin())
+    return float(ratios[m]), int(cand[m])
+
+
 def pivot(ps, facet, leaving):
     """Minimal-ratio pivot across the ridge facet.indices minus {leaving}.
 
     g is the hyperplane rotation direction: <g, a_i> = 0 on the ridge and
     <g, a_leaving> = -1, i.e. minus the leaving index's column of B^-1.
-    Among candidates k outside the facet with <g, a_k> > eps_feas, the
-    entering index minimizes (c_k - <h, a_k>) / <g, a_k> over the levels c
-    (all 1 when ps.levels is None), ties broken by smallest index.  Only the
-    candidates' ratios are divided; they are taken in ascending index order,
-    so the first minimum is the smallest index.  The candidate test runs
-    over every row, members included: only when the first minimum lands on a
-    facet member (a ridge member whose <g, a_i> rounds above eps_feas) is
-    the selection redone without the members.  A non-member first minimum
-    has no earlier non-member tied with it, so either way the winner is the
-    one of a test over non-members alone.  The new index tuple is the ridge
-    with the entering index inserted in order.  Returns (entering,
-    new_facet) or None when no candidate exists, which certifies
-    unboundedness beyond the exit angle.
+    ratio_test, over the rows outside the facet, picks the entering index
+    for the normal h moving along g.  The new index tuple is the ridge with
+    the entering index inserted in order.  Returns the new facet, or None
+    when no candidate exists, which certifies unboundedness beyond the exit
+    angle.
 
     The new facet comes from a rank-one update of the current normal and
     B^-1 (see _updated_facet), so any facet over rows of ps can be pivoted.
@@ -200,22 +221,7 @@ def pivot(ps, facet, leaving):
     if leaving not in indices:
         raise ValueError("leaving index must belong to the facet")
     j = indices.index(leaving)
-    g = -facet.inverse[:, j]
-    h = facet.normal
-
-    den = ps.points @ g
-    cand = (den > DEFAULT_TOL.eps_feas).nonzero()[0]
-    best = None
-    if cand.size:
-        level = 1.0 if ps.levels is None else ps.levels[cand]
-        ratios = (level - (ps.points @ h)[cand]) / den[cand]
-        m = int(ratios.argmin())  # first occurrence: smallest index on a tie
-        if int(cand[m]) in indices:  # rare: select again without the members
-            outside = ~np.isin(cand, indices)
-            cand, ratios = cand[outside], ratios[outside]
-            m = int(ratios.argmin()) if cand.size else None
-        if m is not None:
-            best = (float(ratios[m]), int(cand[m]))
+    best = ratio_test(ps, facet.normal, -facet.inverse[:, j], indices)
     if best is None:
         return None
     ratio, entering = best
@@ -227,7 +233,7 @@ def pivot(ps, facet, leaving):
         new_facet = _updated_facet(ps, facet, j, entering, ratio, new_indices)
     if new_facet is None:
         new_facet = make_facet(ps, new_indices)
-    return entering, new_facet
+    return new_facet
 
 
 def _updated_facet(ps, facet, j, entering, ratio, new_indices):
@@ -274,7 +280,7 @@ def climb(ps, indices):
 
     The last coordinate's multipliers at a facet are the last row of B^-1.
     The leaving index is the smallest member whose multiplier is below
-    -eps_feas, and pivot's ratio test picks the entering index, ties to the
+    -eps_feas, and pivot's ratio_test picks the entering index, ties to the
     smallest index: Bland's rule, which terminates on degenerate facets.
     Returns None when a pivot finds no entering index (the program is
     unbounded).  Raises CycleSuspected when a facet comes back, and
@@ -285,10 +291,9 @@ def climb(ps, indices):
         below = (facet.inverse[-1] < -DEFAULT_TOL.eps_feas).nonzero()[0]
         if not below.size:
             return facet
-        step = pivot(ps, facet, facet.indices[below[0]])
-        if step is None:
+        facet = pivot(ps, facet, facet.indices[below[0]])
+        if facet is None:
             return None
-        facet = step[1]
         if facet.indices in seen:
             raise CycleSuspected(f"climb: facet {facet.indices} entered again")
         seen.add(facet.indices)
@@ -341,11 +346,10 @@ def walk(ps, plane, start_facet, theta_start, theta_target, validate=False):
             trace.append(TraceEntry(current, theta, theta_target))
             return WalkOutcome(OPTIMAL_FACET, current, pivots, trace)
         theta_exit, leaving = hit
-        step = pivot(ps, current, leaving)
-        if step is None:
+        new_facet = pivot(ps, current, leaving)
+        if new_facet is None:
             trace.append(TraceEntry(current, theta, theta_exit))
             return WalkOutcome(UNBOUNDED, None, pivots, trace)
-        _, new_facet = step
         if validate:
             _validate_step(ps, current, new_facet)
         trace.append(TraceEntry(current, theta, theta_exit))
@@ -370,8 +374,7 @@ def _closes(ps, plane, trace):
     hit = exit_angle(last, plane, end)
     if hit is None or hit[0] > end + DEFAULT_TOL.eps_angle:
         return False
-    step = pivot(ps, last, hit[1])
-    return step is not None and step[1] == first
+    return pivot(ps, last, hit[1]) == first
 
 
 def sweep_full(ps, plane, start_facet, theta_start=0.0, validate=False):

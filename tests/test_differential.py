@@ -14,7 +14,9 @@ from shadowlp.interpolate import (
     GeneralLP,
     solve_lp,
 )
+from shadowlp.oracle import classify_lp
 from shadowlp.randgen import sub_seed
+from shadowlp.shadow_walk import WalkInvariantViolation
 
 from helpers import smoothed_lp
 
@@ -128,3 +130,32 @@ def _cube(d, variant):
 def test_degenerate_families_match_highs(lp):
     for seed in range(10):
         _assert_matches_highs(lp, solve_lp(lp, rng=seed))
+
+
+def _bound_pair_lp():
+    """x_1 <= -1 and x_1 >= 1: infeasible, while z = e_2 lies outside the
+    cone of the rows, which holds the line spanned by the bound pair +-e_1."""
+    return GeneralLP(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, -0.1]]),
+                     np.array([-1.0, -1.0, 5.0]), np.array([0.0, 1.0]))
+
+
+@pytest.mark.xfail(strict=True, reason="solve_lp reports unbounded whenever z leaves the cone "
+                                       "of the rows, before it knows whether any x is feasible")
+def test_infeasible_program_outside_the_cone_matches_highs():
+    lp = _bound_pair_lp()
+    want, _ = _highs(lp)  # infeasible
+    assert [solve_lp(lp, rng=seed).status for seed in range(5)] == [want] * 5
+
+
+@pytest.mark.xfail(strict=True, reason="classify_lp tests the cone regardless of b")
+def test_classify_lp_on_an_infeasible_program_outside_the_cone_matches_highs():
+    lp = _bound_pair_lp()
+    assert classify_lp(lp).status == _highs(lp)[0]
+
+
+@pytest.mark.xfail(strict=True, raises=WalkInvariantViolation,
+                   reason="all_below's absolute eps_feas refuses a valid facet whose normal "
+                          "has entries in the hundreds")
+def test_validated_klee_minty_matches_highs():
+    lp = _klee_minty(8)
+    _assert_matches_highs(lp, solve_lp(lp, rng=5, validate=True))

@@ -1,6 +1,7 @@
-"""Property tests of the ratio test: on facets taken from real walks, pivot
-must agree with a per-point reference loop bit for bit, and must not depend
-on the memory layout of the points."""
+"""Property tests of the ratio test: ratio_test must agree with a per-row
+reference loop bit for bit on small integer sets, and so must pivot on
+facets taken from real walks; pivot must not depend on the memory layout
+of the points."""
 
 import functools
 from dataclasses import replace
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from shadowlp import interpolate, shadow_walk
 from shadowlp.geometry import DEFAULT_TOL, FacetIndexSet, PointSet, SingularSystem, make_facet
-from shadowlp.shadow_walk import pivot
+from shadowlp.shadow_walk import pivot, ratio_test
 
 from helpers import recorded_walks, smoothed_lp
 
@@ -27,23 +28,27 @@ def _walks(n, seed, d=3):
             for points, _, levels, trace in walks]
 
 
-def _reference_ratio_test(points, facet, leaving, levels):
-    """(ratio, entering) by one pass over the rows in index order, or None.
-    It takes the same two matrix-vector products as pivot, so that their
+def _per_row_ratio_test(points, levels, h, g, members):
+    """(ratio, row) by one pass over the rows in index order, or None.  It
+    takes the same two matrix-vector products as ratio_test, so that their
     rounding is shared and only the selection is under test."""
-    j = facet.indices.index(leaving)
-    g = -facet.inverse[:, j]
-    h = facet.normal
     den, dots = points @ g, points @ h
     best = None
     for i in range(points.shape[0]):
-        if i in facet.indices or not den[i] > DEFAULT_TOL.eps_feas:
+        if i in members or not den[i] > DEFAULT_TOL.eps_feas:
             continue
         level = 1.0 if levels is None else levels[i]
         ratio = float((level - dots[i]) / den[i])
         if best is None or ratio < best[0]:  # strict: the smaller index keeps a tie
             best = (ratio, i)
     return best
+
+
+def _reference_ratio_test(points, facet, leaving, levels):
+    """The per-row loop for pivot's move: h is the facet's normal, g minus
+    the leaving index's column of B^-1, and the members are the facet's."""
+    g = -facet.inverse[:, facet.indices.index(leaving)]
+    return _per_row_ratio_test(points, levels, facet.normal, g, facet.indices)
 
 
 @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
@@ -92,15 +97,13 @@ def test_pivot_matches_a_per_point_reference(n, seed, lifted, duplicated, reset_
         with pytest.raises(SingularSystem):
             make_facet(ps, new_indices)
         return
-    got_entering, new_facet = step
-    assert got_entering == entering
-    assert new_facet.indices == new_indices
-    if new_facet.updates:
-        assert np.array_equal(new_facet.normal, facet.normal - ratio * facet.inverse[:, j])
+    assert step.indices == new_indices  # entering in place of leaving
+    if step.updates:
+        assert np.array_equal(step.normal, facet.normal - ratio * facet.inverse[:, j])
     else:
         fresh = make_facet(ps, new_indices)
         for name in ("normal", "inverse"):
-            assert np.array_equal(getattr(new_facet, name), getattr(fresh, name))
+            assert np.array_equal(getattr(step, name), getattr(fresh, name))
 
 
 def _pivot_or_singular(ps, facet, leaving):
@@ -110,15 +113,13 @@ def _pivot_or_singular(ps, facet, leaving):
         return SingularSystem
 
 
-def _same_step(c_step, f_step, bits):
-    """Two pivots agree: the same entering index, index tuple and update
-    count, and a new normal and B^-1 equal bit for bit, or else
+def _same_step(c_facet, f_facet, bits):
+    """Two pivots agree: the same index tuple (so the same entering index)
+    and update count, and a new normal and B^-1 equal bit for bit, or else
     within 1e-12 of the largest entry."""
-    if c_step is None or c_step is SingularSystem:
-        assert f_step is c_step
+    if c_facet is None or c_facet is SingularSystem:
+        assert f_facet is c_facet
         return
-    assert f_step[0] == c_step[0]
-    c_facet, f_facet = c_step[1], f_step[1]
     assert (f_facet.indices, f_facet.updates) == (c_facet.indices, c_facet.updates)
     for name in ("normal", "inverse"):
         c_value, f_value = getattr(c_facet, name), getattr(f_facet, name)
@@ -181,10 +182,71 @@ def test_pivot_never_enters_a_member_with_the_smallest_ratio(outside, expected):
     points = np.array([[1.0, 0.0], [0.0, 1.0], outside])
     facet = FacetIndexSet((0, 1), np.zeros(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert _reference_ratio_test(points, facet, 0, None) == expected
-    step = pivot(PointSet(points), facet, 0)
+    ps = PointSet(points)
+    assert ratio_test(ps, facet.normal, -facet.inverse[:, 0], facet.indices) == expected
+    new_facet = pivot(ps, facet, 0)
     if expected is None:
-        assert step is None
+        assert new_facet is None
         return
-    entering, new_facet = step
-    assert entering == expected[1]
-    assert new_facet.indices == (1, 2)
+    assert new_facet.indices == (1, expected[1])
+
+
+_SMALL = st.integers(-3, 3).map(float)
+
+
+@settings(max_examples=300)
+@given(n=st.integers(1, 10), d=st.integers(1, 4), levelled=st.booleans(),
+       duplicated=st.booleans(), data=st.data())
+def test_ratio_test_matches_a_per_row_loop(n, d, levelled, duplicated, data):
+    """Small integer entries give exactly zero <g, a_k> (no candidate, so
+    None) and exact ties; duplicated rows force a tie on every candidate,
+    which the smaller index wins.  Members, drawn from every row, are never
+    selected, even when the first minimum is one."""
+    points = np.array(data.draw(st.lists(st.lists(_SMALL, min_size=d, max_size=d),
+                                         min_size=n, max_size=n)))
+    levels = None
+    if levelled:
+        levels = np.array(data.draw(st.lists(st.integers(0, 3).map(float),
+                                             min_size=n, max_size=n)))
+    if duplicated:
+        points = np.vstack([points, points])
+        levels = None if levels is None else np.concatenate([levels, levels])
+    h, g = (np.array(data.draw(st.lists(_SMALL, min_size=d, max_size=d))) for _ in range(2))
+    members = tuple(sorted(data.draw(st.sets(st.integers(0, len(points) - 1), max_size=d))))
+    expected = _per_row_ratio_test(points, levels, h, g, members)
+    assert ratio_test(PointSet(points, levels), h, g, members) == expected
+
+
+@pytest.mark.parametrize("points, levels, members, expected", [
+    # rows 1 and 2 tie at ratio 0.5; the smaller index wins
+    ([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]], None, (), (0.5, 1)),
+    # the first minimum, row 0, is a member; its twin row 1 wins
+    ([[1.0, 0.0], [1.0, 0.0]], [2.0, 2.0], (0,), (2.0, 1)),
+    # every candidate is a member
+    ([[1.0, 0.0], [0.0, 1.0]], None, (0,), None),
+    # no row has <g, a_k> > eps_feas
+    ([[-1.0, 0.0], [0.0, 1.0], [1e-10, 5.0]], None, (), None),
+    # a level-0 row (a direction) wins with ratio 0
+    ([[1.0, 0.0], [3.0, 1.0]], [1.0, 0.0], (), (0.0, 1)),
+], ids=["tie", "member-tie", "members-only", "no-candidate", "direction"])
+def test_ratio_test_cases(points, levels, members, expected):
+    # h = 0 and g = e_1: the ratio of row k is c_k / a_k1.
+    ps = PointSet(np.array(points), None if levels is None else np.array(levels))
+    assert ratio_test(ps, np.zeros(2), np.array([1.0, 0.0]), members) == expected
+
+
+def test_pivot_takes_its_entering_row_from_ratio_test(monkeypatch):
+    calls = []
+    real = shadow_walk.ratio_test
+
+    def spy(ps, h, g, members):
+        calls.append((ps, h, g, members))
+        return real(ps, h, g, members)
+
+    monkeypatch.setattr(shadow_walk, "ratio_test", spy)
+    ps = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.9]]))
+    facet = make_facet(ps, (0, 2))
+    assert pivot(ps, facet, 0).indices == (1, 2)
+    [(got_ps, h, g, members)] = calls
+    assert got_ps is ps and members == facet.indices
+    assert np.array_equal(h, facet.normal) and np.array_equal(g, -facet.inverse[:, 0])

@@ -495,6 +495,32 @@ def _rows_that_need_a_pivot():
     return sections._margin_rows(ConvexHull(points).equations, SweepPlane.axis(2))
 
 
+def test_margin_lp_opens_with_two_ratio_tests_on_the_set_climb_gets(monkeypatch):
+    # The two moves run the walk's ratio test over every margin row; climb
+    # then pivots on the same PointSet from the three rows they make active.
+    log = []
+    real_ratio_test, real_climb = sections.ratio_test, sections.climb
+
+    def ratio_test(ps, h, g, members):
+        log.append(("ratio_test", ps, members))
+        return real_ratio_test(ps, h, g, members)
+
+    def climb(ps, indices):
+        log.append(("climb", ps, tuple(indices)))
+        return real_climb(ps, indices)
+
+    monkeypatch.setattr(sections, "ratio_test", ratio_test)
+    monkeypatch.setattr(sections, "climb", climb)
+    rows, levels = _rows_that_need_a_pivot()
+    y = sections._max_margin(rows, levels)
+    assert [entry[0] for entry in log] == ["ratio_test", "ratio_test", "climb"]
+    ps = log[0][1]
+    assert all(entry[1] is ps for entry in log)
+    assert log[0][2] == log[1][2] == ()
+    assert np.array_equal(ps.points, rows) and np.array_equal(ps.levels, levels)
+    assert np.all(rows @ y <= levels + 1e-12)
+
+
 @pytest.mark.parametrize("step, error", [("stuck", CycleSuspected), ("none", NumericFailure)])
 def test_margin_lp_raises_when_a_pivot_fails(monkeypatch, step, error):
     # A pivot that returns the facet it was given repeats the basis; one
@@ -503,7 +529,7 @@ def test_margin_lp_raises_when_a_pivot_fails(monkeypatch, step, error):
 
     def failing(ps, facet, leaving):
         calls.append(leaving)
-        return (leaving, facet) if step == "stuck" else None
+        return facet if step == "stuck" else None
 
     monkeypatch.setattr(shadow_walk, "pivot", failing)
     with pytest.raises(error):

@@ -147,9 +147,8 @@ def test_exit_angle_rotation_equivariance(triangle):
 
 def test_pivot_example_enters_other_axis(triangle):
     ps = PointSet(triangle)
-    entering, new_facet = pivot(ps, make_facet(ps, (0, 2)), 0)
-    assert entering == 1
-    assert new_facet.indices == (1, 2)
+    new_facet = pivot(ps, make_facet(ps, (0, 2)), 0)
+    assert new_facet.indices == (1, 2)  # row 1 entered in place of row 0
 
 
 def test_pivot_single_facet_has_no_entering():
@@ -160,9 +159,8 @@ def test_pivot_single_facet_has_no_entering():
 def test_pivot_tie_between_duplicate_rows_enters_smaller_index():
     # rows 1 and 3 are the same point, so their ratios tie exactly
     ps = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.9], [0.0, 1.0]]))
-    entering, new_facet = pivot(ps, make_facet(ps, (0, 2)), 0)
-    assert entering == 1
-    assert new_facet.indices == (1, 2)
+    new_facet = pivot(ps, make_facet(ps, (0, 2)), 0)
+    assert new_facet.indices == (1, 2)  # row 1 entered in place of row 0
 
 
 def test_pivot_tie_with_vertex_at_infinity_enters_infinity():
@@ -176,9 +174,8 @@ def test_pivot_tie_with_vertex_at_infinity_enters_infinity():
     lifted = lift(lp)
     ps = lifted.point_set
     facet = make_facet(ps, (1, 2, lifted.top_index))
-    entering, new_facet = pivot(ps, facet, lifted.top_index)
-    assert entering == 0
-    assert new_facet.indices == (0, 1, 2)
+    new_facet = pivot(ps, facet, lifted.top_index)
+    assert new_facet.indices == (0, 1, 2)  # row 0 entered, row 3 did not
     assert float(ps.points[3] @ new_facet.normal) == 1.0  # row 3 tied
 
 
@@ -191,10 +188,9 @@ def test_pivot_shares_d_minus_one_indices_randomized():
         facets = oracle.enumerate_facets(points)
         for facet in facets:
             for leaving in facet.indices:
-                out = pivot(PointSet(points), facet, leaving)
-                if out is None:
+                new_facet = pivot(PointSet(points), facet, leaving)
+                if new_facet is None:
                     continue
-                _, new_facet = out
                 shared = set(facet.indices) & set(new_facet.indices)
                 assert len(shared) == d - 1
                 # closure: the walker can only land on oracle-enumerated facets
@@ -305,7 +301,7 @@ def test_walk_raises_cycle_suspected_when_a_pivot_returns_to_its_facet(monkeypat
             raise RuntimeError("sabotage budget exhausted")
         if len(left) <= honest:
             return real_pivot(ps, facet, leaving)
-        return leaving, facet
+        return facet
 
     monkeypatch.setattr(shadow_walk, "pivot", bad_pivot)
     ps = PointSet(_dodecagon())
@@ -424,13 +420,12 @@ def test_pivots_from_every_facet_of_lifted_polytopes_match_a_fresh_factorization
         ps = lifted.point_set
         for facet in oracle.enumerate_facets(ps.points, ps.levels):
             for leaving in facet.indices:
-                step = pivot(ps, facet, leaving)
-                if step is None:
+                new_facet = pivot(ps, facet, leaving)
+                if new_facet is None:
                     continue
-                entering, new_facet = step
                 assert new_facet.updates == 1
                 _assert_matches_fresh_factorization(ps, new_facet)
-                entered += entering == 0
+                entered += new_facet.indices[0] == 0 and facet.indices[0] != 0
                 stayed += facet.indices[0] == 0 and leaving != 0
     assert entered >= 20 and stayed >= 20
 

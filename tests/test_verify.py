@@ -61,13 +61,13 @@ def test_oracle_equivalence_detects_sabotaged_pivot(monkeypatch):
         out = real_pivot(ps, facet, leaving)
         if out is None:
             return None
-        entering, new_facet = out
+        # neither a member of the facet nor the true entering index
         others = [k for k in range(len(ps.points))
-                  if k not in facet.indices and k != entering]
+                  if k not in facet.indices and k not in out.indices]
         for fake in others:
             kept = tuple(i for i in facet.indices if i != leaving) + (fake,)
             try:
-                return fake, make_facet(ps, kept)
+                return make_facet(ps, kept)
             except Exception:
                 continue
         return out

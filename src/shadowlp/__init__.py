@@ -11,7 +11,8 @@ constraints.
 
 Public layers:
 
-* :mod:`shadowlp.geometry` — facet normals, cone tests, planar distance bounds;
+* :mod:`shadowlp.geometry` — facet normals, cone tests, planar distance bounds,
+  and the program type, verdicts and failure family every layer shares;
 * :mod:`shadowlp.shadow_walk` — the parametric facet walk on a sweep plane;
 * :mod:`shadowlp.phase1` — randomized constraint addition and the unit solver;
 * :mod:`shadowlp.interpolate` — the lift and the two-phase general solver;
@@ -24,8 +25,13 @@ Public layers:
 
 from .geometry import (
     DEFAULT_TOL,
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    STATUS_UNBOUNDED,
     FacetIndexSet,
+    GeneralLP,
     NoViewpoint,
+    NumericFailure,
     PointSet,
     SingularSystem,
     Tolerance,
@@ -42,16 +48,7 @@ from .shadow_walk import (
 )
 from .randgen import SmoothedSpec, derive_rng, normalize, random_spec, sample_instance
 from .phase1 import GaveUp, UnitResult, add_constraints, solve_unit
-from .interpolate import (
-    STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
-    GeneralLP,
-    LPResult,
-    NumericFailure,
-    lift,
-    solve_lp,
-)
+from .interpolate import LPResult, lift, solve_lp
 from .oracle import OracleVerdict, classify_lp, facet_of, section_edge_count_bruteforce
 from .sections import SectionReport, interior_point_in_slice, section_edges
 from .experiments import ExperimentConfig, run_pivot_experiment, run_section_experiment

@@ -26,10 +26,8 @@ import sys
 import numpy as np
 
 from . import experiments, verify
-from .geometry import SingularSystem
-from .interpolate import GeneralLP, NumericFailure, solve_lp
-from .phase1 import GaveUp
-from .shadow_walk import CycleSuspected, WalkInvariantViolation, WalkStateError
+from .geometry import GeneralLP, NumericFailure
+from .interpolate import solve_lp
 
 
 class CLIError(Exception):
@@ -95,8 +93,7 @@ def cmd_solve(args):
     lp = _load_instance(args.instance)
     try:
         result = solve_lp(lp, rng=args.seed, validate=args.validate)
-    except (NumericFailure, GaveUp, CycleSuspected, SingularSystem, WalkStateError,
-            WalkInvariantViolation) as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     report = {

@@ -1,6 +1,11 @@
-"""Polar-polytope geometry primitives.
+"""Polar-polytope geometry primitives, and the names every layer shares.
 
 Conventions used across the package:
+
+* A program is a GeneralLP, max <z, x> s.t. A x <= b.  Its verdict is one
+  of STATUS_OPTIMAL, STATUS_UNBOUNDED and STATUS_INFEASIBLE; a walk and a
+  unit program end in one of the first two, under the same names.  A state
+  that is impossible in exact arithmetic raises a NumericFailure.
 
 * A polytope is a PointSet: an (n, d) array of rows a_1..a_n together with
   the implicit origin, optional levels c_1..c_n (all 1 when not given) and
@@ -25,7 +30,16 @@ import numpy as np
 from scipy.linalg.lapack import dgesv
 
 
-class SingularSystem(Exception):
+STATUS_OPTIMAL = "optimal"
+STATUS_UNBOUNDED = "unbounded"
+STATUS_INFEASIBLE = "infeasible"
+
+
+class NumericFailure(Exception):
+    """The pipeline reached a state that is impossible in exact arithmetic."""
+
+
+class SingularSystem(NumericFailure):
     """A linear system failed the scaled-pivot singularity threshold."""
 
 
@@ -175,6 +189,32 @@ def checked_objective(points, objective):
     if z.shape != (d,) or not np.isfinite(z).all() or vector_norm(z) == 0.0:
         raise ValueError("objective must be a finite nonzero vector of d entries")
     return z
+
+
+@dataclass
+class GeneralLP:
+    """max <z, x> subject to A x <= b, with n > d >= 2 and z nonzero."""
+
+    A: np.ndarray
+    b: np.ndarray
+    z: np.ndarray
+
+    def __post_init__(self):
+        self.A = np.asarray(self.A, dtype=float)
+        self.b = np.asarray(self.b, dtype=float)
+        self.z = checked_objective(self.A, self.z)
+        if self.b.shape != (self.n,):
+            raise ValueError("b must have n entries")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
+            raise ValueError("instance data must be finite")
+
+    @property
+    def n(self):
+        return self.A.shape[0]
+
+    @property
+    def d(self):
+        return self.A.shape[1]
 
 
 def all_below(ps, normal):

@@ -22,42 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase1
-from .geometry import PointSet, SingularSystem, checked_objective, make_facet, vector_norm
-from .shadow_walk import OPTIMAL_FACET, SweepPlane, walk
-
-STATUS_OPTIMAL = "optimal"
-STATUS_UNBOUNDED = "unbounded"
-STATUS_INFEASIBLE = "infeasible"
-
-
-class NumericFailure(Exception):
-    """The pipeline reached a state that is impossible in exact arithmetic."""
-
-
-@dataclass
-class GeneralLP:
-    """max <z, x> subject to A x <= b, with n > d >= 2 and z nonzero."""
-
-    A: np.ndarray
-    b: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        self.z = checked_objective(self.A, self.z)
-        if self.b.shape != (self.n,):
-            raise ValueError("b must have n entries")
-        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
-            raise ValueError("instance data must be finite")
-
-    @property
-    def n(self):
-        return self.A.shape[0]
-
-    @property
-    def d(self):
-        return self.A.shape[1]
+# GeneralLP is not used here: callers read it from this module, as they do the verdicts.
+from .geometry import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED, GeneralLP,
+                       NumericFailure, PointSet, SingularSystem, make_facet, vector_norm)
+from .shadow_walk import SweepPlane, walk
 
 
 @dataclass
@@ -122,11 +90,11 @@ def solve_lp(lp, rng=None, validate=False):
     when no x is feasible.  Phase II walks the lifted polytope from the
     Phase-I limit facet to the top of the arc and reads the verdict, the basis
     and x_opt off the final facet.  Raises NumericFailure when the lifted walk
-    contradicts exact-arithmetic theory (degenerate input); raises
-    shadow_walk.CycleSuspected when a walk repeats a facet and phase1.GaveUp
-    when Phase I runs out of attempts."""
+    contradicts exact-arithmetic theory (degenerate input), and its
+    subclasses shadow_walk.CycleSuspected when a walk repeats a facet and
+    phase1.GaveUp when Phase I runs out of attempts."""
     unit = phase1.solve_unit(lp.A, lp.z, rng=rng, validate=validate)
-    if unit.status == phase1.UNIT_UNBOUNDED:
+    if unit.status == STATUS_UNBOUNDED:
         return LPResult(STATUS_UNBOUNDED, None, None,
                         unit.pivots_total, 0, unit.iterations)
 
@@ -136,7 +104,7 @@ def solve_lp(lp, rng=None, validate=False):
     except SingularSystem as exc:
         raise NumericFailure(f"degenerate lifted start facet: {exc}") from exc
     outcome = walk(lifted.point_set, lifted.plane, start, 0.0, math.pi, validate=validate)
-    if outcome.status != OPTIMAL_FACET:
+    if outcome.status != STATUS_OPTIMAL:
         raise NumericFailure("lifted walk left the cone; impossible when Phase I is bounded")
     final = outcome.facet
     if lifted.top_index not in final.indices:

@@ -15,8 +15,8 @@ from math import comb
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, FacetIndexSet
-from .interpolate import STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED
+from .geometry import (DEFAULT_TOL, STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED,
+                       FacetIndexSet)
 
 # The oracle's own verdict for an instance it refuses to call; the solver
 # never returns it.

@@ -18,17 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import randgen
-from .geometry import (DEFAULT_TOL, FacetIndexSet, PointSet, SingularSystem,
-                       checked_objective, make_facet, max_row_norm, vector_norm)
-from .shadow_walk import UNBOUNDED, SweepPlane, walk
-
-OPTIMAL = "optimal"
-UNIT_UNBOUNDED = "unbounded"
+from .geometry import (DEFAULT_TOL, STATUS_OPTIMAL, STATUS_UNBOUNDED, FacetIndexSet,
+                       NumericFailure, PointSet, SingularSystem, checked_objective,
+                       make_facet, max_row_norm, vector_norm)
+from .shadow_walk import SweepPlane, walk
 
 MAX_RETRIES = 1000
 
 
-class GaveUp(Exception):
+class GaveUp(NumericFailure):
     """All Phase-I retries were exhausted (astronomically unlikely for
     smoothed inputs; indicates degenerate or adversarial data)."""
 
@@ -125,11 +123,12 @@ def add_constraints(points, max_norm, rng):
 def solve_unit(points, objective, rng=None, validate=False):
     """Solve the unit program max <z, x> s.t. <a_i, x> <= 1 for all i.
 
-    Returns UnitResult with status "optimal" and facet(z) over the original
-    indices, or status "unbounded" when z leaves the cone of the a_i.
-    pivots_total sums the pivots of every walk including failed attempts;
-    iterations counts attempts.  rng is an int seed or None; attempt k
-    walks the PointSet add_constraints builds from derive_rng(rng, k).
+    Returns UnitResult with status STATUS_OPTIMAL and facet(z) over the
+    original indices, or STATUS_UNBOUNDED when z leaves the cone of the a_i,
+    before any attempt when every a_i is zero.  pivots_total sums the pivots
+    of every walk including failed attempts; iterations counts attempts.
+    rng is an int seed or None; attempt k walks the PointSet add_constraints
+    builds from derive_rng(rng, k).
     Raises ValueError before any attempt unless checked_objective passes,
     and GaveUp after MAX_RETRIES attempts without a clean terminal facet.
 
@@ -140,6 +139,8 @@ def solve_unit(points, objective, rng=None, validate=False):
     n = points.shape[0]
     z = checked_objective(points, objective)
     max_norm = max_row_norm(points)
+    if max_norm == 0.0 and not points.any():  # not rows whose squares underflow
+        return UnitResult(STATUS_UNBOUNDED, None, 0, 0)
     pivots_total = 0
     for attempt in range(MAX_RETRIES):
         block = add_constraints(points, max_norm, randgen.derive_rng(rng, attempt))
@@ -152,9 +153,9 @@ def solve_unit(points, objective, rng=None, validate=False):
         outcome = walk(block.point_set, plane, block.facet, 0.0, plane.theta_of(z),
                        validate=validate)
         pivots_total += outcome.pivots
-        if outcome.status == UNBOUNDED:
-            return UnitResult(UNIT_UNBOUNDED, None, pivots_total, attempt + 1)
+        if outcome.status == STATUS_UNBOUNDED:
+            return UnitResult(STATUS_UNBOUNDED, None, pivots_total, attempt + 1)
         terminal = outcome.facet
         if all(i < n for i in terminal.indices):
-            return UnitResult(OPTIMAL, terminal, pivots_total, attempt + 1)
+            return UnitResult(STATUS_OPTIMAL, terminal, pivots_total, attempt + 1)
     raise GaveUp(f"no clean solution in {MAX_RETRIES} attempts")

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg.lapack import dgeqrf, dorgqr
 from scipy.special import ndtri
 
-from .geometry import max_row_norm, vector_norm
+from .geometry import GeneralLP, max_row_norm, vector_norm
 
 # Scale constant for the added-constraint simplex; radius and smoothing
 # formulas below keep the random start facet numerically honest while the
@@ -159,10 +159,7 @@ def normalize(spec):
 
 
 def sample_instance(spec, rng):
-    """Draw one LP from the smoothed model.  Import of GeneralLP is deferred
-    to avoid a module cycle."""
-    from .interpolate import GeneralLP
-
+    """Draw one LP from the smoothed model."""
     n, d = spec.centers_A.shape
     centers = np.concatenate([spec.centers_A, spec.centers_b[:, None]], axis=1)
     data = gaussian(rng, (n, d + 1), center=centers, sigma=spec.sigma)

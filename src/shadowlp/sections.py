@@ -34,9 +34,8 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from . import phase1
-from .geometry import (DEFAULT_TOL, FacetIndexSet, PointSet, SingularSystem, make_facet,
-                       solve_linear, vector_norm)
-from .interpolate import NumericFailure
+from .geometry import (DEFAULT_TOL, STATUS_OPTIMAL, FacetIndexSet, NumericFailure, PointSet,
+                       SingularSystem, make_facet, solve_linear, vector_norm)
 from .shadow_walk import WalkStateError, climb, exit_angle, ratio_test, sweep_full
 
 # Largest d at which a section runs on one Qhull hull.  Whole sections, hull
@@ -119,7 +118,7 @@ def interior_point_in_slice(points, plane):
         found = {}
         for target in x0 + y[2] * directions - centre:
             unit = phase1.solve_unit(centred, target, rng=_SEPARATION_SEED)
-            if unit.status != phase1.OPTIMAL:
+            if unit.status != STATUS_OPTIMAL:
                 raise NumericFailure("margin LP: unit program unbounded despite interior centroid")
             h = unit.facet.normal
             if h @ target > 1.0 + DEFAULT_TOL.eps_feas:
@@ -241,20 +240,22 @@ def _hull_interior_point(hull, plane):
     return _slice_point(_max_margin(*_margin_rows(hull.equations, plane)), plane)
 
 
-def _hull_start_facet(hull, keep, shifted, x0, plane):
+def _hull_start_facet(hull, vertices, shifted, x0, plane):
     """facet(q(theta0)) of the PointSet of shifted hull rows, read off the
     hull's simplices: among those with n.q > 0, in ascending exit distance
     t = -(c + n.x0) / n.q, the first that make_facet accepts and that
     exit_angle finds pierced at theta0, the pierce test the walk applies.
-    Raises NumericFailure when none qualifies."""
+    vertices are the hull's vertices in the hull's own numbering, the
+    numbering of its simplices, ascending; row k of shifted is vertex
+    vertices[k].  Raises NumericFailure when none qualifies."""
     q = plane.q(_THETA0)
     normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
     toward = normals @ q
     ahead = (toward > 0.0).nonzero()[0]
     exits = -(offsets[ahead] + normals[ahead] @ x0) / toward[ahead]
     for k in ahead[exits.argsort(kind="stable")]:
-        # keep ascends, so searchsorted maps point rows to shifted rows.
-        indices = keep.searchsorted(hull.simplices[k]).tolist()
+        # vertices ascends, so searchsorted maps hull rows to shifted rows.
+        indices = vertices.searchsorted(hull.simplices[k]).tolist()
         try:
             facet = make_facet(shifted, indices)
             exit_angle(facet, plane, _THETA0)
@@ -311,7 +312,7 @@ def section_edges(points, plane, rng=None, validate=False):
     shifted = PointSet(points[keep] - x0)
     if hull is None:
         unit = phase1.solve_unit(shifted.points, plane.q(_THETA0), rng=rng, validate=validate)
-        if unit.status != phase1.OPTIMAL:
+        if unit.status != STATUS_OPTIMAL:
             raise NumericFailure("sweep start: unit program unbounded despite interior origin")
         start = unit.facet
     else:

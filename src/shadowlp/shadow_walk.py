@@ -27,24 +27,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, FacetIndexSet, all_below, make_facet, vector_norm
+from .geometry import (DEFAULT_TOL, STATUS_OPTIMAL, STATUS_UNBOUNDED, FacetIndexSet,
+                       NumericFailure, all_below, make_facet, vector_norm)
 
 TWO_PI = 2.0 * math.pi
 
-OPTIMAL_FACET = "optimal_facet"
-UNBOUNDED = "unbounded"
 
-
-class WalkStateError(Exception):
+class WalkStateError(NumericFailure):
     """A walk precondition failed mid-flight (corrupted state)."""
 
 
-class CycleSuspected(Exception):
+class CycleSuspected(NumericFailure):
     """A walk entered a facet twice; theta never decreases and each facet's
     cone meets the sweep plane in one arc, so only numerical trouble can."""
 
 
-class WalkInvariantViolation(Exception):
+class WalkInvariantViolation(NumericFailure):
     """A validated walk produced a facet violating a structural invariant."""
 
 
@@ -321,9 +319,9 @@ def walk(ps, plane, start_facet, theta_start, theta_target, validate=False):
     """Walk facet(q(theta)) of the PointSet ps from theta_start until the
     current facet's interval reaches theta_target.
 
-    Returns a WalkOutcome whose status is OPTIMAL_FACET with the limit facet
-    from the approaching side, or UNBOUNDED when the objective family leaves
-    the cone of the polytope before reaching the target.  The trace records
+    Returns a WalkOutcome whose status is STATUS_OPTIMAL with the limit
+    facet from the approaching side, or STATUS_UNBOUNDED when the objective
+    family leaves the polytope's cone before the target.  The trace records
     each visited facet with its half-open interval; intervals are contiguous
     and increasing and the final one is clipped at theta_target.
 
@@ -344,12 +342,12 @@ def walk(ps, plane, start_facet, theta_start, theta_target, validate=False):
         hit = exit_angle(current, plane, theta)
         if hit is None or hit[0] >= theta_target - DEFAULT_TOL.eps_angle:
             trace.append(TraceEntry(current, theta, theta_target))
-            return WalkOutcome(OPTIMAL_FACET, current, pivots, trace)
+            return WalkOutcome(STATUS_OPTIMAL, current, pivots, trace)
         theta_exit, leaving = hit
         new_facet = pivot(ps, current, leaving)
         if new_facet is None:
             trace.append(TraceEntry(current, theta, theta_exit))
-            return WalkOutcome(UNBOUNDED, None, pivots, trace)
+            return WalkOutcome(STATUS_UNBOUNDED, None, pivots, trace)
         if validate:
             _validate_step(ps, current, new_facet)
         trace.append(TraceEntry(current, theta, theta_exit))
@@ -385,10 +383,10 @@ def sweep_full(ps, plane, start_facet, theta_start=0.0, validate=False):
     impossible).  The trace partitions [theta_start, theta_start + 2*pi); the
     start facet may appear twice, once at each end, and walk raises
     CycleSuspected when any other facet would.  The status is the walk's
-    own, OPTIMAL_FACET, and pivots equals len(trace) - 1."""
+    own, STATUS_OPTIMAL, and pivots equals len(trace) - 1."""
     outcome = walk(ps, plane, start_facet, theta_start, theta_start + TWO_PI,
                    validate=validate)
-    if outcome.status == UNBOUNDED:
+    if outcome.status == STATUS_UNBOUNDED:
         raise WalkStateError("unbounded during a full sweep: origin not interior to the slice")
     if validate:
         total = sum(e.theta_end - e.theta_start for e in outcome.trace)

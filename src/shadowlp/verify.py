@@ -23,14 +23,14 @@ import numpy as np
 from . import experiments, oracle, randgen, sections
 from .geometry import (
     DEFAULT_TOL,
+    STATUS_OPTIMAL,
     NoViewpoint,
     angular_distance,
     max_row_norm,
     viewpoint_for_edge,
 )
-from .interpolate import STATUS_OPTIMAL, solve_lp
+from .interpolate import solve_lp
 from .oracle import STATUS_AMBIGUOUS, classify_lp, section_edge_count_bruteforce
-from .phase1 import OPTIMAL as UNIT_OPTIMAL
 from .phase1 import add_constraints, solve_unit
 from .shadow_walk import SweepPlane, WalkInvariantViolation
 
@@ -151,7 +151,7 @@ def suite_phase1_statistics(seed=VERIFY_SEED):
             skipped_unbounded += 1
             continue
         result = solve_unit(points, z, rng=randgen.sub_seed(seed, 2, i, 1), validate=True)
-        if result.status != UNIT_OPTIMAL:
+        if result.status != STATUS_OPTIMAL:
             skipped_solver += 1
             continue
         collected += 1

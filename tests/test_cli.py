@@ -8,8 +8,7 @@ import json
 import pytest
 
 from shadowlp import cli, verify
-from shadowlp.geometry import SingularSystem
-from shadowlp.interpolate import NumericFailure
+from shadowlp.geometry import NumericFailure, SingularSystem
 from shadowlp.phase1 import GaveUp
 from shadowlp.shadow_walk import CycleSuspected, WalkInvariantViolation, WalkStateError
 
@@ -33,6 +32,15 @@ INFEASIBLE_INSTANCE = {
     "A": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
     "b": [-3.0, -3.0, 1.0, 1.0],
     "z": [1.0, 0.3],
+}
+
+
+# z leaves the cone {0} of the rows.
+ZERO_ROWS_INSTANCE = {
+    "d": 2, "n": 3,
+    "A": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    "b": [1.0, 1.0, 1.0],
+    "z": [1.0, 0.0],
 }
 
 
@@ -64,7 +72,8 @@ def test_solve_optimal_report(tmp_path, capsys):
 
 def test_solve_unbounded_and_infeasible_exit_zero(tmp_path, capsys):
     for name, payload, status in (("unb.json", UNBOUNDED_INSTANCE, "unbounded"),
-                                  ("inf.json", INFEASIBLE_INSTANCE, "infeasible")):
+                                  ("inf.json", INFEASIBLE_INSTANCE, "infeasible"),
+                                  ("zero.json", ZERO_ROWS_INSTANCE, "unbounded")):
         path = _write(tmp_path, name, payload)
         assert cli.main(["solve", path]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -122,10 +122,17 @@ def _cube(d, variant):
     return GeneralLP(A, b, z)
 
 
+def _zero_rows_lp(b):
+    """Three rows of zeros: every x is feasible when b >= 0 and none is
+    otherwise, and z = e_1 leaves the cone {0} of the rows."""
+    return GeneralLP(np.zeros((3, 2)), np.array(b, dtype=float), np.array([1.0, 0.0]))
+
+
 @pytest.mark.parametrize("lp", [
     *(pytest.param(_klee_minty(d), id=f"klee-minty-d{d}") for d in (2, 3, 5, 8)),
     *(pytest.param(_cube(d, variant), id=f"cube-{variant}-d{d}")
       for d in (2, 3, 5) for variant in ("alone", "redundant", "duplicated", "facet")),
+    pytest.param(_zero_rows_lp([1.0, 1.0, 1.0]), id="zero-rows"),  # HiGHS: unbounded
 ])
 def test_degenerate_families_match_highs(lp):
     for seed in range(10):
@@ -139,17 +146,21 @@ def _bound_pair_lp():
                      np.array([-1.0, -1.0, 5.0]), np.array([0.0, 1.0]))
 
 
+_OUTSIDE_THE_CONE = [pytest.param(_bound_pair_lp(), id="bound-pair"),
+                     pytest.param(_zero_rows_lp([1.0, -1.0, 1.0]), id="zero-rows")]
+
+
 @pytest.mark.xfail(strict=True, reason="solve_lp reports unbounded whenever z leaves the cone "
                                        "of the rows, before it knows whether any x is feasible")
-def test_infeasible_program_outside_the_cone_matches_highs():
-    lp = _bound_pair_lp()
+@pytest.mark.parametrize("lp", _OUTSIDE_THE_CONE)
+def test_infeasible_program_outside_the_cone_matches_highs(lp):
     want, _ = _highs(lp)  # infeasible
     assert [solve_lp(lp, rng=seed).status for seed in range(5)] == [want] * 5
 
 
 @pytest.mark.xfail(strict=True, reason="classify_lp tests the cone regardless of b")
-def test_classify_lp_on_an_infeasible_program_outside_the_cone_matches_highs():
-    lp = _bound_pair_lp()
+@pytest.mark.parametrize("lp", _OUTSIDE_THE_CONE)
+def test_classify_lp_on_an_infeasible_program_outside_the_cone_matches_highs(lp):
     assert classify_lp(lp).status == _highs(lp)[0]
 
 

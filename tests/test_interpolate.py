@@ -16,7 +16,7 @@ from shadowlp.interpolate import (
     lift,
     solve_lp,
 )
-from shadowlp.shadow_walk import UNBOUNDED, WalkOutcome
+from shadowlp.shadow_walk import WalkOutcome
 
 from helpers import cone_coefficients, recorded_walks, smoothed_lp
 
@@ -136,7 +136,7 @@ def test_solve_lp_raises_numeric_failure_when_lifted_walk_unbounded(monkeypatch)
     # A bounded Phase I makes an unbounded lifted walk impossible in exact
     # arithmetic; solve_lp must say so instead of returning a verdict.
     monkeypatch.setattr(interpolate, "walk",
-                        lambda *args, **kwargs: WalkOutcome(UNBOUNDED, None, 3))
+                        lambda *args, **kwargs: WalkOutcome(STATUS_UNBOUNDED, None, 3))
     with pytest.raises(NumericFailure, match="lifted walk left the cone"):
         solve_lp(_lp_optimal(), rng=501)
 

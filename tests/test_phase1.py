@@ -192,6 +192,22 @@ def test_solve_unit_detects_unbounded(triangle):
     assert result.facet is None
 
 
+def test_solve_unit_on_all_zero_rows_is_unbounded_before_any_attempt():
+    # The cone of the rows is {0}, which z leaves; no block can be placed
+    # around rows of norm 0, so no attempt is made.
+    result = solve_unit(np.zeros((3, 2)), np.array([1.0, 0.0]), rng=0)
+    assert (result.status, result.facet, result.pivots_total, result.iterations) == \
+        ("unbounded", None, 0, 0)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="max_row_norm squares the entries, which underflow to 0 below about "
+                          "1e-154, and norm_ceiling refuses a zero bound")
+def test_solve_unit_on_rows_whose_squares_underflow(triangle):
+    result = solve_unit(1e-200 * triangle, np.array([0.1, 1.0]), rng=405)
+    assert result.status == "optimal"
+
+
 def test_solve_unit_deterministic_given_seed(triangle):
     a = solve_unit(triangle, np.array([0.3, 0.8]), rng=407)
     b = solve_unit(triangle, np.array([0.3, 0.8]), rng=407)

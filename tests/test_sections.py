@@ -14,8 +14,8 @@ from scipy.spatial import ConvexHull
 
 import shadowlp
 from shadowlp import phase1, sections, shadow_walk
-from shadowlp.geometry import DEFAULT_TOL, PointSet, SingularSystem, make_facet
-from shadowlp.interpolate import NumericFailure
+from shadowlp.geometry import (DEFAULT_TOL, STATUS_OPTIMAL, STATUS_UNBOUNDED, NumericFailure,
+                               PointSet, SingularSystem, make_facet)
 from shadowlp.oracle import section_edge_count_bruteforce
 from shadowlp.randgen import derive_rng, gaussian, haar_rotation, smoothed_points, sub_seed
 from shadowlp.sections import (
@@ -274,7 +274,7 @@ def test_hull_path_matches_the_no_hull_path():
         shifted = PointSet(points[keep] - x0)
         start = sections._hull_start_facet(hull, keep, shifted, x0, plane)
         unit = phase1.solve_unit(shifted.points, plane.q(_THETA0), rng=i)
-        assert unit.status == phase1.OPTIMAL, i
+        assert unit.status == STATUS_OPTIMAL, i
         if start == unit.facet:
             continue
         differ += 1
@@ -581,7 +581,7 @@ def test_cut_driver_matches_highs(d):
 
 
 def _unbounded_unit(*args, **kwargs):
-    return phase1.UnitResult(phase1.UNIT_UNBOUNDED, None, 0, 1)
+    return phase1.UnitResult(STATUS_UNBOUNDED, None, 0, 1)
 
 
 def test_cut_driver_raises_when_a_unit_program_is_unbounded(monkeypatch):

@@ -8,11 +8,10 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from shadowlp import interpolate, oracle, phase1, randgen, shadow_walk
-from shadowlp.geometry import DEFAULT_TOL, PointSet, SingularSystem, make_facet
+from shadowlp.geometry import (DEFAULT_TOL, STATUS_OPTIMAL, STATUS_UNBOUNDED, PointSet,
+                               SingularSystem, make_facet)
 from shadowlp.interpolate import GeneralLP, lift
 from shadowlp.shadow_walk import (
-    OPTIMAL_FACET,
-    UNBOUNDED,
     CycleSuspected,
     SweepPlane,
     WalkInvariantViolation,
@@ -204,7 +203,7 @@ def test_pivot_shares_d_minus_one_indices_randomized():
 def test_walk_target_inside_start_interval_means_zero_pivots():
     ps = PointSet(np.eye(2))
     outcome = walk(ps, SweepPlane.axis(2), make_facet(ps, (0, 1)), 0.2, 0.3)
-    assert outcome.status == OPTIMAL_FACET
+    assert outcome.status == STATUS_OPTIMAL
     assert outcome.pivots == 0
     assert outcome.facet.indices == (0, 1)
 
@@ -215,7 +214,7 @@ def test_walk_triangle_one_pivot(triangle):
     theta0 = plane.theta_of(np.array([1.0, 0.1]))
     theta1 = plane.theta_of(np.array([0.1, 1.0]))
     outcome = walk(ps, plane, make_facet(ps, (0, 2)), theta0, theta1, validate=True)
-    assert outcome.status == OPTIMAL_FACET
+    assert outcome.status == STATUS_OPTIMAL
     assert outcome.pivots == 1
     assert [e.facet.indices for e in outcome.trace] == [(0, 2), (1, 2)]
     assert outcome.facet == oracle.facet_of(triangle, np.array([0.1, 1.0]))
@@ -225,7 +224,7 @@ def test_walk_detects_unbounded_direction(triangle):
     # Rotating toward -e1 leaves cone{(1,0),(0,1),(0.9,0.9)}.
     ps = PointSet(triangle)
     outcome = walk(ps, SweepPlane.axis(2), make_facet(ps, (0, 2)), 0.0, math.pi, validate=True)
-    assert outcome.status == UNBOUNDED
+    assert outcome.status == STATUS_UNBOUNDED
     assert oracle.facet_of(triangle, np.array([-1.0, 0.0])) is None
 
 
@@ -261,9 +260,9 @@ def test_walk_terminal_facet_matches_oracle_on_random_instances():
         outcome = walk(PointSet(points), plane, start, plane.theta_of(z0),
                        plane.theta_of(z1), validate=True)
         if want is None:
-            assert outcome.status == UNBOUNDED
+            assert outcome.status == STATUS_UNBOUNDED
         else:
-            assert outcome.status == OPTIMAL_FACET
+            assert outcome.status == STATUS_OPTIMAL
             assert outcome.facet == want
         checked += 1
     assert checked >= 250
@@ -458,7 +457,7 @@ def test_validated_walk_detects_sabotaged_update(sabotage, monkeypatch):
 def test_sweep_square_finds_four_facets(square, axis_plane):
     ps = PointSet(square)
     outcome = sweep_full(ps, axis_plane(2), make_facet(ps, (0, 1)), math.pi / 2, validate=True)
-    assert outcome.status == OPTIMAL_FACET
+    assert outcome.status == STATUS_OPTIMAL
     distinct = outcome.distinct_facets()
     assert len(distinct) == 4
     lengths = [e.theta_end - e.theta_start for e in outcome.trace]

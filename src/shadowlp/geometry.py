@@ -18,6 +18,10 @@ Conventions used across the package:
   hyperplane when <h, a_i> <= c_i.
 * Index tuples are kept sorted.
 * Natural logarithms everywhere.
+* The walk's per-step kernels take small products with ndarray.dot and
+  reductions with the ufunc each ndarray method wraps (np.maximum.reduce
+  for .max(), ...): the same bits as @ and the method, with less dispatch
+  (README, "Small operands").
 """
 
 from __future__ import annotations
@@ -77,28 +81,43 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def solve_linear(matrix, rhs):
+def solve_linear(matrix, rhs, scale=None):
     """Solve matrix @ x = rhs by Gaussian elimination with scaled partial
     pivoting, which is LAPACK's partially pivoted LU (dgesv) of the system
     with each row divided by its largest |entry|.  Raises SingularSystem
     when a pivot of that LU is at most eps_singular.  rhs may be a vector
-    or a matrix of stacked columns; x has the same shape."""
+    or a matrix of stacked columns; x has the same shape.  scale, when
+    given, must hold those row maxima (make_facet gathers them from
+    PointSet.scales); they are computed here otherwise."""
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape[0] != n:
         raise ValueError("shape mismatch in solve_linear")
-    scale = np.abs(a).max(axis=1)
-    if not scale.all():
+    if scale is None:
+        scale = np.maximum.reduce(np.abs(a), axis=1)
+    if not np.logical_and.reduce(scale):
         raise SingularSystem("zero row")
     # b.T broadcasts the row scale over a vector and a matrix alike.  Factor
     # and solve stay one dgesv call: OpenBLAS runs dgetrs with several
     # right-hand sides multi-threaded, which is slow when processes share cores.
     lu, _, x, _ = dgesv(a / scale[:, None], (b.T / scale).T)
     # "not >" also rejects a NaN pivot.
-    if not np.abs(lu.diagonal()).min() > DEFAULT_TOL.eps_singular:
+    if not np.minimum.reduce(np.abs(lu.diagonal())) > DEFAULT_TOL.eps_singular:
         raise SingularSystem("pivot below scaled threshold")
     return x
+
+
+def row_scales(points):
+    """Each row's largest |entry| of an (n, d) float array, bit for bit
+    np.abs(points).max(axis=1), since max is exact.  Unless the array is
+    column-major that reduction runs n short rows one by one, so it is
+    taken over the d columns instead: 13 against 161 us on a C-order
+    (3000, 5) array (timeit, 2-vCPU host)."""
+    magnitudes = np.abs(points)
+    if magnitudes.flags.f_contiguous:
+        return np.maximum.reduce(magnitudes, axis=1)
+    return functools.reduce(np.maximum, magnitudes.T)
 
 
 @dataclass(slots=True)
@@ -106,16 +125,19 @@ class PointSet:
     """The point set of one walk.  ``points`` keeps the layout its builder
     chose, and a float array is not copied; ``levels`` is None when every
     level is 1, so that a pivot gathers none; ``scales`` holds each row's
-    largest |entry|, computed once here for the nonsingularity certificate
-    of shadow_walk._updated_facet."""
+    largest |entry|, for make_facet's factorizations and the
+    nonsingularity certificate of shadow_walk._updated_facet.  A builder
+    that already holds the scales of some rows passes the whole array
+    (they must equal row_scales(points)); otherwise they are computed here."""
 
     points: np.ndarray
     levels: np.ndarray | None = None
-    scales: np.ndarray = field(init=False, repr=False)
+    scales: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        self.scales = np.abs(self.points).max(axis=1)
+        if self.scales is None:
+            self.scales = row_scales(self.points)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -157,7 +179,7 @@ def make_facet(ps, indices):
     indices = sorted(indices)
     rhs = _facet_rhs(d).copy()
     rhs[:, 0] = 1.0 if ps.levels is None else ps.levels[indices]
-    solution = solve_linear(ps.points[indices], rhs)
+    solution = solve_linear(ps.points[indices], rhs, ps.scales[indices])
     return FacetIndexSet(indices=tuple(indices), normal=solution[:, 0],
                          inverse=solution[:, 1:])
 
@@ -219,10 +241,10 @@ class GeneralLP:
 
 def all_below(ps, normal):
     """True when every row of ps satisfies <h, a_i> <= c_i + eps_feas."""
-    dots = ps.points @ normal
+    dots = ps.points.dot(normal)
     if ps.levels is None:
-        return not np.max(dots) > 1.0 + DEFAULT_TOL.eps_feas
-    return not np.any(dots > ps.levels + DEFAULT_TOL.eps_feas)
+        return not np.maximum.reduce(dots) > 1.0 + DEFAULT_TOL.eps_feas
+    return not np.logical_or.reduce(dots > ps.levels + DEFAULT_TOL.eps_feas)
 
 
 def angular_distance(x, y):

@@ -20,7 +20,7 @@ import numpy as np
 from . import randgen
 from .geometry import (DEFAULT_TOL, STATUS_OPTIMAL, STATUS_UNBOUNDED, FacetIndexSet,
                        NumericFailure, PointSet, SingularSystem, checked_objective,
-                       make_facet, max_row_norm, vector_norm)
+                       make_facet, max_row_norm, row_scales, vector_norm)
 from .shadow_walk import SweepPlane, walk
 
 MAX_RETRIES = 1000
@@ -84,14 +84,16 @@ def simplex_vertices(d, radius):
     return anchor, vertices
 
 
-def add_constraints(points, max_norm, rng):
+def add_constraints(points, max_norm, rng, scales=None):
     """One attempt at the added block, drawn from the stream rng.
 
     The unit simplex around e_d is turned by a Haar rotation, dilated by
     2*norm_ceiling(max_norm), max_norm = max_i |a_i|, and its vertices are
     smoothed with deviation the dilation times added_sigma(d, n).  The rows
     and then the block fill one fresh column-major (n + d, d) PointSet,
-    whose rows n..n+d-1 are the start facet.  Returns None
+    whose rows n..n+d-1 are the start facet.  Its row scales are ``scales``,
+    row_scales(points) when the caller holds them (computed here when
+    None), followed by the block's.  Returns None
     (Failure) when either postcondition check fails:
       cone check — z0 must lie in the cone of the added points,
       distance check — dist(0, aff(added points)) = 1/|h| must be at least
@@ -102,25 +104,27 @@ def add_constraints(points, max_norm, rng):
     rotation = randgen.haar_rotation(d, rng)
     dilation = 2.0 * randgen.norm_ceiling(max_norm)
     anchor, vertices = simplex_vertices(d, randgen.simplex_radius(d))
-    z0 = dilation * (rotation @ anchor)
-    centers = dilation * (vertices @ rotation.T)
+    z0 = dilation * rotation.dot(anchor)
+    centers = dilation * vertices.dot(rotation.T)
     sigma = dilation * randgen.added_sigma(d, n)
     full = np.empty((n + d, d), order="F")
     full[:n] = points
     full[n:] = randgen.gaussian(rng, (d, d), center=centers, sigma=sigma)
-    point_set = PointSet(full)
+    if scales is None:
+        scales = row_scales(points)
+    point_set = PointSet(full, scales=np.concatenate((scales, row_scales(full[n:]))))
     try:
         facet = make_facet(point_set, range(n, n + d))
     except SingularSystem:
         return None
-    if float((z0 @ facet.inverse).min()) < -DEFAULT_TOL.eps_feas:
+    if float(np.minimum.reduce(z0.dot(facet.inverse))) < -DEFAULT_TOL.eps_feas:
         return None  # cone check failed: z0 escaped the cone of the added block
     if 1.0 / vector_norm(facet.normal) < max_norm:
         return None  # distance check failed: block not far enough out
     return AddedBlock(point_set, facet, z0, centers)
 
 
-def solve_unit(points, objective, rng=None, validate=False):
+def solve_unit(points, objective, rng=None, validate=False, scales=None):
     """Solve the unit program max <z, x> s.t. <a_i, x> <= 1 for all i.
 
     Returns UnitResult with status STATUS_OPTIMAL and facet(z) over the
@@ -132,18 +136,21 @@ def solve_unit(points, objective, rng=None, validate=False):
     Raises ValueError before any attempt unless checked_objective passes,
     and GaveUp after MAX_RETRIES attempts without a clean terminal facet.
 
-    The rows are copied once per call into column-major order, the layout
-    of the attempts' arrays, in which the ratio test's products run along
-    columns."""
+    The rows are copied once per call into column-major order, unless they
+    are in it already: the layout of the attempts' arrays, in which the
+    ratio test's products run along columns.  Their scales, row_scales(points), are taken once for every
+    attempt: from ``scales`` when the caller holds them, else computed here."""
     points = np.asarray(points, dtype=float, order="F")
     n = points.shape[0]
     z = checked_objective(points, objective)
     max_norm = max_row_norm(points)
     if max_norm == 0.0 and not points.any():  # not rows whose squares underflow
         return UnitResult(STATUS_UNBOUNDED, None, 0, 0)
+    if scales is None:
+        scales = row_scales(points)
     pivots_total = 0
     for attempt in range(MAX_RETRIES):
-        block = add_constraints(points, max_norm, randgen.derive_rng(rng, attempt))
+        block = add_constraints(points, max_norm, randgen.derive_rng(rng, attempt), scales)
         if block is None:
             continue
         try:

@@ -139,8 +139,8 @@ def exit_angle(facet, plane, theta_now):
     coefficient makes the minimum NaN as numpy's min does, so a NaN never
     fails the pierce check."""
     # The coefficients of q solve B^T lam = q, so lam = q @ B^-1.
-    v = (plane.basis1 @ facet.inverse).tolist()
-    w = (plane.basis2 @ facet.inverse).tolist()
+    v = plane.basis1.dot(facet.inverse).tolist()
+    w = plane.basis2.dot(facet.inverse).tolist()
     cos_now, sin_now = math.cos(theta_now), math.sin(theta_now)
     lam_min = math.inf
     best_delta = None
@@ -182,12 +182,12 @@ def ratio_test(ps, h, g, members):
     above eps_feas) is the selection redone without the members, since a
     non-member first minimum has no earlier non-member tied with it.
     Returns (ratio, row), or None when no row is a candidate."""
-    den = ps.points @ g
+    den = ps.points.dot(g)
     cand = (den > DEFAULT_TOL.eps_feas).nonzero()[0]
     if not cand.size:
         return None
     level = 1.0 if ps.levels is None else ps.levels[cand]
-    ratios = (level - (ps.points @ h)[cand]) / den[cand]
+    ratios = (level - ps.points.dot(h)[cand]) / den[cand]
     m = int(ratios.argmin())  # first occurrence: smallest index on a tie
     if int(cand[m]) in members:  # rare: select again without the members
         outside = ~np.isin(cand, members)
@@ -252,7 +252,7 @@ def _updated_facet(ps, facet, j, entering, ratio, new_indices):
     partially pivoted LU is at least 1 / ||A^-1||_inf, so a basis that
     passes would pass make_facet's singularity test too."""
     inverse = facet.inverse
-    u = ps.points[entering] @ inverse
+    u = ps.points[entering].dot(inverse)
     col = inverse[:, j] / u[j]
     new_inverse = inverse - col[:, None] * u
     # Column j moves to the entering index's place p in new_indices; the
@@ -264,7 +264,7 @@ def _updated_facet(ps, facet, j, entering, ratio, new_indices):
         new_inverse[:, p + 1:j + 1] = new_inverse[:, p:j]
     new_inverse[:, p] = col
     scales = ps.scales[list(new_indices)]
-    if not (np.abs(new_inverse) @ scales).max() < 1.0 / DEFAULT_TOL.eps_singular:
+    if not np.maximum.reduce(np.abs(new_inverse).dot(scales)) < 1.0 / DEFAULT_TOL.eps_singular:
         return None
     return FacetIndexSet(new_indices, facet.normal - ratio * inverse[:, j], new_inverse,
                          facet.updates + 1)

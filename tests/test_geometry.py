@@ -283,6 +283,52 @@ def test_make_facet_writes_levels_into_a_copy_of_its_cached_right_hand_sides():
     assert np.array_equal(template, np.eye(4, 5, 1))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_make_facet_factors_with_the_point_sets_scales(order):
+    """make_facet passes the gathered PointSet.scales to solve_linear, which
+    then computes none: its normal and inverse are bit for bit those of
+    solve_linear on the gathered rows, which computes their scales itself,
+    in either layout and with or without levels."""
+    rng = np.random.default_rng(59)
+    for d in (2, 3, 4, 11):
+        n = 3 * d
+        points = np.asarray(rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-6, 6, (n, 1)),
+                            order=order)
+        for levels in (None, rng.uniform(0.0, 2.0, n)):
+            ps = PointSet(points, levels)
+            for _ in range(5):
+                indices = sorted(rng.choice(n, d, replace=False).tolist())
+                rhs = np.eye(d, d + 1, 1)
+                rhs[:, 0] = 1.0 if levels is None else levels[indices]
+                want = solve_linear(points[indices], rhs)
+                facet = make_facet(ps, indices)
+                assert facet.normal.tobytes() == want[:, 0].tobytes()
+                assert facet.inverse.tobytes() == want[:, 1:].tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 11])
+def test_dot_keeps_the_bits_of_matmul_on_the_walks_shapes(d):
+    """The walk's kernels take products with ndarray.dot in place of @; on
+    this numpy and BLAS build both reach the same routine and agree byte
+    for byte on the walk's shapes: a vector, contiguous or a strided row,
+    times a (d, d) matrix of either layout (exit angles, the update, the
+    cone check), a (d, d) matrix times a vector or a transposed matrix (the
+    update's certificate, the added block), and an (n, d) matrix of either
+    layout times a vector (the ratio test, all_below)."""
+    rng = np.random.default_rng(61)
+    n = 50 * d
+    square = rng.standard_normal((d, d))
+    tall = rng.standard_normal((n, d))
+    vector = rng.standard_normal(d)
+    strided = np.asfortranarray(tall)[7]
+    assert not strided.flags.contiguous
+    pairs = [(v, m) for v in (vector, strided) for m in (square, np.asfortranarray(square))]
+    pairs += [(square, vector), (square, square.T)]
+    pairs += [(m, vector) for m in (tall, np.asfortranarray(tall))]
+    for a, b in pairs:
+        assert a.dot(b).tobytes() == (a @ b).tobytes()
+
+
 def test_facet_index_set_equality_ignores_normal():
     """Equality and hash follow the index tuple only, so sets and dicts
     dedupe facets by it; dataclasses.replace builds a new facet."""
@@ -302,15 +348,25 @@ def test_facet_index_set_equality_ignores_normal():
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_point_set_keeps_its_array_and_scales_its_rows_once(order):
     """PointSet.scales is np.abs(points).max(axis=1) bit for bit in either
-    layout; a float array is kept as given, and unit levels stay None."""
+    layout, on rows of mixed scale and on rows holding NaNs, infinities and
+    negative zeros; a float array is kept as given, unit levels stay None,
+    and scales passed in are kept as given."""
     rng = np.random.default_rng(53)
-    points = np.asarray(rng.standard_normal((300, 5)) * 10.0 ** rng.uniform(-8, 8, (300, 1)),
-                        order=order)
+    points = rng.standard_normal((300, 5)) * 10.0 ** rng.uniform(-8, 8, (300, 1))
+    points[10] = [0.0, -0.0, 0.0, -0.0, -0.0]
+    points[11] = -0.0
+    points[12, 3] = np.nan
+    points[13, [0, 4]] = [np.inf, np.nan]
+    points[14, 2] = -np.inf
+    points[15] = [1.0, -np.inf, np.nan, -0.0, 2.0]
+    points = np.asarray(points, order=order)
     ps = PointSet(points)
     assert ps.points is points and ps.levels is None
     assert ps.scales.tobytes() == np.abs(points).max(axis=1).tobytes()
+    assert geometry.row_scales(points).tobytes() == ps.scales.tobytes()
     levels = np.ones(300)
     assert PointSet(points, levels).levels is levels
+    assert PointSet(points, levels, ps.scales).scales is ps.scales
     assert dataclasses.is_dataclass(ps) and not hasattr(ps, "__dict__")
 
 
@@ -321,7 +377,7 @@ def test_no_walk_function_takes_levels():
               if name.split(".")[1] in ("geometry", "shadow_walk")
               and "levels" in inspect.signature(fn).parameters]
     assert taking == []
-    assert list(inspect.signature(PointSet).parameters) == ["points", "levels"]
+    assert list(inspect.signature(PointSet).parameters) == ["points", "levels", "scales"]
 
 
 def test_max_row_norm_is_the_largest_numpy_row_norm():

@@ -24,8 +24,7 @@ import numpy as np
 from . import phase1
 # GeneralLP is not used here: callers read it from this module, as they do the verdicts.
 from .geometry import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED, GeneralLP,
-                       NumericFailure, PointSet, SingularSystem, make_facet, row_scales,
-                       vector_norm)
+                       NumericFailure, PointSet, SingularSystem, make_facet, vector_norm)
 from .shadow_walk import SweepPlane, walk
 
 
@@ -44,11 +43,8 @@ class IntLPLift:
     plane: SweepPlane
 
 
-def lift(lp, scales=None):
-    """Embed a GeneralLP one dimension up (see module docstring).  The
-    lifted row scales follow exactly from ``scales``, row_scales(lp.A)
-    (computed here when None): max(scale_i, |1 - b_i|) for row i + 1, and 1
-    for rows 0 and n + 1."""
+def lift(lp):
+    """Embed a GeneralLP one dimension up (see module docstring)."""
     n, d = lp.n, lp.d
     pts = np.zeros((n + 2, d + 1), order="F")
     pts[0, d] = -1.0
@@ -57,12 +53,9 @@ def lift(lp, scales=None):
     pts[n + 1, d] = 1.0
     levels = np.ones(n + 2)
     levels[0] = 0.0
-    lifted_scales = np.ones(n + 2)
-    np.maximum(row_scales(lp.A) if scales is None else scales, np.abs(pts[1:n + 1, d]),
-               out=lifted_scales[1:n + 1])
     rot = np.zeros(d + 1)
     rot[:d] = lp.z
-    return IntLPLift(point_set=PointSet(pts, levels, lifted_scales), top_index=n + 1,
+    return IntLPLift(point_set=PointSet(pts, levels), top_index=n + 1,
                      plane=SweepPlane(pts[0].copy(), rot / vector_norm(rot)))
 
 
@@ -100,16 +93,12 @@ def solve_lp(lp, rng=None, validate=False):
     contradicts exact-arithmetic theory (degenerate input), and its
     subclasses shadow_walk.CycleSuspected when a walk repeats a facet and
     phase1.GaveUp when Phase I runs out of attempts."""
-    # Phase I's column-major copy of the rows, made here so that their scales
-    # are taken once, in that layout, for every attempt and for the lift.
-    rows = np.asarray(lp.A, order="F")
-    scales = row_scales(rows)
-    unit = phase1.solve_unit(rows, lp.z, rng=rng, validate=validate, scales=scales)
+    unit = phase1.solve_unit(lp.A, lp.z, rng=rng, validate=validate)
     if unit.status == STATUS_UNBOUNDED:
         return LPResult(STATUS_UNBOUNDED, None, None,
                         unit.pivots_total, 0, unit.iterations)
 
-    lifted = lift(lp, scales)
+    lifted = lift(lp)
     try:
         start = initial_limit_facet(lifted, unit.facet.indices)
     except SingularSystem as exc:

@@ -124,7 +124,7 @@ def add_constraints(points, max_norm, rng, scales=None):
     return AddedBlock(point_set, facet, z0, centers)
 
 
-def solve_unit(points, objective, rng=None, validate=False, scales=None):
+def solve_unit(points, objective, rng=None, validate=False):
     """Solve the unit program max <z, x> s.t. <a_i, x> <= 1 for all i.
 
     Returns UnitResult with status STATUS_OPTIMAL and facet(z) over the
@@ -136,18 +136,16 @@ def solve_unit(points, objective, rng=None, validate=False, scales=None):
     Raises ValueError before any attempt unless checked_objective passes,
     and GaveUp after MAX_RETRIES attempts without a clean terminal facet.
 
-    The rows are copied once per call into column-major order, unless they
-    are in it already: the layout of the attempts' arrays, in which the
-    ratio test's products run along columns.  Their scales, row_scales(points), are taken once for every
-    attempt: from ``scales`` when the caller holds them, else computed here."""
+    The rows are copied once per call into column-major order, the layout
+    of the attempts' arrays, in which the ratio test's products run along
+    columns, and their row scales are taken once for every attempt."""
     points = np.asarray(points, dtype=float, order="F")
     n = points.shape[0]
     z = checked_objective(points, objective)
     max_norm = max_row_norm(points)
     if max_norm == 0.0 and not points.any():  # not rows whose squares underflow
         return UnitResult(STATUS_UNBOUNDED, None, 0, 0)
-    if scales is None:
-        scales = row_scales(points)
+    scales = row_scales(points)
     pivots_total = 0
     for attempt in range(MAX_RETRIES):
         block = add_constraints(points, max_norm, randgen.derive_rng(rng, attempt), scales)

@@ -35,7 +35,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from . import phase1
 from .geometry import (DEFAULT_TOL, STATUS_OPTIMAL, FacetIndexSet, NumericFailure, PointSet,
-                       SingularSystem, make_facet, row_scales, solve_linear, vector_norm)
+                       SingularSystem, make_facet, solve_linear, vector_norm)
 from .shadow_walk import WalkStateError, climb, exit_angle, ratio_test, sweep_full
 
 # Largest d at which a section runs on one Qhull hull.  Whole sections, hull
@@ -107,7 +107,6 @@ def interior_point_in_slice(points, plane):
     centred = points - centre
     if np.linalg.matrix_rank(centred) < points.shape[1]:
         return None
-    scales = row_scales(centred)
     directions = np.array([plane.basis1, -plane.basis1, plane.basis2, -plane.basis2])
     extents = np.column_stack([directions, -(points @ directions.T).max(axis=0)])
     cuts = {}  # facet indices -> hull row, in the order the rounds found them
@@ -118,7 +117,7 @@ def interior_point_in_slice(points, plane):
             return None
         found = {}
         for target in x0 + y[2] * directions - centre:
-            unit = phase1.solve_unit(centred, target, rng=_SEPARATION_SEED, scales=scales)
+            unit = phase1.solve_unit(centred, target, rng=_SEPARATION_SEED)
             if unit.status != STATUS_OPTIMAL:
                 raise NumericFailure("margin LP: unit program unbounded despite interior centroid")
             h = unit.facet.normal
@@ -312,8 +311,7 @@ def section_edges(points, plane, rng=None, validate=False):
         return SectionReport(edge_count=0, interior_point=None, facets=[], degenerate=True)
     shifted = PointSet(points[keep] - x0)
     if hull is None:
-        unit = phase1.solve_unit(shifted.points, plane.q(_THETA0), rng=rng, validate=validate,
-                                 scales=shifted.scales)
+        unit = phase1.solve_unit(shifted.points, plane.q(_THETA0), rng=rng, validate=validate)
         if unit.status != STATUS_OPTIMAL:
             raise NumericFailure("sweep start: unit program unbounded despite interior origin")
         start = unit.facet

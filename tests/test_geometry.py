@@ -312,9 +312,10 @@ def test_dot_keeps_the_bits_of_matmul_on_the_walks_shapes(d):
     this numpy and BLAS build both reach the same routine and agree byte
     for byte on the walk's shapes: a vector, contiguous or a strided row,
     times a (d, d) matrix of either layout (exit angles, the update, the
-    cone check), a (d, d) matrix times a vector or a transposed matrix (the
-    update's certificate, the added block), and an (n, d) matrix of either
-    layout times a vector (the ratio test, all_below)."""
+    cone check), a (d, d) matrix of either layout times a vector (the
+    update's certificate) or a C-order one times a transposed matrix (the
+    added block), and an (n, d) matrix of either layout times a vector (the
+    ratio test, all_below)."""
     rng = np.random.default_rng(61)
     n = 50 * d
     square = rng.standard_normal((d, d))
@@ -323,7 +324,7 @@ def test_dot_keeps_the_bits_of_matmul_on_the_walks_shapes(d):
     strided = np.asfortranarray(tall)[7]
     assert not strided.flags.contiguous
     pairs = [(v, m) for v in (vector, strided) for m in (square, np.asfortranarray(square))]
-    pairs += [(square, vector), (square, square.T)]
+    pairs += [(m, vector) for m in (square, np.asfortranarray(square))] + [(square, square.T)]
     pairs += [(m, vector) for m in (tall, np.asfortranarray(tall))]
     for a, b in pairs:
         assert a.dot(b).tobytes() == (a @ b).tobytes()

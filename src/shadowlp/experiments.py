@@ -35,10 +35,17 @@ when rendering (``csv_text(..., include_timing=False)``).
 
 Workers
 -------
-A grid with ``threads > 1`` maps its trials over a process pool that the
+A grid with ``threads > 1`` runs its trials on a process pool that the
 module keeps between calls: one pool per process, forked at the first such
 grid, reused by every later grid of the same worker count and shut down
-and joined before a pool of another count forks.  If a worker has died
+and joined before a pool of another count forks.  Each pool has a counter
+shared with its workers.  A grid resets it and submits one claim loop per
+worker; each loop claims trials one at a time under the counter's lock,
+so a worker that draws quick trials takes more of them, and sends all of
+its rows in one message once no trial is left.  The parent puts the rows
+back in task order.  A process runs one parallel grid at a time on its
+pool, since the counter holds one grid; a grid the parent gave up (an
+interrupt) stops its loops at their next claim.  If a worker has died
 since the last grid (a signal, the OOM killer), the broken pool is dropped
 and the grid runs once more on a fresh one; trials are pure functions of
 their seeds, so the rerun gives the same rows.  A process forked from one
@@ -54,6 +61,7 @@ from __future__ import annotations
 
 import csv
 import io
+import multiprocessing
 import os
 import threading
 import time
@@ -270,31 +278,43 @@ def _format(value):
 
 
 # The kept worker pool (see the module docstring): (owner pid, workers,
-# executor) or None.
+# executor, counter) or None.  The counter is shared with the pool's
+# workers and holds two integers under one lock: the number of the grid
+# on the pool and the index of its next unclaimed trial.
 _POOL = None
+
+# In a pool worker, its pool's counter (set by ``_start_worker``).
+_COUNTER = None
 
 
 def _pool(workers):
-    """The kept pool with ``workers`` workers; a pool of another count is
-    shut down and joined before the new one forks.  A pool inherited
-    through a fork is forgotten: its workers and its manager thread belong
-    to the parent, and a grid submitted to it would wait forever."""
+    """The kept pool with ``workers`` workers and its counter; a pool of
+    another count is shut down and joined before the new one forks.  A pool
+    inherited through a fork is forgotten: its workers and its manager
+    thread belong to the parent, and a grid submitted to it would wait
+    forever."""
     global _POOL
     if _POOL is not None and _POOL[0] != os.getpid():
         _POOL = None
     if _POOL is not None and _POOL[1] != workers:
         _drop_pool()
     if _POOL is None:
+        counter = multiprocessing.Array("q", 2)
         _POOL = (os.getpid(), workers, ProcessPoolExecutor(
-            max_workers=workers, initializer=_end_with_parent, initargs=(os.getpid(),)))
-    return _POOL[2]
+            max_workers=workers, initializer=_start_worker,
+            initargs=(os.getpid(), counter)), counter)
+    return _POOL[2:]
 
 
-def _end_with_parent(parent):
-    """Worker initializer: a daemon thread ends the worker once ``parent``
-    is gone.  An idle worker would never notice by itself, since it holds
-    the write end of its own call queue; a parent that ends without exit
-    hooks (SIGTERM, ``os._exit``, SIGKILL) would leave it waiting forever."""
+def _start_worker(parent, counter):
+    """Worker initializer: keep the pool's counter, and start a daemon
+    thread that ends the worker once ``parent`` is gone.  An idle worker
+    would never notice by itself, since it holds the write end of its own
+    call queue; a parent that ends without exit hooks (SIGTERM,
+    ``os._exit``, SIGKILL) would leave it waiting forever."""
+    global _COUNTER
+    _COUNTER = counter
+
     def watch():
         while os.getppid() == parent:
             time.sleep(0.5)
@@ -309,15 +329,53 @@ def _drop_pool():
     pool.shutdown()
 
 
-def _parallel_map(tasks, workers):
-    """_run_one over tasks on the kept pool, results in task order.  A pool
-    broken since the last grid is replaced and the grid run once more; a
-    second break raises."""
+def _claim_trials(tasks, grid):
+    """A worker's share of grid number ``grid``: claim the next trial under
+    the counter's lock and run it, until no trial is left or the counter
+    holds another grid number (the parent gave this grid up), then answer
+    with the (index, values) pairs in one message."""
+    lock, counter = _COUNTER.get_lock(), _COUNTER.get_obj()  # raw: one lock per claim
+    done = []
+    while True:
+        with lock:
+            if counter[0] != grid or counter[1] >= len(tasks):
+                return done
+            i = counter[1]
+            counter[1] = i + 1
+        done.append((i, _run_one(tasks[i])))
+
+
+def _claimed_grid(tasks, workers):
+    """One grid on the kept pool: a new grid number and trial 0 in the
+    counter, one claim loop per worker, the pairs put back in task order.
+    An interrupted grid moves the grid number on, so its loops stop."""
+    pool, counter = _pool(workers)
+    with counter.get_lock():
+        grid = counter[0] + 1
+        counter[0], counter[1] = grid, 0
+    loops = [pool.submit(_claim_trials, tasks, grid) for _ in range(workers)]
+    results = [None] * len(tasks)
     try:
-        return list(_pool(workers).map(_run_one, tasks, chunksize=8))
+        for loop in loops:
+            for i, values in loop.result():
+                results[i] = values
+    except KeyboardInterrupt:  # given up: the loops stop at their next claim
+        with counter.get_lock():
+            counter[0] = grid + 1
+        raise
+    return results
+
+
+def _parallel_map(tasks, workers):
+    """_run_one over tasks on the kept pool, results in task order: each
+    worker claims trials from the pool's counter.  A pool broken since the
+    last grid is replaced and the grid run once more; a second break
+    raises."""
+    try:
+        return _claimed_grid(tasks, workers)
     except BrokenProcessPool:
         _drop_pool()
-    return list(_pool(workers).map(_run_one, tasks, chunksize=8))
+    return _claimed_grid(tasks, workers)
 
 
 def _run_grid(config, kind, columns, validate):

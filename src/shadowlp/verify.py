@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -391,9 +391,7 @@ def suite_determinism(seed=VERIFY_SEED):
                                           trials=100, seed=randgen.sub_seed(seed, 3))
     runs = [experiments.run_pivot_experiment(config) for _ in range(2)]
     texts = [experiments.csv_text(h, r, include_timing=False) for h, r in runs]
-    import dataclasses
-
-    parallel = experiments.run_pivot_experiment(dataclasses.replace(config, threads=2))
+    parallel = experiments.run_pivot_experiment(replace(config, threads=2))
     texts.append(experiments.csv_text(*parallel, include_timing=False))
     identical = texts[0] == texts[1]
     parallel_identical = texts[0] == texts[2]

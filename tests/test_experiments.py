@@ -262,6 +262,81 @@ def test_consecutive_grids_reuse_the_pool_and_keep_the_bytes():
     assert first == second == serial
 
 
+def test_grids_of_other_sizes_in_a_row_each_claim_from_trial_zero():
+    # A counter left at the previous grid's last index would skip trials.
+    configs = [_small_config(n=[6], sigma=[0.3], trials=4),
+               _small_config(sigma=[0.3], trials=5),
+               _small_config(n=[8], sigma=[0.5], trials=3)]
+    pools = []
+    for config in configs:
+        serial, parallel = _serial_and_parallel(run_pivot_experiment, config, 2)
+        assert parallel == serial
+        pools.append((_kept_pool(), _worker_pids()))
+    assert all(pool is pools[0][0] and pids == pools[0][1] for pool, pids in pools)
+
+
+@pytest.mark.parametrize("cells, trials", [(1, 2), (3, 1)])
+def test_claim_loops_left_without_a_trial_keep_their_workers(cells, trials):
+    config = _small_config(n=[6, 7, 8][:cells], sigma=[0.3], trials=trials)
+    serial, parallel = _serial_and_parallel(run_pivot_experiment, config, 3)
+    assert parallel == serial
+    pids = _worker_pids()
+    assert len(pids) == 3 and not any(_gone(pid) for pid in pids)
+
+
+def test_every_trial_is_claimed_once_by_workers_racing_for_the_counter():
+    # Three workers on fewer cores claim trials that fail at once (n = 0),
+    # so they spend most of their time claiming; a claim outside the
+    # counter's lock would take a trial twice or skip one.
+    pool, counter = experiments._pool(3)
+    tasks = [("pivots", seed, 0, 0, 0.1, "smoothed", False) for seed in range(5000)]
+    with counter.get_lock():
+        grid = counter[0] + 1
+        counter[0], counter[1] = grid, 0
+    loops = [pool.submit(experiments._claim_trials, tasks, grid) for _ in range(3)]
+    claimed = sorted(i for loop in loops for i, _ in loop.result(timeout=60))
+    assert claimed == list(range(len(tasks)))
+
+
+def test_claim_loop_of_a_grid_given_up_claims_nothing():
+    # The parent abandons a grid only when interrupted; the abandoned loops
+    # must not take trials from the grid after it.
+    run_pivot_experiment(_small_config(trials=2, threads=2))
+    pool, counter = experiments._pool(2)
+    grid, claimed = counter[0], counter[1]
+    tasks = [("pivots", 5, 8, 2, 0.3, "smoothed", False)] * (claimed + 4)
+    assert pool.submit(experiments._claim_trials, tasks, grid - 1).result() == []
+    assert (counter[0], counter[1]) == (grid, claimed)
+
+
+def test_grid_after_an_interrupted_one_gets_all_its_trials():
+    # The interrupt must stop the grid's claim loops at their next claim,
+    # and the next grid on the same pool must not lose trials to them.
+    code = ("import signal, time\n"
+            "from dataclasses import replace\n"
+            "from shadowlp import experiments as e\n"
+            "config = e.ExperimentConfig(n=[8], trials=6, seed=3)\n"
+            "e.run_pivot_experiment(replace(config, threads=2))\n"
+            "def interrupt(*_):\n"
+            "    raise KeyboardInterrupt\n"
+            "signal.signal(signal.SIGALRM, interrupt)\n"
+            "signal.setitimer(signal.ITIMER_REAL, 0.3)\n"
+            "try:\n"
+            "    e.run_pivot_experiment(\n"
+            "        e.ExperimentConfig(n=[16], trials=4000, seed=3, threads=2))\n"
+            "except KeyboardInterrupt:\n"
+            "    pass\n"
+            "claimed = e._POOL[3][1]\n"
+            "assert 0 < claimed < 4000, 'not interrupted while its trials ran'\n"
+            "time.sleep(0.5)\n"
+            "assert e._POOL[3][1] == claimed, 'the loops went on claiming'\n"
+            "serial = e.csv_text(*e.run_pivot_experiment(config), include_timing=False)\n"
+            "parallel = e.run_pivot_experiment(replace(config, threads=2))\n"
+            "assert e.csv_text(*parallel, include_timing=False) == serial")
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+
+
 def test_section_grid_runs_on_the_pool_a_pivot_grid_left():
     run_pivot_experiment(_small_config(trials=2, threads=2))
     pool, pids = _kept_pool(), _worker_pids()

@@ -4,8 +4,8 @@ The number of pivot steps of a shadow-vertex walk is at most the number of
 edges of the polygon P intersect E, where E is the sweep plane.  This module
 counts those edges directly: it finds a point x0 deep inside the slice,
 recenters there, finds the start facet facet(q(theta0)) pierced by the ray
-q(theta0), and sweeps the full circle; each distinct facet in the trace
-contributes exactly one edge.
+q(theta0), and sweeps the full circle; each distinct facet on the sweep's
+path contributes exactly one edge.
 
 When d <= 4 one Qhull hull of the candidate rows per section serves all
 three stages.  The candidate rows are those that may be hull vertices: at
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import phase1
 from .geometry import (DEFAULT_TOL, STATUS_OPTIMAL, FacetIndexSet, NumericFailure, PointSet,
@@ -169,7 +168,10 @@ def _candidate_rows(points):
 
 def _hull(points):
     """Qhull's hull of the points; None when Qhull refuses a flat or too
-    small set."""
+    small set.  scipy.spatial is imported here, by the first hull, so that
+    importing the package does not load it."""
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         return ConvexHull(points)
     except QhullError:
@@ -270,7 +272,7 @@ def section_edges(points, plane, rng=None, validate=False):
 
     Recenter at the slice's interior point, find the starting facet
     facet(q(theta0)), sweep the circle from theta0, and count distinct
-    facets in the trace.  A slice with margin at most Tolerance.band (or no
+    facets on its path.  A slice with margin at most Tolerance.band (or no
     slice at all), and a set that spans no full-dimensional hull, are
     reported as degenerate with edge_count 0.
 
@@ -321,6 +323,6 @@ def section_edges(points, plane, rng=None, validate=False):
     # keep ascends, so the mapped indices stay sorted and the columns of
     # each facet's inverse stay aligned with them.
     facets = [FacetIndexSet(tuple(keep[list(f.indices)].tolist()), f.normal, f.inverse, f.updates)
-              for f in outcome.distinct_facets()]
+              for f in dict.fromkeys(outcome.path)]
     return SectionReport(edge_count=len(facets), interior_point=x0,
                          facets=facets, degenerate=False)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,26 +101,25 @@ class SweepPlane:
         return cls(basis1=b1, basis2=w / nw)
 
 
-@dataclass(slots=True)
-class TraceEntry:
-    """One facet of a walk together with its half-open angular interval
-    [theta_start, theta_end)."""
-
-    facet: FacetIndexSet
-    theta_start: float
-    theta_end: float
-
-
 @dataclass
 class WalkOutcome:
-    status: str
-    facet: FacetIndexSet | None
-    pivots: int
-    trace: list = field(default_factory=list)
+    """How a walk ended.  path holds the facets it stood on, in order: the
+    start facet, then each facet a pivot entered.  exit is (theta, leaving)
+    when the status is STATUS_UNBOUNDED: the angle and the crossing index at
+    which pivot found no entering row; otherwise None."""
 
-    def distinct_facets(self):
-        """Facets of the trace in first-visit order, each once."""
-        return list(dict.fromkeys(e.facet for e in self.trace))
+    status: str
+    path: list
+    exit: tuple | None = None
+
+    @property
+    def facet(self):
+        """The last facet, on every status."""
+        return self.path[-1]
+
+    @property
+    def pivots(self):
+        return len(self.path) - 1
 
 
 def exit_angle(facet, plane, theta_now):
@@ -319,11 +318,13 @@ def walk(ps, plane, start_facet, theta_start, theta_target, validate=False):
     """Walk facet(q(theta)) of the PointSet ps from theta_start until the
     current facet's interval reaches theta_target.
 
-    Returns a WalkOutcome whose status is STATUS_OPTIMAL with the limit
-    facet from the approaching side, or STATUS_UNBOUNDED when the objective
-    family leaves the polytope's cone before the target.  The trace records
-    each visited facet with its half-open interval; intervals are contiguous
-    and increasing and the final one is clipped at theta_target.
+    Returns a WalkOutcome whose status is STATUS_OPTIMAL, its last facet
+    the limit facet from the approaching side, or STATUS_UNBOUNDED when the
+    objective family leaves the polytope's cone before the target; its exit
+    then names where, and its last facet is the one left there.  Each facet
+    of the path holds q(theta) from the exit angle of the one before it
+    (theta_start for the first) to its own exit angle (theta_target for
+    the last of an optimal walk).
 
     Raises CycleSuspected when a pivot enters a facet entered before; the
     start facet may come back once, as it does at the end of a full sweep.
@@ -333,42 +334,35 @@ def walk(ps, plane, start_facet, theta_start, theta_target, validate=False):
     if validate and not all_below(ps, start_facet.normal):
         raise WalkInvariantViolation("start facet is not valid")
 
-    trace = []
+    path = [start_facet]
     entered = set()  # facets entered by a pivot; the start facet is not one yet
-    current = start_facet
     theta = theta_start
-    pivots = 0
     while True:
+        current = path[-1]
         hit = exit_angle(current, plane, theta)
         if hit is None or hit[0] >= theta_target - DEFAULT_TOL.eps_angle:
-            trace.append(TraceEntry(current, theta, theta_target))
-            return WalkOutcome(STATUS_OPTIMAL, current, pivots, trace)
-        theta_exit, leaving = hit
+            return WalkOutcome(STATUS_OPTIMAL, path)
+        theta, leaving = hit
         new_facet = pivot(ps, current, leaving)
         if new_facet is None:
-            trace.append(TraceEntry(current, theta, theta_exit))
-            return WalkOutcome(STATUS_UNBOUNDED, None, pivots, trace)
+            return WalkOutcome(STATUS_UNBOUNDED, path, hit)
         if validate:
             _validate_step(ps, current, new_facet)
-        trace.append(TraceEntry(current, theta, theta_exit))
         if new_facet.indices in entered:
-            recent = ", ".join(f"{e.facet.indices}@{e.theta_start:.9g}" for e in trace[-4:])
+            recent = ", ".join(str(f.indices) for f in path[-4:])
             raise CycleSuspected(f"facet {new_facet.indices} entered again at "
-                                 f"theta={theta_exit:.9g}; last facets@theta: {recent}")
+                                 f"theta={theta:.9g}; last facets: {recent}")
         entered.add(new_facet.indices)
-        current = new_facet
-        theta = theta_exit
-        pivots += 1
+        path.append(new_facet)
 
 
-def _closes(ps, plane, trace):
+def _closes(ps, plane, path, end):
     """The sweep ends on its start facet, or one pivot at the end angle
-    reaches it: with a vertex on the start ray the trace may begin on the
+    reaches it: with a vertex on the start ray the path may begin on the
     facet just past that vertex."""
-    first, last = trace[0].facet, trace[-1].facet
+    first, last = path[0], path[-1]
     if last == first:
         return True
-    end = trace[-1].theta_end
     hit = exit_angle(last, plane, end)
     if hit is None or hit[0] > end + DEFAULT_TOL.eps_angle:
         return False
@@ -380,18 +374,16 @@ def sweep_full(ps, plane, start_facet, theta_start=0.0, validate=False):
 
     Requires the origin in the relative interior of the polytope's slice by
     the plane (every direction then pierces some facet, so unboundedness is
-    impossible).  The trace partitions [theta_start, theta_start + 2*pi); the
-    start facet may appear twice, once at each end, and walk raises
-    CycleSuspected when any other facet would.  The status is the walk's
-    own, STATUS_OPTIMAL, and pivots equals len(trace) - 1."""
-    outcome = walk(ps, plane, start_facet, theta_start, theta_start + TWO_PI,
-                   validate=validate)
+    impossible).  The facets of the path hold q over consecutive intervals
+    that cover [theta_start, theta_start + 2*pi); the start facet may appear
+    twice, once at each end, and walk raises CycleSuspected when any other
+    facet would.  The status is the walk's own, STATUS_OPTIMAL.  Validated,
+    the walk checks every pivot and the sweep checks that it closes on its
+    start facet (_closes)."""
+    theta_end = theta_start + TWO_PI
+    outcome = walk(ps, plane, start_facet, theta_start, theta_end, validate=validate)
     if outcome.status == STATUS_UNBOUNDED:
         raise WalkStateError("unbounded during a full sweep: origin not interior to the slice")
-    if validate:
-        total = sum(e.theta_end - e.theta_start for e in outcome.trace)
-        if abs(total - TWO_PI) > DEFAULT_TOL.eps_feas:
-            raise WalkInvariantViolation(f"sweep intervals cover {total!r}, expected 2*pi")
-        if not _closes(ps, plane, outcome.trace):
-            raise WalkInvariantViolation("full sweep did not close on its start facet")
+    if validate and not _closes(ps, plane, outcome.path, theta_end):
+        raise WalkInvariantViolation("full sweep did not close on its start facet")
     return outcome

@@ -353,8 +353,9 @@ def suite_walk_invariants(prior=None, seed=VERIFY_SEED):
     """Zero structural violations across the validated walks of suites 1-4.
 
     The walk layer checks, on every pivot, that adjacent facets share exactly
-    d-1 indices and that the new facet passes the validity predicate, and on
-    every full sweep that the interval lengths sum to 2*pi within eps_feas.  When
+    d-1 indices, that the new facet passes the validity predicate and that an
+    updated facet matches a fresh factorization, and on every full sweep that
+    it closes on its start facet.  When
     ``prior`` holds the results of suites 1-4 this aggregates their counters;
     standalone it runs reduced versions of suites 1 and 4.
     """
@@ -375,7 +376,8 @@ def suite_walk_invariants(prior=None, seed=VERIFY_SEED):
     details = {
         "mode": mode, "walks_validated": walks, "violations": violations,
         "sources": sources,
-        "checks": "facet locality (d-1 shared), facet validity, sweep closure to 2*pi",
+        "checks": ("facet locality (d-1 shared), facet validity, updated facet against "
+                   "a fresh factorization, sweep closure on the start facet"),
     }
     passed = violations == 0 and walks > 0
     return SuiteResult(7, "walk-invariants", passed, details)

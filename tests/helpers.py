@@ -3,8 +3,8 @@ cone coefficients, an LP for convex membership, the section's margin LP
 over every point solved by HiGHS, a CSV reader, the numpy formulations of
 the linear kernel, the exit angle and the Haar rotation, the section's hull
 path on the hull of every row, programs feasible by construction, the
-smoothed programs of the pivot experiment and a recorder of a solve's
-walks."""
+smoothed programs of the pivot experiment, the degenerate programs, a
+walk's intervals and a recorder of a solve's walks."""
 
 import csv
 import math
@@ -16,7 +16,7 @@ from scipy.linalg.lapack import dgesv
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from shadowlp import interpolate, phase1, randgen, sections, shadow_walk
-from shadowlp.geometry import DEFAULT_TOL, PointSet, SingularSystem, solve_linear
+from shadowlp.geometry import DEFAULT_TOL, GeneralLP, PointSet, SingularSystem, solve_linear
 from shadowlp.shadow_walk import TWO_PI, WalkStateError
 
 
@@ -159,7 +159,7 @@ def reference_section_edges(points, plane):
     shifted = PointSet(points[keep] - x0)
     start = sections._hull_start_facet(hull, keep, shifted, x0, plane)
     outcome = shadow_walk.sweep_full(shifted, plane, start, sections._THETA0)
-    facets = [tuple(keep[list(f.indices)].tolist()) for f in outcome.distinct_facets()]
+    facets = [tuple(keep[list(f.indices)].tolist()) for f in dict.fromkeys(outcome.path)]
     return sections.SectionReport(edge_count=len(facets), interior_point=x0, facets=facets,
                                   degenerate=False)
 
@@ -174,23 +174,91 @@ def feasible_lp(n, d, seed):
     return randgen.sample_instance(randgen.normalize(spec), randgen.derive_rng(seed, 1))
 
 
-def smoothed_lp(n, d, seed):
+def smoothed_lp(n, d, seed, sigma=0.1):
     """The program experiments.replay_pivot_trial solves for a trial seed at
-    sigma = 0.1; it solves it with rng=randgen.sub_seed(seed, 2)."""
-    spec = randgen.normalize(randgen.random_spec(n, d, 0.1, randgen.derive_rng(seed, 0)))
+    sigma; it solves it with rng=randgen.sub_seed(seed, 2)."""
+    spec = randgen.normalize(randgen.random_spec(n, d, sigma, randgen.derive_rng(seed, 0)))
     return randgen.sample_instance(spec, randgen.derive_rng(seed, 1))
 
 
+def klee_minty(d):
+    """Klee and Minty's cube: max sum_j 2^(d-j) x_j subject to
+    sum_{i<j} 2^(j-i+1) x_i + x_j <= 5^j and x >= 0, optimum 5^d."""
+    A = np.vstack([np.eye(d), -np.eye(d)])
+    for j in range(d):
+        A[j, :j] = 2.0 ** np.arange(j + 1, 1, -1)
+    b = np.concatenate([5.0 ** np.arange(1, d + 1), np.zeros(d)])
+    return GeneralLP(A, b, 2.0 ** np.arange(d - 1, -1, -1))
+
+
+def cube_lp(d, variant):
+    """The cube |x_i| <= 1 with z = (d, ..., 1); "redundant" adds the row
+    sum x <= d through the optimal vertex, "duplicated" repeats the rows
+    x_1 <= 1 and x_2 <= 1, "facet" takes z = e_1 along a facet normal."""
+    A = np.vstack([np.eye(d), -np.eye(d)])
+    b = np.ones(2 * d)
+    z = np.arange(d, 0, -1.0)
+    if variant == "redundant":
+        A, b = np.vstack([A, np.ones(d)]), np.append(b, d)
+    elif variant == "duplicated":
+        A, b = np.vstack([A, A[:2]]), np.append(b, b[:2])
+    elif variant == "facet":
+        z = np.eye(d)[0]
+    return GeneralLP(A, b, z)
+
+
+def zero_rows_lp(b):
+    """Three rows of zeros: every x is feasible when b >= 0 and none is
+    otherwise, and z = e_1 leaves the cone {0} of the rows."""
+    return GeneralLP(np.zeros((3, 2)), np.array(b, dtype=float), np.array([1.0, 0.0]))
+
+
+def bound_pair_lp():
+    """x_1 <= -1 and x_1 >= 1: infeasible, while z = e_2 lies outside the
+    cone of the rows, which holds the line spanned by the bound pair +-e_1."""
+    return GeneralLP(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, -0.1]]),
+                     np.array([-1.0, -1.0, 5.0]), np.array([0.0, 1.0]))
+
+
+# The degenerate programs of tests/test_differential.py by test id: the
+# families HiGHS agrees on, and the infeasible programs outside the cone of
+# their rows that solve_lp calls unbounded.
+DEGENERATE_LPS = [
+    *((f"klee-minty-d{d}", klee_minty(d)) for d in (2, 3, 5, 8)),
+    *((f"cube-{variant}-d{d}", cube_lp(d, variant))
+      for d in (2, 3, 5) for variant in ("alone", "redundant", "duplicated", "facet")),
+    ("zero-rows", zero_rows_lp([1.0, 1.0, 1.0])),  # HiGHS: unbounded
+]
+OUTSIDE_THE_CONE_LPS = [("bound-pair", bound_pair_lp()),
+                        ("zero-rows", zero_rows_lp([1.0, -1.0, 1.0]))]
+
+
+def walk_intervals(outcome, plane, theta_start, theta_target):
+    """(facet, theta_start, theta_end) for each facet on a walk's path: the
+    half-open interval of angles over which the walk stood on it.  Each
+    facet's start is the previous facet's exit angle, replayed by exit_angle
+    as the walk computed it, so the angles are the walk's own bits.  The
+    last facet ends at theta_target, or at the exit angle of an unbounded
+    walk."""
+    starts = [theta_start]
+    for facet in outcome.path[:-1]:
+        starts.append(shadow_walk.exit_angle(facet, plane, starts[-1])[0])
+    end = theta_target if outcome.exit is None else outcome.exit[0]
+    return list(zip(outcome.path, starts, starts[1:] + [end]))
+
+
 def recorded_walks(solve, *args, **kwargs):
-    """(points, plane, levels, trace) of every walk of solve(*args, **kwargs)
-    in the order they ran, read off each walk's PointSet.  For solve_lp:
-    Phase I's, with levels None, then the lifted one's, whose row 0 is the
-    vertex at infinity."""
+    """(points, plane, levels, intervals) of every walk of
+    solve(*args, **kwargs) in the order they ran, read off each walk's
+    PointSet, with the walk_intervals of its path.  For solve_lp: Phase I's,
+    with levels None, then the lifted one's, whose row 0 is the vertex at
+    infinity."""
     walks = []
 
-    def recorded(ps, plane, *args, **kwargs):
-        outcome = shadow_walk.walk(ps, plane, *args, **kwargs)
-        walks.append((ps.points, plane, ps.levels, outcome.trace))
+    def recorded(ps, plane, start, theta_start, theta_target, **kwargs):
+        outcome = shadow_walk.walk(ps, plane, start, theta_start, theta_target, **kwargs)
+        walks.append((ps.points, plane, ps.levels,
+                      walk_intervals(outcome, plane, theta_start, theta_target)))
         return outcome
 
     with pytest.MonkeyPatch.context() as mp:

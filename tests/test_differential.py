@@ -11,14 +11,13 @@ from shadowlp.interpolate import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
-    GeneralLP,
     solve_lp,
 )
 from shadowlp.oracle import classify_lp
 from shadowlp.randgen import sub_seed
 from shadowlp.shadow_walk import WalkInvariantViolation
 
-from helpers import smoothed_lp
+from helpers import DEGENERATE_LPS, OUTSIDE_THE_CONE_LPS, klee_minty, smoothed_lp
 
 _HIGHS_STATUS = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE, 3: STATUS_UNBOUNDED}
 
@@ -96,58 +95,13 @@ def test_large_programs_at_d3_match_highs(model, n, feasible_lp):
         _assert_matches_highs(lp, result)
 
 
-def _klee_minty(d):
-    """Klee and Minty's cube: max sum_j 2^(d-j) x_j subject to
-    sum_{i<j} 2^(j-i+1) x_i + x_j <= 5^j and x >= 0, optimum 5^d."""
-    A = np.vstack([np.eye(d), -np.eye(d)])
-    for j in range(d):
-        A[j, :j] = 2.0 ** np.arange(j + 1, 1, -1)
-    b = np.concatenate([5.0 ** np.arange(1, d + 1), np.zeros(d)])
-    return GeneralLP(A, b, 2.0 ** np.arange(d - 1, -1, -1))
-
-
-def _cube(d, variant):
-    """The cube |x_i| <= 1 with z = (d, ..., 1); "redundant" adds the row
-    sum x <= d through the optimal vertex, "duplicated" repeats the rows
-    x_1 <= 1 and x_2 <= 1, "facet" takes z = e_1 along a facet normal."""
-    A = np.vstack([np.eye(d), -np.eye(d)])
-    b = np.ones(2 * d)
-    z = np.arange(d, 0, -1.0)
-    if variant == "redundant":
-        A, b = np.vstack([A, np.ones(d)]), np.append(b, d)
-    elif variant == "duplicated":
-        A, b = np.vstack([A, A[:2]]), np.append(b, b[:2])
-    elif variant == "facet":
-        z = np.eye(d)[0]
-    return GeneralLP(A, b, z)
-
-
-def _zero_rows_lp(b):
-    """Three rows of zeros: every x is feasible when b >= 0 and none is
-    otherwise, and z = e_1 leaves the cone {0} of the rows."""
-    return GeneralLP(np.zeros((3, 2)), np.array(b, dtype=float), np.array([1.0, 0.0]))
-
-
-@pytest.mark.parametrize("lp", [
-    *(pytest.param(_klee_minty(d), id=f"klee-minty-d{d}") for d in (2, 3, 5, 8)),
-    *(pytest.param(_cube(d, variant), id=f"cube-{variant}-d{d}")
-      for d in (2, 3, 5) for variant in ("alone", "redundant", "duplicated", "facet")),
-    pytest.param(_zero_rows_lp([1.0, 1.0, 1.0]), id="zero-rows"),  # HiGHS: unbounded
-])
+@pytest.mark.parametrize("lp", [pytest.param(lp, id=name) for name, lp in DEGENERATE_LPS])
 def test_degenerate_families_match_highs(lp):
     for seed in range(10):
         _assert_matches_highs(lp, solve_lp(lp, rng=seed))
 
 
-def _bound_pair_lp():
-    """x_1 <= -1 and x_1 >= 1: infeasible, while z = e_2 lies outside the
-    cone of the rows, which holds the line spanned by the bound pair +-e_1."""
-    return GeneralLP(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, -0.1]]),
-                     np.array([-1.0, -1.0, 5.0]), np.array([0.0, 1.0]))
-
-
-_OUTSIDE_THE_CONE = [pytest.param(_bound_pair_lp(), id="bound-pair"),
-                     pytest.param(_zero_rows_lp([1.0, -1.0, 1.0]), id="zero-rows")]
+_OUTSIDE_THE_CONE = [pytest.param(lp, id=name) for name, lp in OUTSIDE_THE_CONE_LPS]
 
 
 @pytest.mark.xfail(strict=True, reason="solve_lp reports unbounded whenever z leaves the cone "
@@ -168,5 +122,5 @@ def test_classify_lp_on_an_infeasible_program_outside_the_cone_matches_highs(lp)
                    reason="all_below's absolute eps_feas refuses a valid facet whose normal "
                           "has entries in the hundreds")
 def test_validated_klee_minty_matches_highs():
-    lp = _klee_minty(8)
+    lp = klee_minty(8)
     _assert_matches_highs(lp, solve_lp(lp, rng=5, validate=True))

@@ -24,12 +24,12 @@ CASES = [("smoothed", 3, 40, 0), ("smoothed", 3, 4096, 1), ("feasible", 3, 40, 2
 
 @functools.cache
 def _steps(model, d, n, seed):
-    """(plane, facet, theta_start, theta_end) of every trace entry of every
-    walk of one solve, with the plane each walk swept."""
+    """(plane, facet, theta_start, theta_end) of every facet on the path of
+    every walk of one solve, with the plane each walk swept."""
     lp = feasible_lp(n, d, seed) if model == "feasible" else smoothed_lp(n, d, seed)
-    return [(plane, entry.facet, entry.theta_start, entry.theta_end)
-            for _, plane, _, trace in recorded_walks(interpolate.solve_lp, lp, rng=seed)
-            for entry in trace]
+    return [(plane, *interval)
+            for _, plane, _, intervals in recorded_walks(interpolate.solve_lp, lp, rng=seed)
+            for interval in intervals]
 
 
 def _outcome(fn, facet, plane, theta):

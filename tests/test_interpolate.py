@@ -136,8 +136,8 @@ def test_solve_lp_infeasible_fixture():
 def test_solve_lp_raises_numeric_failure_when_lifted_walk_unbounded(monkeypatch):
     # A bounded Phase I makes an unbounded lifted walk impossible in exact
     # arithmetic; solve_lp must say so instead of returning a verdict.
-    monkeypatch.setattr(interpolate, "walk",
-                        lambda *args, **kwargs: WalkOutcome(STATUS_UNBOUNDED, None, 3))
+    monkeypatch.setattr(interpolate, "walk", lambda ps, plane, start, *args, **kwargs:
+                        WalkOutcome(STATUS_UNBOUNDED, [start], (1.0, start.indices[0])))
     with pytest.raises(NumericFailure, match="lifted walk left the cone"):
         solve_lp(_lp_optimal(), rng=501)
 

@@ -24,8 +24,8 @@ def _walks(n, seed, d=3):
     benchmark's model: Phase I's, with levels None, and the lifted one's,
     whose row 0 is the vertex at infinity."""
     walks = recorded_walks(interpolate.solve_lp, smoothed_lp(n, d, seed), rng=seed)
-    return [(points, levels, [entry.facet for entry in trace])
-            for points, _, levels, trace in walks]
+    return [(points, levels, [facet for facet, _, _ in intervals])
+            for points, _, levels, intervals in walks]
 
 
 def _per_row_ratio_test(points, levels, h, g, members):

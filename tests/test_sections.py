@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.spatial import ConvexHull
 
@@ -84,7 +85,7 @@ def _count_calls(monkeypatch, module, name):
 def test_section_is_one_hull_and_no_milp_call(monkeypatch):
     # One hull, one margin LP over its facets, and no cut round: the hull
     # path runs no Phase I.
-    hulls = _count_calls(monkeypatch, sections, "ConvexHull")
+    hulls = _count_calls(monkeypatch, scipy.spatial, "ConvexHull")
     margins = _count_calls(monkeypatch, sections, "_max_margin")
     units = _count_calls(monkeypatch, phase1, "solve_unit")
     points = gaussian(derive_rng(703), (8, 3))
@@ -98,15 +99,17 @@ def test_importing_shadowlp_loads_no_scipy_optimize():
     # Every LP of the package runs on its own pivots, so importing each of
     # its modules in a fresh interpreter loads no scipy.optimize, HiGHS's
     # interface.  verify imports nnls lazily, inside the one check using it.
+    # Nor does it load scipy.spatial: sections imports Qhull in _hull, and
+    # verify in the one check that takes hulls.
     code = ("import importlib, pkgutil, sys, shadowlp\n"
             "for m in pkgutil.iter_modules(shadowlp.__path__):\n"
             "    importlib.import_module('shadowlp.' + m.name)\n"
-            "print('scipy.optimize' in sys.modules)")
+            "print('scipy.optimize' in sys.modules, 'scipy.spatial' in sys.modules)")
     src = str(Path(shadowlp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -173,7 +176,7 @@ def test_no_hull_reduction_above_dimension_four(monkeypatch):
     # No Qhull call: each master solve of the cut driver separates its four
     # margin points with one Phase I each, and one more Phase I finds the
     # sweep's start facet.
-    hulls = _count_calls(monkeypatch, sections, "ConvexHull")
+    hulls = _count_calls(monkeypatch, scipy.spatial, "ConvexHull")
     margins = _count_calls(monkeypatch, sections, "_max_margin")
     units = _count_calls(monkeypatch, phase1, "solve_unit")
     points = gaussian(derive_rng(712), (60, 6))
@@ -187,7 +190,7 @@ def test_flat_point_set_is_degenerate(monkeypatch):
     # Six points in the plane x1 = 0 span no 3-d hull: Qhull refuses them.
     # The plane meets the sweep plane x3 = 0 in a line, so the slice is a
     # segment: degenerate.
-    hulls = _count_calls(monkeypatch, sections, "ConvexHull")
+    hulls = _count_calls(monkeypatch, scipy.spatial, "ConvexHull")
     points = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
                        [0.0, 0.0, -1.0], [0.0, 0.7, 0.7], [0.0, -0.6, -0.8]])
     report = section_edges(points, SweepPlane.axis(3), rng=715)
@@ -282,7 +285,7 @@ def test_hull_path_matches_the_no_hull_path():
         for facet in (start, unit.facet):
             exit_angle(facet, plane, _THETA0)  # raises unless pierced
             outcome = sweep_full(shifted, plane, facet, _THETA0, validate=True)
-            counts.append(len(outcome.distinct_facets()))
+            counts.append(len(set(outcome.path)))
         assert counts[0] == counts[1], i
     assert empty >= 16
     # Only the regular polygons put a vertex on the ray; the 8-gon's two
@@ -348,13 +351,13 @@ def test_candidate_hull_matches_the_hull_of_every_row(prefilter):
 
 def test_qhull_sees_few_rows_of_a_gaussian_plane_cloud(monkeypatch):
     shapes = []
-    real = sections.ConvexHull
+    real = scipy.spatial.ConvexHull
 
     def spied(points, *args, **kwargs):
         shapes.append(np.shape(points))
         return real(points, *args, **kwargs)
 
-    monkeypatch.setattr(sections, "ConvexHull", spied)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", spied)
     points = gaussian(derive_rng(722), (3000, 2))
     assert not section_edges(points, SweepPlane.axis(2)).degenerate
     assert len(shapes) == 1 and shapes[0][0] < 300

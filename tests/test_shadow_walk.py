@@ -22,7 +22,7 @@ from shadowlp.shadow_walk import (
     walk,
 )
 
-from helpers import cone_coefficients
+from helpers import cone_coefficients, smoothed_lp, walk_intervals
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_walk_triangle_one_pivot(triangle):
     outcome = walk(ps, plane, make_facet(ps, (0, 2)), theta0, theta1, validate=True)
     assert outcome.status == STATUS_OPTIMAL
     assert outcome.pivots == 1
-    assert [e.facet.indices for e in outcome.trace] == [(0, 2), (1, 2)]
+    assert [f.indices for f in outcome.path] == [(0, 2), (1, 2)]
     assert outcome.facet == oracle.facet_of(triangle, np.array([0.1, 1.0]))
 
 
@@ -226,16 +226,20 @@ def test_walk_detects_unbounded_direction(triangle):
     outcome = walk(ps, SweepPlane.axis(2), make_facet(ps, (0, 2)), 0.0, math.pi, validate=True)
     assert outcome.status == STATUS_UNBOUNDED
     assert oracle.facet_of(triangle, np.array([-1.0, 0.0])) is None
+    # The exit names the crossing of the last facet at which no row entered.
+    theta, leaving = outcome.exit
+    assert 0.0 < theta < math.pi and leaving in outcome.facet.indices
 
 
 def test_walk_trace_is_monotone_and_local(triangle):
     ps = PointSet(triangle)
-    outcome = walk(ps, SweepPlane.axis(2), make_facet(ps, (0, 2)), 0.0, math.pi / 2,
-                   validate=True)
-    ends = [e.theta_start for e in outcome.trace]
-    assert all(b > a for a, b in zip(ends, ends[1:]))
-    for prev, cur in zip(outcome.trace, outcome.trace[1:]):
-        assert len(set(prev.facet.indices) & set(cur.facet.indices)) == 1
+    plane = SweepPlane.axis(2)
+    outcome = walk(ps, plane, make_facet(ps, (0, 2)), 0.0, math.pi / 2, validate=True)
+    assert outcome.exit is None
+    starts = [start for _, start, _ in walk_intervals(outcome, plane, 0.0, math.pi / 2)]
+    assert all(b > a for a, b in zip(starts, starts[1:]))
+    for prev, cur in zip(outcome.path, outcome.path[1:]):
+        assert len(set(prev.indices) & set(cur.indices)) == 1
 
 
 def test_walk_terminal_facet_matches_oracle_on_random_instances():
@@ -283,7 +287,7 @@ def test_walk_refactors_every_d_th_pivot(solve_linear_calls):
     outcome = walk(ps, SweepPlane.axis(2), start, 0.1, 6.0)
     assert outcome.pivots == 11
     assert len(solve_linear_calls) == outcome.pivots // 2
-    assert [e.facet.updates for e in outcome.trace] == [0, 1] * 6
+    assert [f.updates for f in outcome.path] == [0, 1] * 6
 
 
 @pytest.mark.parametrize("honest", [0, 1, 3])
@@ -308,7 +312,10 @@ def test_walk_raises_cycle_suspected_when_a_pivot_returns_to_its_facet(monkeypat
         walk(ps, SweepPlane.axis(2), make_facet(ps, (0, 1)), 0.1, 6.0)
     # The start facet may be re-entered once, any other facet not at all.
     assert len(left) == max(honest, 1) + 1
-    assert f"facet {left[-1]} entered again" in str(info.value)
+    message = str(info.value)
+    assert f"facet {left[-1]} entered again" in message
+    # The last facets of the path end with the one the walk stood on.
+    assert "last facets: " in message and message.endswith(str(left[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +404,37 @@ def test_updated_facets_match_a_fresh_factorization(n, d, feasible_lp, monkeypat
         interpolate.solve_lp(feasible_lp(n, d, 300 + seed), rng=seed)
     updated = from_infinite = 0
     for ps, outcome in walks:
-        for prev, entry in zip([None] + outcome.trace, outcome.trace):
-            _assert_matches_fresh_factorization(ps, entry.facet)
-            updated += entry.facet.updates > 0
+        for prev, facet in zip([None] + outcome.path, outcome.path):
+            _assert_matches_fresh_factorization(ps, facet)
+            updated += facet.updates > 0
             # the lifted walk's first pivot updates a basis holding the
             # vertex at infinity, row 0
-            from_infinite += (entry.facet.updates > 0 and prev is not None
-                              and ps.levels is not None and prev.facet.indices[0] == 0)
+            from_infinite += (facet.updates > 0 and prev is not None
+                              and ps.levels is not None and prev.indices[0] == 0)
     assert updated >= 10 and from_infinite == 3
+
+
+def test_unbounded_phase1_walks_exit_along_a_ray_that_leaves_the_cone(monkeypatch):
+    # At an unbounded walk's exit no row blocks g = -B^-1 e_leaving of the
+    # last facet: every row, the added block's included, has <a_k, g> <=
+    # eps_feas.  The target lies less than pi past the exit, where the
+    # leaving coefficient is negative, so <z, g> > 0: z leaves the cone.
+    walks = _recorded_walks(monkeypatch)
+    exits = []
+    for d in (2, 3, 4, 5):
+        for n in (d + 2, 2 * d + 2, 20, 40):
+            for seed in range(30):
+                lp, first = smoothed_lp(n, d, seed), len(walks)
+                interpolate.solve_lp(lp, rng=randgen.sub_seed(seed, 2))
+                exits += [(ps, outcome, lp.z) for ps, outcome in walks[first:]
+                          if outcome.status == STATUS_UNBOUNDED]
+    assert len(exits) >= 50
+    for ps, outcome, z in exits:
+        assert ps.levels is None  # a Phase-I walk
+        facet, (_, leaving) = outcome.facet, outcome.exit
+        g = -facet.inverse[:, facet.indices.index(leaving)]
+        assert (ps.points @ g).max() <= DEFAULT_TOL.eps_feas
+        assert z @ g > 0.0
 
 
 def test_pivots_from_every_facet_of_lifted_polytopes_match_a_fresh_factorization():
@@ -456,12 +486,13 @@ def test_validated_walk_detects_sabotaged_update(sabotage, monkeypatch):
 
 def test_sweep_square_finds_four_facets(square, axis_plane):
     ps = PointSet(square)
-    outcome = sweep_full(ps, axis_plane(2), make_facet(ps, (0, 1)), math.pi / 2, validate=True)
+    plane = axis_plane(2)
+    outcome = sweep_full(ps, plane, make_facet(ps, (0, 1)), math.pi / 2, validate=True)
     assert outcome.status == STATUS_OPTIMAL
-    distinct = outcome.distinct_facets()
-    assert len(distinct) == 4
-    lengths = [e.theta_end - e.theta_start for e in outcome.trace]
-    assert sum(lengths) == pytest.approx(2 * math.pi, abs=1e-9)
+    assert len(set(outcome.path)) == 4
+    intervals = walk_intervals(outcome, plane, math.pi / 2, math.pi / 2 + 2 * math.pi)
+    assert sum(end - start for _, start, end in intervals) == pytest.approx(2 * math.pi,
+                                                                            abs=1e-9)
 
 
 def test_sweep_distinct_facets_match_bruteforce_sections(axis_plane):
@@ -483,7 +514,7 @@ def test_sweep_distinct_facets_match_bruteforce_sections(axis_plane):
         if brute == 0:
             continue
         outcome = sweep_full(PointSet(points), plane, start, 0.0, validate=True)
-        assert len(outcome.distinct_facets()) == brute
+        assert len(set(outcome.path)) == brute
         done += 1
     assert done >= 15
 
@@ -503,12 +534,12 @@ def test_levelled_sweep_matches_the_sweep_of_the_scaled_points(on_vertex, axis_p
         points = randgen.gaussian(randgen.derive_rng(210), (40, 3))
         plane, theta = axis_plane(3), 0.3
         start = oracle.facet_of(points, plane.q(theta)).indices
-    traces = []
+    paths = []
     for ps in (PointSet(points, levels=np.full(len(points), 2.0)), PointSet(points / 2)):
         outcome = sweep_full(ps, plane, make_facet(ps, start), theta, validate=True)
-        traces.append([e.facet.indices for e in outcome.trace])
-    assert traces[0] == traces[1]
-    assert (traces[0][-1] != traces[0][0]) == on_vertex
+        paths.append([f.indices for f in outcome.path])
+    assert paths[0] == paths[1]
+    assert (paths[0][-1] != paths[0][0]) == on_vertex
 
 
 def test_exit_angle_always_finite_for_facets_of_pointed_hulls():

@@ -7,13 +7,14 @@ valid facets, in angular order, without coming back to a facet."""
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowlp import interpolate, phase1, randgen, shadow_walk
-from shadowlp.geometry import all_below
+from shadowlp import randgen
+from shadowlp.geometry import PointSet, all_below
 from shadowlp.interpolate import STATUS_OPTIMAL, GeneralLP, solve_lp
+
+from helpers import recorded_walks
 
 _SETTINGS = settings(max_examples=50)
 _PROGRAMS = dict(seed=st.integers(0, 10 ** 6), d=st.integers(2, 4), n=st.integers(8, 40),
@@ -65,23 +66,11 @@ def test_row_permutation_permutes_the_basis(seed, d, n, sigma, feasible, transfo
 @settings(max_examples=100)
 @given(**_PROGRAMS)
 def test_walks_stay_on_valid_facets_in_angular_order(seed, d, n, sigma, feasible):
-    lp = _program(seed, d, n, sigma, feasible)
-    walks = []
-
-    def recorded(ps, plane, start, theta_start, theta_target, **kwargs):
-        outcome = shadow_walk.walk(ps, plane, start, theta_start, theta_target, **kwargs)
-        walks.append((ps, theta_start, outcome.trace))
-        return outcome
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(phase1, "walk", recorded)
-        mp.setattr(interpolate, "walk", recorded)
-        solve_lp(lp, rng=seed)
+    walks = recorded_walks(solve_lp, _program(seed, d, n, sigma, feasible), rng=seed)
     assert walks
-    for ps, theta_start, trace in walks:
-        assert all(all_below(ps, e.facet.normal) for e in trace)
-        ends = [theta_start] + [e.theta_end for e in trace[:-1]]
-        assert [e.theta_start for e in trace] == ends
-        assert all(e.theta_end >= e.theta_start for e in trace)
-        entered = [e.facet.indices for e in trace[1:]]
+    for points, _, levels, intervals in walks:
+        ps = PointSet(points, levels)
+        assert all(all_below(ps, facet.normal) for facet, _, _ in intervals)
+        assert all(end >= start for _, start, end in intervals)
+        entered = [facet.indices for facet, _, _ in intervals[1:]]
         assert len(set(entered)) == len(entered)  # the start facet may come back once

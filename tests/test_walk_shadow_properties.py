@@ -23,10 +23,10 @@ def test_phase1_walks_stay_on_the_section_of_their_plane(seed, d, data):
     z = randgen.gaussian(stream, (d,))
     walks = recorded_walks(phase1.solve_unit, points, z, rng=seed)
     assert walks
-    for walk_points, plane, _, trace in walks:
+    for walk_points, plane, _, intervals in walks:
         report = section_edges(np.vstack([walk_points, np.zeros(d)]), plane)
         if report.degenerate:
             continue
-        assert len(trace) <= report.edge_count
+        assert len(intervals) <= report.edge_count
         section = {facet.indices for facet in report.facets}
-        assert {entry.facet.indices for entry in trace} <= section
+        assert {facet.indices for facet, _, _ in intervals} <= section

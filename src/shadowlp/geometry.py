@@ -108,36 +108,23 @@ def solve_linear(matrix, rhs, scale=None):
     return x
 
 
-def row_scales(points):
-    """Each row's largest |entry| of an (n, d) float array, bit for bit
-    np.abs(points).max(axis=1), since max is exact.  Unless the array is
-    column-major that reduction runs n short rows one by one, so it is
-    taken over the d columns instead: 13 against 161 us on a C-order
-    (3000, 5) array (timeit, 2-vCPU host)."""
-    magnitudes = np.abs(points)
-    if magnitudes.flags.f_contiguous:
-        return np.maximum.reduce(magnitudes, axis=1)
-    return functools.reduce(np.maximum, magnitudes.T)
-
-
 @dataclass(slots=True)
 class PointSet:
-    """The point set of one walk.  ``points`` keeps the layout its builder
-    chose, and a float array is not copied; ``levels`` is None when every
-    level is 1, so that a pivot gathers none; ``scales`` holds each row's
-    largest |entry|, for make_facet's factorizations and the
-    nonsingularity certificate of shadow_walk._updated_facet.  A builder
-    that already holds the scales of some rows passes the whole array
-    (they must equal row_scales(points)); otherwise they are computed here."""
+    """The point set of one walk, owner of its rows.  ``points`` holds them
+    column-major, in which the products over all rows (ratio_test,
+    all_below) run along the d columns; an array already in that layout is
+    not copied.  ``levels`` is None when every level is 1, so that a pivot
+    gathers none.  ``scales`` holds each row's largest |entry|, computed
+    here once, for make_facet's factorizations and the nonsingularity
+    certificate of shadow_walk._updated_facet."""
 
     points: np.ndarray
     levels: np.ndarray | None = None
-    scales: np.ndarray | None = field(default=None, repr=False)
+    scales: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.scales is None:
-            self.scales = row_scales(self.points)
+        self.points = np.asarray(self.points, dtype=float, order="F")
+        self.scales = np.maximum.reduce(np.abs(self.points), axis=1)
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -33,8 +33,9 @@ class IntLPLift:
     """Lifted PointSet: row 0 is the vertex at infinity, the direction
     straight down, at level 0; rows 1..n are (a_i, 1 - b_i), so row i + 1
     is constraint i; row n + 1 (top_index) is the unit vector along the
-    lifted axis.  Every row but row 0 has level 1.  The points are
-    column-major, as Phase I's are, for the ratio test.  The sweep plane
+    lifted axis.  Every row but row 0 has level 1.  lift allocates the
+    points column-major, the layout PointSet keeps, so that it takes them
+    without a copy.  The sweep plane
     has basis1 = row 0 and basis2 = (z, 0) / |z|, so the sweep runs from
     straight down at angle 0 to straight up at angle pi."""
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import randgen
 from .geometry import (DEFAULT_TOL, STATUS_OPTIMAL, STATUS_UNBOUNDED, FacetIndexSet,
                        NumericFailure, PointSet, SingularSystem, checked_objective,
-                       make_facet, max_row_norm, row_scales, vector_norm)
+                       make_facet, max_row_norm, vector_norm)
 from .shadow_walk import SweepPlane, walk
 
 MAX_RETRIES = 1000
@@ -84,17 +84,16 @@ def simplex_vertices(d, radius):
     return anchor, vertices
 
 
-def add_constraints(points, max_norm, rng, scales=None):
+def add_constraints(points, max_norm, rng):
     """One attempt at the added block, drawn from the stream rng.
 
     The unit simplex around e_d is turned by a Haar rotation, dilated by
     2*norm_ceiling(max_norm), max_norm = max_i |a_i|, and its vertices are
     smoothed with deviation the dilation times added_sigma(d, n).  The rows
-    and then the block fill one fresh column-major (n + d, d) PointSet,
-    whose rows n..n+d-1 are the start facet.  Its row scales are ``scales``,
-    row_scales(points) when the caller holds them (computed here when
-    None), followed by the block's.  Returns None
-    (Failure) when either postcondition check fails:
+    and then the block fill one fresh (n + d, d) array, allocated
+    column-major so that its PointSet takes it without a copy, whose rows
+    n..n+d-1 are the start facet.  Returns None (Failure) when either
+    postcondition check fails:
       cone check — z0 must lie in the cone of the added points,
       distance check — dist(0, aff(added points)) = 1/|h| must be at least
           max_norm.
@@ -110,9 +109,7 @@ def add_constraints(points, max_norm, rng, scales=None):
     full = np.empty((n + d, d), order="F")
     full[:n] = points
     full[n:] = randgen.gaussian(rng, (d, d), center=centers, sigma=sigma)
-    if scales is None:
-        scales = row_scales(points)
-    point_set = PointSet(full, scales=np.concatenate((scales, row_scales(full[n:]))))
+    point_set = PointSet(full)
     try:
         facet = make_facet(point_set, range(n, n + d))
     except SingularSystem:
@@ -137,18 +134,17 @@ def solve_unit(points, objective, rng=None, validate=False):
     and GaveUp after MAX_RETRIES attempts without a clean terminal facet.
 
     The rows are copied once per call into column-major order, the layout
-    of the attempts' arrays, in which the ratio test's products run along
-    columns, and their row scales are taken once for every attempt."""
+    of the attempts' arrays, so that max_row_norm and every attempt's copy
+    of them run along columns."""
     points = np.asarray(points, dtype=float, order="F")
     n = points.shape[0]
     z = checked_objective(points, objective)
     max_norm = max_row_norm(points)
     if max_norm == 0.0 and not points.any():  # not rows whose squares underflow
         return UnitResult(STATUS_UNBOUNDED, None, 0, 0)
-    scales = row_scales(points)
     pivots_total = 0
     for attempt in range(MAX_RETRIES):
-        block = add_constraints(points, max_norm, randgen.derive_rng(rng, attempt), scales)
+        block = add_constraints(points, max_norm, randgen.derive_rng(rng, attempt))
         if block is None:
             continue
         try:

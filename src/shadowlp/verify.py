@@ -6,7 +6,8 @@ dict; ``run_all`` executes all eight in order.  Every randomized suite
 derives its streams from a single seed, so the battery is reproducible
 end to end.  Suites 1-4 run all solver walks with ``validate=True``;
 suite 7 passes when those validated walks reported zero structural
-violations (facet locality, facet validity, full-sweep interval closure).
+violations (facet locality, facet validity, updated facet against a fresh
+factorization, sweep closure on the start facet).
 
 Runtime targets (criteria 1 and 3) are reported in the details, not
 enforced: a slow machine should not flip a correctness verdict.
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import experiments, oracle, randgen, sections
+from . import experiments, randgen, sections
 from .geometry import (
     DEFAULT_TOL,
     STATUS_OPTIMAL,

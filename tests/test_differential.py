@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from shadowlp.geometry import GeneralLP
 from shadowlp.interpolate import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -17,7 +18,7 @@ from shadowlp.oracle import classify_lp
 from shadowlp.randgen import sub_seed
 from shadowlp.shadow_walk import WalkInvariantViolation
 
-from helpers import DEGENERATE_LPS, OUTSIDE_THE_CONE_LPS, klee_minty, smoothed_lp
+from helpers import DEGENERATE_LPS, OUTSIDE_THE_CONE_LPS, feasible_lp, smoothed_lp
 
 _HIGHS_STATUS = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE, 3: STATUS_UNBOUNDED}
 
@@ -118,9 +119,24 @@ def test_classify_lp_on_an_infeasible_program_outside_the_cone_matches_highs(lp)
     assert classify_lp(lp).status == _highs(lp)[0]
 
 
-@pytest.mark.xfail(strict=True, raises=WalkInvariantViolation,
-                   reason="all_below's absolute eps_feas refuses a valid facet whose normal "
-                          "has entries in the hundreds")
-def test_validated_klee_minty_matches_highs():
-    lp = klee_minty(8)
-    _assert_matches_highs(lp, solve_lp(lp, rng=5, validate=True))
+def _row_scaled_lp():
+    """feasible_lp(30, 4, 53) with row i of A and b_i multiplied by
+    10^U(-10, 10).  HiGHS and the unvalidated solve agree on it under the
+    SkylakeX, Haswell, Sandybridge and Prescott kernels.  A validated solve
+    reaches a facet that is valid in exact rational arithmetic, yet one
+    <h, a_i> exceeds its level by 9.5e-7 to 2.9e-6 under those kernels, at
+    least 950 times eps_feas, so all_below refuses the facet on each."""
+    lp = feasible_lp(30, 4, 53)
+    scale = 10.0 ** np.random.default_rng(53).uniform(-10.0, 10.0, lp.n)
+    return GeneralLP(lp.A * scale[:, None], lp.b * scale, lp.z)
+
+
+@pytest.mark.parametrize("validate", [
+    False,
+    pytest.param(True, marks=pytest.mark.xfail(
+        strict=True, raises=WalkInvariantViolation,
+        reason="all_below's absolute eps_feas refuses a valid facet whose rows reach 1e10")),
+], ids=["unvalidated", "validated"])
+def test_row_scaled_program_matches_highs(validate):
+    lp = _row_scaled_lp()
+    _assert_matches_highs(lp, solve_lp(lp, rng=53, validate=validate))

@@ -346,28 +346,30 @@ def test_facet_index_set_equality_ignores_normal():
     assert dataclasses.is_dataclass(a) and not hasattr(a, "__dict__")
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_point_set_keeps_its_array_and_scales_its_rows_once(order):
-    """PointSet.scales is np.abs(points).max(axis=1) bit for bit in either
-    layout, on rows of mixed scale and on rows holding NaNs, infinities and
-    negative zeros; a float array is kept as given, unit levels stay None,
-    and scales passed in are kept as given."""
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_point_set_stores_its_rows_column_major_and_scales_them_once(layout):
+    """PointSet.points is column-major whatever the layout it is given, and
+    a column-major float array is kept as given; PointSet.scales is
+    np.abs(points).max(axis=1) of the given rows bit for bit, on rows of
+    mixed scale and on rows holding NaNs, infinities and negative zeros;
+    unit levels stay None, and levels are kept as given."""
     rng = np.random.default_rng(53)
-    points = rng.standard_normal((300, 5)) * 10.0 ** rng.uniform(-8, 8, (300, 1))
-    points[10] = [0.0, -0.0, 0.0, -0.0, -0.0]
-    points[11] = -0.0
-    points[12, 3] = np.nan
-    points[13, [0, 4]] = [np.inf, np.nan]
-    points[14, 2] = -np.inf
-    points[15] = [1.0, -np.inf, np.nan, -0.0, 2.0]
-    points = np.asarray(points, order=order)
+    wide = rng.standard_normal((300, 10)) * 10.0 ** rng.uniform(-8, 8, (300, 1))
+    wide[10] = [0.0, 0.0, -0.0, 0.0, 0.0, 0.0, -0.0, 0.0, -0.0, 0.0]
+    wide[11] = -0.0
+    wide[12, 6] = np.nan
+    wide[13, [0, 8]] = [np.inf, np.nan]
+    wide[14, 4] = -np.inf
+    wide[15] = [1.0, 0.0, -np.inf, 0.0, np.nan, 0.0, -0.0, 0.0, 2.0, 0.0]
+    points = {"C": np.ascontiguousarray(wide[:, ::2]), "F": np.asfortranarray(wide[:, ::2]),
+              "strided": wide[:, ::2]}[layout]
     ps = PointSet(points)
-    assert ps.points is points and ps.levels is None
+    assert ps.points.flags.f_contiguous and ps.levels is None
+    assert (ps.points is points) == (layout == "F")
+    assert np.array_equal(ps.points, points, equal_nan=True)
     assert ps.scales.tobytes() == np.abs(points).max(axis=1).tobytes()
-    assert geometry.row_scales(points).tobytes() == ps.scales.tobytes()
     levels = np.ones(300)
     assert PointSet(points, levels).levels is levels
-    assert PointSet(points, levels, ps.scales).scales is ps.scales
     assert dataclasses.is_dataclass(ps) and not hasattr(ps, "__dict__")
 
 
@@ -378,7 +380,7 @@ def test_no_walk_function_takes_levels():
               if name.split(".")[1] in ("geometry", "shadow_walk")
               and "levels" in inspect.signature(fn).parameters]
     assert taking == []
-    assert list(inspect.signature(PointSet).parameters) == ["points", "levels", "scales"]
+    assert list(inspect.signature(PointSet).parameters) == ["points", "levels"]
 
 
 def test_max_row_norm_is_the_largest_numpy_row_norm():

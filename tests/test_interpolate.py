@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from shadowlp import interpolate, phase1, shadow_walk
-from shadowlp.geometry import row_scales
 from shadowlp.interpolate import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -190,7 +189,7 @@ def test_solve_lp_walks_column_major_points_whatever_the_layout_of_a(d):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_solve_lp_walks_point_sets_that_hold_the_row_scales_of_their_points(d, monkeypatch):
     """Every point set a solve walks, each Phase-I attempt's and the lifted
-    one, holds byte for byte row_scales of its points, for A strided or
+    one, holds byte for byte the row scales of its points, for A strided or
     C-order and for programs where |1 - b_i|, the lifted row's last entry,
     exceeds the largest |entry| of row i."""
     seen = []
@@ -204,13 +203,12 @@ def test_solve_lp_walks_point_sets_that_hold_the_row_scales_of_their_points(d, m
     for seed in range(3):
         lp = smoothed_lp(40, d, seed)
         b = np.where(np.arange(40) % 3 == 0, 50.0 * lp.b, lp.b)
-        assert np.any(np.abs(1.0 - b) > row_scales(lp.A))
+        assert np.any(np.abs(1.0 - b) > np.abs(lp.A).max(axis=1))
         for a in (lp.A, np.ascontiguousarray(lp.A)):
             seen.clear()
             solve_lp(GeneralLP(A=a, b=b, z=lp.z), rng=seed)
             assert len(seen) >= 2
             for ps in seen:
-                assert ps.scales.tobytes() == row_scales(ps.points).tobytes()
                 assert ps.scales.tobytes() == np.abs(ps.points).max(axis=1).tobytes()
 
 

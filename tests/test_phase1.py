@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shadowlp import oracle, phase1, randgen
-from shadowlp.geometry import PointSet, make_facet, row_scales
+from shadowlp.geometry import PointSet, make_facet
 from shadowlp.phase1 import GaveUp, add_constraints, simplex_vertices, solve_unit
 from shadowlp.randgen import derive_rng, gaussian, norm_ceiling, sub_seed
 
@@ -123,25 +123,21 @@ def test_add_constraints_factors_once_and_solve_unit_every_d_th_pivot(
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 def test_add_constraints_point_set_holds_the_row_scales_of_its_points(layout):
-    """The block's PointSet joins the rows' scales, passed in or computed
-    from the rows, with the block rows' own: byte for byte row_scales of
-    the whole set, whatever the layout of the rows."""
+    """The block's PointSet holds byte for byte the row scales of the whole
+    set, the rows' and the block rows', whatever the layout of the rows."""
     for d in (2, 3, 5):
         magnitudes = 10.0 ** np.arange(-3.0, 3.0, 0.1)[:, None]
         wide = gaussian(derive_rng(405, d), (60, 2 * d)) * magnitudes
         points = {"C": np.ascontiguousarray(wide[:, :d]), "F": np.asfortranarray(wide[:, :d]),
                   "strided": wide[:, ::2]}[layout]
-        for scales in (row_scales(points), None):
-            block = None
-            for attempt in range(20):
-                block = add_constraints(points, _max_norm(points), derive_rng(406, d, attempt),
-                                        scales)
-                if block is not None:
-                    break
-            assert block is not None
-            ps = block.point_set
-            assert ps.scales.tobytes() == row_scales(ps.points).tobytes()
-            assert ps.scales.tobytes() == np.abs(ps.points).max(axis=1).tobytes()
+        block = None
+        for attempt in range(20):
+            block = add_constraints(points, _max_norm(points), derive_rng(406, d, attempt))
+            if block is not None:
+                break
+        assert block is not None
+        ps = block.point_set
+        assert ps.scales.tobytes() == np.abs(ps.points).max(axis=1).tobytes()
 
 
 def test_add_constraints_rejects_block_that_is_too_close(monkeypatch):

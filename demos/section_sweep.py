@@ -34,8 +34,7 @@ print("deepest interior point of the slice:", x0)
 
 report = section_edges(points, plane, rng=12, validate=True)
 print(f"walked edge count: {report.edge_count}")
-print("facets met by the sweep (index sets):",
-      [f.indices for f in report.facets])
+print("facets met by the sweep (index sets):", report.facets)
 print("brute-force count:", section_edge_count_bruteforce(points, plane))
 
 # --- the two fixtures --------------------------------------------------------

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase1
-# GeneralLP is not used here: callers read it from this module, as they do the verdicts.
-from .geometry import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED, GeneralLP,
-                       NumericFailure, PointSet, SingularSystem, make_facet, vector_norm)
+from .geometry import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED, NumericFailure,
+                       PointSet, SingularSystem, make_facet, vector_norm)
 from .shadow_walk import SweepPlane, walk
 
 

@@ -35,12 +35,11 @@ class GaveUp(NumericFailure):
 class AddedBlock:
     """One attempt: its walk's PointSet, the program's n rows and then d
     smoothed vertices of a dilated regular simplex (added_points, a view),
-    the start facet over those d rows, its piercing direction z0 and the centers."""
+    the start facet over those d rows and its piercing direction z0."""
 
     point_set: PointSet
     facet: FacetIndexSet
     start_objective: np.ndarray
-    centers: np.ndarray
 
     @property
     def added_points(self):
@@ -118,7 +117,7 @@ def add_constraints(points, max_norm, rng):
         return None  # cone check failed: z0 escaped the cone of the added block
     if 1.0 / vector_norm(facet.normal) < max_norm:
         return None  # distance check failed: block not far enough out
-    return AddedBlock(point_set, facet, z0, centers)
+    return AddedBlock(point_set, facet, z0)
 
 
 def solve_unit(points, objective, rng=None, validate=False):

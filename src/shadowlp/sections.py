@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase1
-from .geometry import (DEFAULT_TOL, STATUS_OPTIMAL, FacetIndexSet, NumericFailure, PointSet,
-                       SingularSystem, make_facet, solve_linear, vector_norm)
+from .geometry import (DEFAULT_TOL, STATUS_OPTIMAL, NumericFailure, PointSet, SingularSystem,
+                       make_facet, solve_linear, vector_norm)
 from .shadow_walk import WalkStateError, climb, exit_angle, ratio_test, sweep_full
 
 # Largest d at which a section runs on one Qhull hull.  Whole sections, hull
@@ -70,10 +70,19 @@ _SEPARATION_SEED = 0
 
 @dataclass
 class SectionReport:
-    edge_count: int
+    """x0, None for a degenerate section, and the facets the sweep crossed:
+    sorted row-index tuples of points, in sweep order, one per edge."""
+
     interior_point: np.ndarray | None
     facets: list
-    degenerate: bool
+
+    @property
+    def edge_count(self):
+        return len(self.facets)
+
+    @property
+    def degenerate(self):
+        return self.interior_point is None
 
 
 def _slice_point(y, plane):
@@ -235,13 +244,6 @@ def _max_margin(rows, levels):
     return top.normal
 
 
-def _hull_interior_point(hull, plane):
-    """interior_point_in_slice over the hull's facets (_margin_rows), solved
-    by _max_margin.  When several points attain the margin, the vertex
-    Bland's rule reaches decides among them."""
-    return _slice_point(_max_margin(*_margin_rows(hull.equations, plane)), plane)
-
-
 def _hull_start_facet(hull, vertices, shifted, x0, plane):
     """facet(q(theta0)) of the PointSet of shifted hull rows, read off the
     hull's simplices: among those with n.q > 0, in ascending exit distance
@@ -286,9 +288,9 @@ def section_edges(points, plane, rng=None, validate=False):
     row order.  Above d = 4 the margin LP runs over cuts that Phase I
     finds (interior_point_in_slice, which seeds its own Phase I), and a
     Phase I seeded by ``rng``, an int seed or None, finds the start facet;
-    the hull path draws no random numbers.  Facet indices refer to the
-    rows of ``points``; of duplicate rows, any copy may be the one
-    reported."""
+    the hull path draws no random numbers.  The report's facets are sorted
+    tuples of row indices of ``points``, one per edge in sweep order; of
+    duplicate rows, any copy may be the one reported."""
     points = np.asarray(points, dtype=float)
     d = points.shape[1]
     hull = None
@@ -303,14 +305,16 @@ def section_edges(points, plane, rng=None, validate=False):
         # keep in that of points.  Both ascend, as rows does.
         vertices = np.sort(hull.vertices)
         keep = rows[vertices]
-        x0 = _hull_interior_point(hull, plane)
+        # interior_point_in_slice over the hull's facets; when several points
+        # attain the margin, the vertex Bland's rule reaches decides.
+        x0 = _slice_point(_max_margin(*_margin_rows(hull.equations, plane)), plane)
     elif d > _HULL_MAX_DIM:
         keep = np.arange(len(points))
         x0 = interior_point_in_slice(points, plane)
     else:
         x0 = None  # no full-dimensional hull
     if x0 is None:
-        return SectionReport(edge_count=0, interior_point=None, facets=[], degenerate=True)
+        return SectionReport(interior_point=None, facets=[])
     shifted = PointSet(points[keep] - x0)
     if hull is None:
         unit = phase1.solve_unit(shifted.points, plane.q(_THETA0), rng=rng, validate=validate)
@@ -320,9 +324,6 @@ def section_edges(points, plane, rng=None, validate=False):
     else:
         start = _hull_start_facet(hull, vertices, shifted, x0, plane)
     outcome = sweep_full(shifted, plane, start, _THETA0, validate=validate)
-    # keep ascends, so the mapped indices stay sorted and the columns of
-    # each facet's inverse stay aligned with them.
-    facets = [FacetIndexSet(tuple(keep[list(f.indices)].tolist()), f.normal, f.inverse, f.updates)
-              for f in dict.fromkeys(outcome.path)]
-    return SectionReport(edge_count=len(facets), interior_point=x0,
-                         facets=facets, degenerate=False)
+    # keep ascends, so each relabelled tuple stays sorted.
+    facets = keep[[f.indices for f in dict.fromkeys(outcome.path)]].tolist()
+    return SectionReport(interior_point=x0, facets=list(map(tuple, facets)))

@@ -147,7 +147,7 @@ def _program(lp, rng):
 def _section(points, rng):
     report = sections.section_edges(points, SweepPlane.axis(points.shape[1]), rng=rng)
     return {"edge_count": report.edge_count, "degenerate": report.degenerate,
-            "facets": [list(f.indices) for f in report.facets]}
+            "facets": [list(f) for f in report.facets]}
 
 
 def answers():

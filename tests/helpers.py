@@ -144,24 +144,29 @@ def reference_exit_angle(facet, plane, theta_now):
     return theta_now + best_delta, best_index
 
 
+def hull_interior_point(hull, plane):
+    """x0 of section_edges' hull path: the margin LP over the hull's facet
+    equations, solved by the walk's pivots."""
+    rows, levels = sections._margin_rows(hull.equations, plane)
+    return sections._slice_point(sections._max_margin(rows, levels), plane)
+
+
 def reference_section_edges(points, plane):
     """sections.section_edges at d <= 4 with Qhull's hull of every row, as it
     ran before the candidate-row prefilter: the same margin LP, start-facet
-    search and sweep.  Returns a SectionReport whose facets are index
-    tuples; section_edges must report the same count, flag and tuples."""
+    search and sweep.  section_edges must report the same SectionReport
+    facets, and so the same count and flag."""
     points = np.asarray(points, dtype=float)
     hull = sections._hull(points)
-    x0 = None if hull is None else sections._hull_interior_point(hull, plane)
+    x0 = None if hull is None else hull_interior_point(hull, plane)
     if x0 is None:
-        return sections.SectionReport(edge_count=0, interior_point=None, facets=[],
-                                       degenerate=True)
+        return sections.SectionReport(interior_point=None, facets=[])
     keep = np.sort(hull.vertices)
     shifted = PointSet(points[keep] - x0)
     start = sections._hull_start_facet(hull, keep, shifted, x0, plane)
     outcome = shadow_walk.sweep_full(shifted, plane, start, sections._THETA0)
     facets = [tuple(keep[list(f.indices)].tolist()) for f in dict.fromkeys(outcome.path)]
-    return sections.SectionReport(edge_count=len(facets), interior_point=x0, facets=facets,
-                                  degenerate=False)
+    return sections.SectionReport(interior_point=x0, facets=facets)
 
 
 def feasible_lp(n, d, seed):

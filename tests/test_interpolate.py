@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from shadowlp import interpolate, phase1, shadow_walk
+from shadowlp.geometry import GeneralLP
 from shadowlp.interpolate import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
-    GeneralLP,
     NumericFailure,
     initial_limit_facet,
     lift,

@@ -6,7 +6,8 @@ import pytest
 from scipy.optimize import linprog
 
 from shadowlp import oracle
-from shadowlp.interpolate import GeneralLP, solve_lp
+from shadowlp.geometry import GeneralLP
+from shadowlp.interpolate import solve_lp
 from shadowlp.oracle import (
     Ambiguous,
     classify_lp,

@@ -78,7 +78,6 @@ def test_add_constraints_unsmoothed_block_geometry(monkeypatch):
     monkeypatch.setattr(randgen, "added_sigma", lambda d, n: 0.0)
     block = add_constraints(points, _max_norm(points), rng)
     assert block is not None
-    assert np.array_equal(block.added_points, block.centers)
     # start objective on the 2*m0 sphere, centers at 2*m0*sqrt(1+r^2)
     assert np.linalg.norm(block.start_objective) == pytest.approx(2.0 * m0)
     r = randgen.simplex_radius(3)

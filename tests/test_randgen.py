@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowlp import randgen
-from shadowlp.interpolate import GeneralLP, solve_lp
+from shadowlp.geometry import GeneralLP
+from shadowlp.interpolate import solve_lp
 from shadowlp.randgen import (
     C1,
     SmoothedSpec,

@@ -1,6 +1,7 @@
 """Planar-section counting: interior point of a slice, full sweeps, and
 agreement with brute-force enumeration."""
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -16,7 +17,7 @@ from scipy.spatial import ConvexHull
 import shadowlp
 from shadowlp import phase1, sections, shadow_walk
 from shadowlp.geometry import (DEFAULT_TOL, STATUS_OPTIMAL, STATUS_UNBOUNDED, NumericFailure,
-                               PointSet, SingularSystem, make_facet)
+                               PointSet, SingularSystem, all_below, make_facet)
 from shadowlp.oracle import section_edge_count_bruteforce
 from shadowlp.randgen import derive_rng, gaussian, haar_rotation, smoothed_points, sub_seed
 from shadowlp.sections import (
@@ -27,8 +28,8 @@ from shadowlp.sections import (
 )
 from shadowlp.shadow_walk import CycleSuspected, SweepPlane, exit_angle, sweep_full
 
-from helpers import (convex_membership, highs_vertex_margin, margin_constraints,
-                     reference_section_edges)
+from helpers import (convex_membership, highs_vertex_margin, hull_interior_point,
+                     margin_constraints, reference_section_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +163,11 @@ def test_reported_facets_index_the_original_rows(d):
     points = gaussian(derive_rng(714, d), (300, d))
     report = section_edges(points, SweepPlane.axis(d), rng=714)
     assert report.edge_count > 0
-    for facet in report.facets:
-        assert list(facet.indices) == sorted(facet.indices)
-        rows = points[list(facet.indices)] - report.interior_point
-        assert np.allclose(rows @ facet.normal, 1.0, rtol=0.0, atol=DEFAULT_TOL.eps_feas)
-        # the relabelled facet keeps its inverse aligned with its indices
-        fresh = make_facet(PointSet(points - report.interior_point), facet.indices)
-        assert (np.abs(facet.inverse - fresh.inverse).max()
-                <= DEFAULT_TOL.eps_feas * np.abs(fresh.inverse).max())
+    centred = PointSet(points - report.interior_point)
+    for indices in report.facets:
+        assert list(indices) == sorted(indices)
+        # each tuple names rows of points that span a facet of their hull
+        assert all_below(centred, make_facet(centred, indices).normal)
 
 
 def test_no_hull_reduction_above_dimension_four(monkeypatch):
@@ -267,7 +265,7 @@ def test_hull_path_matches_the_no_hull_path():
     for i, (points, plane) in enumerate(clouds):
         hull = ConvexHull(points)
         keep = np.sort(hull.vertices)
-        x0 = sections._hull_interior_point(hull, plane)
+        x0 = hull_interior_point(hull, plane)
         ref = interior_point_in_slice(points[keep], plane)
         assert (x0 is None) == (ref is None), i
         if x0 is None:
@@ -300,7 +298,7 @@ def test_hull_start_facet_is_the_pierced_half_of_a_split_face():
     cube, plane = _shifted_cube()
     hull = ConvexHull(cube)
     keep = np.sort(hull.vertices)
-    x0 = sections._hull_interior_point(hull, plane)
+    x0 = hull_interior_point(hull, plane)
     start = sections._hull_start_facet(hull, keep, PointSet(cube[keep] - x0), x0, plane)
     exit_angle(start, plane, _THETA0)  # raises unless pierced
 
@@ -326,7 +324,7 @@ def _assert_matches_reference(points, plane):
     report = section_edges(points, plane)
     ref = reference_section_edges(points, plane)
     assert (report.edge_count, report.degenerate) == (ref.edge_count, ref.degenerate)
-    assert [f.indices for f in report.facets] == ref.facets
+    assert report.facets == ref.facets
     if ref.interior_point is None:
         assert report.interior_point is None
         return True
@@ -715,6 +713,10 @@ def test_section_edges_raises_numeric_failure_when_no_hull_facet_qualifies(monke
 
 
 def test_section_report_shape():
-    report = SectionReport(edge_count=0, interior_point=None, facets=[],
-                           degenerate=True)
+    assert [f.name for f in dataclasses.fields(SectionReport)] == ["interior_point", "facets"]
+    report = SectionReport(interior_point=None, facets=[])
     assert report.degenerate and report.edge_count == 0
+    report = SectionReport(interior_point=np.zeros(2), facets=[(0, 1), (1, 2), (0, 2)])
+    assert not report.degenerate and report.edge_count == 3
+    with pytest.raises(AttributeError):
+        report.edge_count = 4

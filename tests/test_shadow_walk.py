@@ -8,9 +8,9 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from shadowlp import interpolate, oracle, phase1, randgen, shadow_walk
-from shadowlp.geometry import (DEFAULT_TOL, STATUS_OPTIMAL, STATUS_UNBOUNDED, PointSet,
-                               SingularSystem, make_facet)
-from shadowlp.interpolate import GeneralLP, lift
+from shadowlp.geometry import (DEFAULT_TOL, STATUS_OPTIMAL, STATUS_UNBOUNDED, GeneralLP,
+                               NumericFailure, PointSet, SingularSystem, make_facet)
+from shadowlp.interpolate import lift
 from shadowlp.shadow_walk import (
     CycleSuspected,
     SweepPlane,
@@ -493,6 +493,16 @@ def test_sweep_square_finds_four_facets(square, axis_plane):
     intervals = walk_intervals(outcome, plane, math.pi / 2, math.pi / 2 + 2 * math.pi)
     assert sum(end - start for _, start, end in intervals) == pytest.approx(2 * math.pi,
                                                                             abs=1e-9)
+
+
+def test_sweep_full_refuses_an_unbounded_sweep(axis_plane):
+    # The origin lies outside the triangle, whose rows span the cone between
+    # theta = -pi/4 and pi/4: the walk from facet {0, 1} at theta = 0 ends
+    # unbounded at pi/4, where q leaves that cone.
+    ps = PointSet([[1.0, -1.0], [1.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(WalkStateError, match="unbounded during a full sweep") as caught:
+        sweep_full(ps, axis_plane(2), make_facet(ps, (0, 1)), 0.0)
+    assert isinstance(caught.value, NumericFailure)
 
 
 def test_sweep_distinct_facets_match_bruteforce_sections(axis_plane):

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowlp import randgen
-from shadowlp.geometry import PointSet, all_below
-from shadowlp.interpolate import STATUS_OPTIMAL, GeneralLP, solve_lp
+from shadowlp.geometry import GeneralLP, PointSet, all_below
+from shadowlp.interpolate import STATUS_OPTIMAL, solve_lp
 
 from helpers import recorded_walks
 

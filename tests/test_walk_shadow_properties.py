@@ -28,5 +28,5 @@ def test_phase1_walks_stay_on_the_section_of_their_plane(seed, d, data):
         if report.degenerate:
             continue
         assert len(intervals) <= report.edge_count
-        section = {facet.indices for facet in report.facets}
+        section = set(report.facets)
         assert {facet.indices for facet, _, _ in intervals} <= section

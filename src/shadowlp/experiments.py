@@ -12,9 +12,12 @@ CSV contract
 Every file starts with a header row.  Each data row carries ``schema_version``
 (currently ``1``) and a ``kind`` column: ``trial`` rows hold one measurement,
 ``mean`` and ``sem`` rows hold per-cell aggregates over the non-error trials
-(standard error uses the sample standard deviation; in aggregate rows the
-``trial`` column holds the number of trials aggregated and ``seed``/``status``
-are blank).  Rows appear cell by cell in config grid order — the product of
+(standard error uses the sample standard deviation and is 0.0 for a single
+trial; in aggregate rows the ``trial`` column holds the number of trials
+aggregated, ``seed``/``status`` are blank, and so are the numeric columns
+when no trial succeeded).  Aggregates are computed from the trials' values
+before any formatting; each cell is formatted once, as the rows are
+returned.  Rows appear cell by cell in config grid order — the product of
 the ``d``, ``sigma``, ``n`` lists, ``n`` fastest — with trials ascending, then
 the two aggregate rows, so parallel execution never changes the bytes.
 
@@ -270,9 +273,7 @@ def _format(value):
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     return repr(float(value))
 
@@ -394,37 +395,25 @@ def _run_grid(config, kind, columns, validate):
 
     rows = []
     for ci, (n, d, sigma) in enumerate(cells):
-        cell_rows = []
-        for t in range(config.trials):
-            values = results[ci * config.trials + t]
-            row = {col: "" for col in columns}
-            row.update(schema_version=str(SCHEMA_VERSION), kind="trial",
-                       n=str(n), d=str(d), sigma=_format(sigma), trial=str(t),
-                       seed=str(tasks[ci * config.trials + t][1]))
-            for col, value in values.items():
-                row[col] = _format(value)
-            cell_rows.append(row)
-        rows.extend(cell_rows)
-        rows.extend(_aggregate(cell_rows, columns))
-    return columns, [[row[col] for col in columns] for row in rows]
+        shared = dict(schema_version=SCHEMA_VERSION, n=n, d=d, sigma=sigma)
+        cell = slice(ci * config.trials, (ci + 1) * config.trials)
+        trials = [dict(shared, kind="trial", trial=t, seed=task[1], **values)
+                  for t, (task, values) in enumerate(zip(tasks[cell], results[cell]))]
+        rows += trials + _aggregate(trials, shared, columns)
+    return columns, [[_format(row.get(col)) for col in columns] for row in rows]
 
 
-def _aggregate(cell_rows, columns):
-    ok = [row for row in cell_rows if not row["status"].startswith("error:")]
-    mean_row = {col: "" for col in columns}
-    sem_row = {col: "" for col in columns}
-    shared = dict(schema_version=str(SCHEMA_VERSION),
-                  n=cell_rows[0]["n"], d=cell_rows[0]["d"],
-                  sigma=cell_rows[0]["sigma"], trial=str(len(ok)))
-    mean_row.update(shared, kind="mean")
-    sem_row.update(shared, kind="sem")
+def _aggregate(trials, shared, columns):
+    """The cell's mean and sem rows over the values of its trials that did
+    not fail."""
+    ok = [row for row in trials if not row["status"].startswith("error:")]
+    mean_row = dict(shared, kind="mean", trial=len(ok))
+    sem_row = dict(shared, kind="sem", trial=len(ok))
     for col in _AGGREGATE_COLUMNS:
-        if col not in columns or not ok:
-            continue
-        data = np.array([float(row[col]) for row in ok])
-        mean_row[col] = _format(float(data.mean()))
-        sem = float(data.std(ddof=1) / np.sqrt(len(data))) if len(data) > 1 else 0.0
-        sem_row[col] = _format(sem)
+        if col in columns and ok:
+            data = np.array([row[col] for row in ok], dtype=float)
+            mean_row[col] = data.mean()
+            sem_row[col] = data.std(ddof=1) / np.sqrt(len(data)) if len(data) > 1 else 0.0
     return [mean_row, sem_row]
 
 

@@ -12,19 +12,29 @@ its pivot counts are compared only under the OpenBLAS kernel that wrote the
 file (see changed).  Sections: the hull path with and without the
 candidate-row prefilter, the cut path at d = 5 and 6, and the square and
 degenerate models.  Each records its edge count, degenerate flag and facet
-tuples in sweep order.  The file names the kernel that wrote it.
+tuples in sweep order.  Grids: a pivot grid, a smoothed section grid on
+the hull and the cut path, and the square and degenerate models, each as
+its CSV text without the timing column.  The file names the kernel that
+wrote it.
 
-A change that moves an answer on purpose regenerates the file with
+    PYTHONPATH=src python tests/golden.py --check
+
+recomputes the answers and compares them with the file under the kernel
+this CPU runs (see changed): it prints each changed id with the fields
+that differ, writes nothing, and exits 1 on any change.  A change that
+moves an answer on purpose regenerates the file with
 
     PYTHONPATH=src python tests/golden.py
 
 and names each changed entry and the reason in CHANGES.md."""
 
+import argparse
 import ctypes
 import glob
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +72,18 @@ _SECTIONS = [
     ("cut", "gaussian", 60, 6, 5),
     ("hull", "square", 4, 2, 1),
     ("degenerate", "degenerate", 4, 3, 1),
+]
+_GRIDS = [
+    # (id, runner, config): at d = 3 sections take the hull path, at d = 5
+    # the cut path.
+    ("pivots/smoothed-n16-64-d3", experiments.run_pivot_experiment,
+     dict(n=[16, 64], d=[3], sigma=[0.1], trials=8, seed=1)),
+    ("sections/smoothed-n30-d3-5", experiments.run_section_experiment,
+     dict(n=[30], d=[3, 5], trials=4, seed=1)),
+    ("sections/square-n4-d2", experiments.run_section_experiment,
+     dict(n=[4], d=[2], trials=1, seed=1, model="square")),
+    ("sections/degenerate-n4-d3", experiments.run_section_experiment,
+     dict(n=[4], d=[3], trials=1, seed=1, model="degenerate")),
 ]
 
 
@@ -174,25 +196,29 @@ def answers():
             points = experiments._section_points(seed, n, d, 0.1, model)
             yield {"id": f"section/{path}/{model}-n{n}-d{d}/seed{seed}",
                    **_section(points, randgen.sub_seed(seed, 1))}
+    for name, run, config in _GRIDS:
+        header, rows = run(experiments.ExperimentConfig(**config))
+        yield {"id": f"grid/{name}",
+               "csv": experiments.csv_text(header, rows, include_timing=False)}
 
 
 def changed(golden, got, kernel):
-    """The ids of the entries of got that differ from the golden file's.
-    Under the kernel that wrote the file every field counts.  Under another
-    one, a program whose margin did not clear the threshold there may take
-    other pivots, so its pivot counts, and the margin of the path it took,
-    do not."""
+    """{id: the fields that differ} for the entries of got that differ from
+    the golden file's.  Under the kernel that wrote the file every field
+    counts.  Under another one, a program whose margin did not clear the
+    threshold there may take other pivots, so its pivot counts, and the
+    margin of the path it took, do not."""
     want = golden["entries"]
     if [e["id"] for e in got] != [e["id"] for e in want]:
-        return ["the corpus itself"]
+        return {"the corpus itself": ["id"]}
     free = () if kernel == golden["kernel"] else ("margin_clears", *PIVOT_COUNTS)
 
-    def differs(w, g):
+    def differing(w, g):
         skipped = () if w.get("margin_clears", True) else free
-        return ({k: v for k, v in w.items() if k not in skipped}
-                != {k: v for k, v in g.items() if k not in skipped})
+        return sorted(k for k in w.keys() | g.keys()
+                      if k not in skipped and (k not in w or k not in g or w[k] != g[k]))
 
-    return [w["id"] for w, g in zip(want, got) if differs(w, g)]
+    return {w["id"]: fields for w, g in zip(want, got) if (fields := differing(w, g))}
 
 
 def main():
@@ -205,5 +231,20 @@ def main():
     print(f"wrote {len(entries)} entries to {GOLDEN_PATH}")
 
 
+def check():
+    """Print each entry that changed against the file, with the fields that
+    differ; 1 when any did, else 0."""
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    differing = changed(golden, list(answers()), openblas_kernel())
+    for entry_id, fields in differing.items():
+        print(entry_id, *fields)
+    print(f"{len(differing)} of {len(golden['entries'])} entries changed")
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Write tests/data/golden.json, or check it.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare the answers with the file; write nothing;"
+                             " exit 1 on any change")
+    sys.exit(check() if parser.parse_args().check else main())

@@ -183,6 +183,33 @@ def test_error_rows_recorded_without_aborting(monkeypatch):
     assert mean_row["pivots_total"] == ""
 
 
+def test_aggregates_skip_the_failed_trials_of_a_cell(monkeypatch):
+    config = _small_config(n=[6], sigma=[0.3])
+    failing = experiments.randgen.sub_seed(config.seed, experiments.PURPOSE_PIVOTS, 0, 1)
+
+    def flaky(seed, n, d, sigma, validate=False):
+        if seed == failing:
+            raise RuntimeError("synthetic failure")
+        return replay_pivot_trial(seed, n, d, sigma, validate)
+
+    monkeypatch.setattr(experiments, "replay_pivot_trial", flaky)
+    trial0, trial1, trial2, mean_row, sem_row = rows_as_dicts(*run_pivot_experiment(config))
+    assert trial1["status"] == "error:RuntimeError"
+    ok = [int(trial0["pivots_total"]), int(trial2["pivots_total"])]
+    for row in (mean_row, sem_row):
+        assert (row["trial"], row["seed"], row["status"]) == ("2", "", "")
+    assert mean_row["pivots_total"] == repr(float(np.mean(ok)))
+    assert sem_row["pivots_total"] == repr(float(np.std(ok, ddof=1) / np.sqrt(2)))
+
+
+def test_sem_of_a_single_trial_is_zero():
+    trial, mean_row, sem_row = rows_as_dicts(
+        *run_pivot_experiment(_small_config(n=[6], sigma=[0.3], trials=1)))
+    assert mean_row["trial"] == sem_row["trial"] == "1"
+    assert mean_row["pivots_total"] == repr(float(trial["pivots_total"]))
+    assert sem_row["pivots_total"] == sem_row["wall_time_s"] == "0.0"
+
+
 # ---------------------------------------------------------------------------
 # CSV plumbing and determinism
 

@@ -25,7 +25,7 @@ def _golden_file():
 
 def test_answers_match_the_golden_file():
     changed = golden.changed(_golden_file(), list(golden.answers()), golden.openblas_kernel())
-    assert not changed, f"{len(changed)} answers changed; first: {changed[:3]}"
+    assert not changed, f"{len(changed)} answers changed; first: {list(changed.items())[:3]}"
 
 
 def test_answers_match_the_golden_file_under_every_openblas_kernel():
@@ -52,5 +52,6 @@ def test_answers_match_the_golden_file_under_every_openblas_kernel():
         assert returncode == 0, kernel
         picked[kernel], answers = out.split("\n", 1)
         changed = golden.changed(want, json.loads(answers), picked[kernel])
-        assert not changed, f"{kernel}: {len(changed)} answers changed; first: {changed[:3]}"
+        assert not changed, (f"{kernel}: {len(changed)} answers changed;"
+                             f" first: {list(changed.items())[:3]}")
     assert len(set(picked.values())) == len(kernels), picked

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shadowlp import interpolate, phase1, shadow_walk
-from shadowlp.geometry import GeneralLP
+from shadowlp.geometry import GeneralLP, SingularSystem
 from shadowlp.interpolate import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -139,6 +139,18 @@ def test_solve_lp_raises_numeric_failure_when_lifted_walk_unbounded(monkeypatch)
                         WalkOutcome(STATUS_UNBOUNDED, [start], (1.0, start.indices[0])))
     with pytest.raises(NumericFailure, match="lifted walk left the cone"):
         solve_lp(_lp_optimal(), rng=501)
+
+
+def test_solve_lp_raises_numeric_failure_on_a_singular_lifted_start(monkeypatch):
+    refused = SingularSystem("refused")
+
+    def singular(ps, indices):
+        raise refused
+
+    monkeypatch.setattr(interpolate, "make_facet", singular)
+    with pytest.raises(NumericFailure, match="degenerate lifted start facet: refused") as info:
+        solve_lp(_lp_optimal(), rng=501)
+    assert info.value.__cause__ is refused
 
 
 def test_solve_lp_row_scaling_invariance():

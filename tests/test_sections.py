@@ -26,7 +26,7 @@ from shadowlp.sections import (
     interior_point_in_slice,
     section_edges,
 )
-from shadowlp.shadow_walk import CycleSuspected, SweepPlane, exit_angle, sweep_full
+from shadowlp.shadow_walk import CycleSuspected, SweepPlane, WalkStateError, exit_angle, sweep_full
 
 from helpers import (convex_membership, highs_vertex_margin, hull_interior_point,
                      margin_constraints, reference_section_edges)
@@ -301,6 +301,16 @@ def test_hull_start_facet_is_the_pierced_half_of_a_split_face():
     x0 = hull_interior_point(hull, plane)
     start = sections._hull_start_facet(hull, keep, PointSet(cube[keep] - x0), x0, plane)
     exit_angle(start, plane, _THETA0)  # raises unless pierced
+
+
+def test_hull_start_facet_raises_when_no_facet_is_pierced(monkeypatch):
+    def unpierced(facet, plane, theta):
+        raise WalkStateError("not pierced")
+
+    monkeypatch.setattr(sections, "exit_angle", unpierced)
+    points = smoothed_points(derive_rng(730), 30, 3, 0.1)
+    with pytest.raises(NumericFailure, match="sweep start: no hull facet is pierced"):
+        section_edges(points, SweepPlane.axis(3), rng=731)
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +613,18 @@ def test_cut_driver_raises_when_a_cut_comes_back(monkeypatch):
     points = gaussian(derive_rng(712), (60, 6))
     with pytest.raises(NumericFailure, match="already in the master cuts again"):
         interior_point_in_slice(points, SweepPlane.axis(6))
+
+
+def test_cut_path_raises_when_the_start_unit_program_is_unbounded(monkeypatch):
+    # The separation oracle keeps its Phase I; only the start facet's
+    # unit program, seeded by section_edges' rng, comes back unbounded.
+    real = phase1.solve_unit
+    monkeypatch.setattr(phase1, "solve_unit", lambda a, z, rng=None, **kwargs: (
+        real(a, z, rng=rng, **kwargs) if rng == sections._SEPARATION_SEED
+        else _unbounded_unit()))
+    points = smoothed_points(derive_rng(732), 30, 5, 0.1)
+    with pytest.raises(NumericFailure, match="sweep start: unit program unbounded"):
+        section_edges(points, SweepPlane.axis(5), rng=733)
 
 
 # ---------------------------------------------------------------------------

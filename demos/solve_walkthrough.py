@@ -40,14 +40,15 @@ print("facet normal h (unit optimum is h / <h, h> scaled to the hull):",
       unit_facet.normal)
 
 # --- the lift ---------------------------------------------------------------
-lifted = lift(lp)
+# lift returns the lifted walk's two inputs: its point set and its plane.
+lifted_points, sweep_plane = lift(lp)
 print("\nlifted rows: the vertex at infinity (level 0), then (a_i, 1 - b_i),")
 print("then the top constraint:")
-print(lifted.point_set.points)
-print("levels:", lifted.point_set.levels)
-print("row scales (each row's largest |entry|):", lifted.point_set.scales)
+print(lifted_points.points)
+print("levels:", lifted_points.levels)
+print("row scales (each row's largest |entry|):", lifted_points.scales)
 print("the sweep turns the objective a half turn, from straight down (angle 0)")
-print("to straight up (angle pi), in", lifted.plane)
+print("to straight up (angle pi), in", sweep_plane)
 
 # --- the full pipeline -------------------------------------------------------
 result = solve_lp(lp, rng=7, validate=True)

@@ -6,8 +6,10 @@ one dimension up: constraint vectors (a_i, 1 - b_i) plus a top constraint
 row of level 0 (see geometry), encoding t >= 0.  Sweeping the lifted
 objective from (0, -1) to (0, 1) inside the plane spanned with (z, 0)
 interpolates between the unit program (whose solution Phase-I provides) and
-the original one.  Both ends of the sweep are realized as limit facets, never
-as numeric parameter values: the walk starts on the Phase-I facet joined with
+the original one.  lift returns what that walk reads, the pair
+(point_set, plane): the lifted PointSet and the SweepPlane through (0, -1)
+and (z, 0).  Both ends of the sweep are realized as limit facets, never as
+numeric parameter values: the walk starts on the Phase-I facet joined with
 the vertex at infinity and ends on the facet whose angular interval reaches
 the top of the arc.  The original program is infeasible exactly when that
 final facet misses the top constraint; otherwise the facet minus the top
@@ -23,28 +25,22 @@ import numpy as np
 
 from . import phase1
 from .geometry import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED, NumericFailure,
-                       PointSet, SingularSystem, make_facet, vector_norm)
+                       PointSet, SingularSystem, make_facet)
 from .shadow_walk import SweepPlane, walk
 
 
-@dataclass
-class IntLPLift:
-    """Lifted PointSet: row 0 is the vertex at infinity, the direction
-    straight down, at level 0; rows 1..n are (a_i, 1 - b_i), so row i + 1
-    is constraint i; row n + 1 (top_index) is the unit vector along the
-    lifted axis.  Every row but row 0 has level 1.  lift allocates the
-    points column-major, the layout PointSet keeps, so that it takes them
-    without a copy.  The sweep plane
-    has basis1 = row 0 and basis2 = (z, 0) / |z|, so the sweep runs from
-    straight down at angle 0 to straight up at angle pi."""
-
-    point_set: PointSet
-    top_index: int
-    plane: SweepPlane
-
-
 def lift(lp):
-    """Embed a GeneralLP one dimension up (see module docstring)."""
+    """Embed a GeneralLP one dimension up (see module docstring) and return
+    the lifted walk's two inputs, (point_set, plane).
+
+    Row 0 of point_set is the vertex at infinity, the direction straight
+    down, at level 0; rows 1..n are (a_i, 1 - b_i), so row i + 1 is
+    constraint i; row n + 1 is the top row, the unit vector along the lifted
+    axis.  Every row but row 0 has level 1.  The points are allocated
+    column-major, the layout PointSet keeps, so that it takes them without a
+    copy.  The plane runs through row 0 and (z, 0): basis1 = row 0 and
+    basis2 = (z, 0) / |z|, so the sweep runs from straight down at angle 0
+    to straight up at angle pi."""
     n, d = lp.n, lp.d
     pts = np.zeros((n + 2, d + 1), order="F")
     pts[0, d] = -1.0
@@ -53,18 +49,7 @@ def lift(lp):
     pts[n + 1, d] = 1.0
     levels = np.ones(n + 2)
     levels[0] = 0.0
-    rot = np.zeros(d + 1)
-    rot[:d] = lp.z
-    return IntLPLift(point_set=PointSet(pts, levels), top_index=n + 1,
-                     plane=SweepPlane(pts[0].copy(), rot / vector_norm(rot)))
-
-
-def initial_limit_facet(lifted, unit_indices):
-    """Start facet for the lifted walk: the Phase-I facet, whose indices
-    label rows of A, joined with the vertex at infinity.  It is the limit
-    of facet(q) as q rotates off the bottom of the arc."""
-    indices = [0] + [i + 1 for i in unit_indices]
-    return make_facet(lifted.point_set, indices)
+    return PointSet(pts, levels), SweepPlane.through(pts[0], np.append(lp.z, 0.0))
 
 
 @dataclass
@@ -98,21 +83,23 @@ def solve_lp(lp, rng=None, validate=False):
         return LPResult(STATUS_UNBOUNDED, None, None,
                         unit.pivots_total, 0, unit.iterations)
 
-    lifted = lift(lp)
+    ps, plane = lift(lp)
+    # the start: the Phase-I facet joined with the vertex at infinity, row 0
     try:
-        start = initial_limit_facet(lifted, unit.facet.indices)
+        start = make_facet(ps, [0] + [i + 1 for i in unit.facet.indices])
     except SingularSystem as exc:
         raise NumericFailure(f"degenerate lifted start facet: {exc}") from exc
-    outcome = walk(lifted.point_set, lifted.plane, start, 0.0, math.pi, validate=validate)
+    outcome = walk(ps, plane, start, 0.0, math.pi, validate=validate)
     if outcome.status != STATUS_OPTIMAL:
         raise NumericFailure("lifted walk left the cone; impossible when Phase I is bounded")
     final = outcome.facet
-    if lifted.top_index not in final.indices:
+    top = lp.n + 1
+    if top not in final.indices:
         return LPResult(STATUS_INFEASIBLE, None, None,
                         unit.pivots_total, outcome.pivots, unit.iterations)
     if 0 in final.indices:
         raise NumericFailure("optimal basis contains the vertex at infinity")
-    basis = tuple(i - 1 for i in final.indices if i != lifted.top_index)
+    basis = tuple(i - 1 for i in final.indices if i != top)
     # <h, (a_i, 1 - b_i)> = 1 on the basis and h_{d+1} = 1 from the top row,
     # so h[:d] solves A_B x = b_B.
     x_opt = final.normal[:lp.d].copy()

@@ -130,6 +130,8 @@ def solve_unit(points, objective, rng=None, validate=False):
     rng is an int seed or None; attempt k walks the PointSet add_constraints
     builds from derive_rng(rng, k).
     Raises ValueError before any attempt unless checked_objective passes,
+    NumericFailure before any attempt when the largest row norm, taken from
+    the squares of the entries, is 0 or inf for rows that are not all zero,
     and GaveUp after MAX_RETRIES attempts without a clean terminal facet.
 
     The rows are copied once per call into column-major order, the layout
@@ -138,9 +140,13 @@ def solve_unit(points, objective, rng=None, validate=False):
     points = np.asarray(points, dtype=float, order="F")
     n = points.shape[0]
     z = checked_objective(points, objective)
-    max_norm = max_row_norm(points)
+    with np.errstate(over="ignore"):
+        max_norm = max_row_norm(points)
     if max_norm == 0.0 and not points.any():  # not rows whose squares underflow
         return UnitResult(STATUS_UNBOUNDED, None, 0, 0)
+    if not 0.0 < max_norm < math.inf:
+        raise NumericFailure(f"largest row norm {max_norm} out of range: "
+                             "the squares of the rows' entries under- or overflow")
     pivots_total = 0
     for attempt in range(MAX_RETRIES):
         block = add_constraints(points, max_norm, randgen.derive_rng(rng, attempt))

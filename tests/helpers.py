@@ -225,6 +225,14 @@ def bound_pair_lp():
                      np.array([-1.0, -1.0, 5.0]), np.array([0.0, 1.0]))
 
 
+def scaled_rows_lp(scale):
+    """The rows e_1, e_2 and -(e_1 + e_2) times scale, b = 1 and z = (1, 1):
+    optimal at every scale, with value 2 / scale, but the squares of the
+    entries underflow to 0 at scale 1e-200 and overflow to inf at 1e200."""
+    return GeneralLP(scale * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+                     np.ones(3), np.ones(2))
+
+
 # The degenerate programs of tests/test_differential.py by test id: the
 # families HiGHS agrees on, and the infeasible programs outside the cone of
 # their rows that solve_lp calls unbounded.

@@ -4,6 +4,10 @@ output."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from shadowlp import cli, verify
 from shadowlp.geometry import NumericFailure, SingularSystem
 from shadowlp.phase1 import GaveUp
 from shadowlp.shadow_walk import CycleSuspected, WalkInvariantViolation, WalkStateError
+
+from helpers import scaled_rows_lp
 
 
 OPTIMAL_INSTANCE = {
@@ -145,6 +151,23 @@ def test_solve_numeric_failure_exits_one(tmp_path, capsys, monkeypatch, error):
     path = _write(tmp_path, "opt.json", OPTIMAL_INSTANCE)
     assert cli.main(["solve", path]) == 1
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_solve_rows_whose_squares_under_or_overflow_exit_one_without_a_traceback(tmp_path,
+                                                                                 scale):
+    # In a fresh interpreter, so that stderr is the whole of what a user sees.
+    lp = scaled_rows_lp(scale)
+    path = _write(tmp_path, "scaled.json", {"d": lp.d, "n": lp.n, "A": lp.A.tolist(),
+                                            "b": lp.b.tolist(), "z": lp.z.tolist()})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "shadowlp.cli", "solve", path], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("numeric failure: largest row norm")
+    assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from shadowlp.geometry import GeneralLP
+from shadowlp.geometry import GeneralLP, NumericFailure
 from shadowlp.interpolate import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -119,18 +119,19 @@ def test_classify_lp_on_an_infeasible_program_outside_the_cone_matches_highs(lp)
     assert classify_lp(lp).status == _highs(lp)[0]
 
 
-def _row_scaled_lp():
-    """feasible_lp(30, 4, 53) with row i of A and b_i multiplied by
-    10^U(-10, 10).  HiGHS and the unvalidated solve agree on it under the
-    SkylakeX, Haswell, Sandybridge and Prescott kernels.  A validated solve
-    reaches a facet that is valid in exact rational arithmetic, yet one
-    <h, a_i> exceeds its level by 9.5e-7 to 2.9e-6 under those kernels, at
-    least 950 times eps_feas, so all_below refuses the facet on each."""
-    lp = feasible_lp(30, 4, 53)
-    scale = 10.0 ** np.random.default_rng(53).uniform(-10.0, 10.0, lp.n)
+def _row_scaled_lp(seed, exponent):
+    """feasible_lp(30, 4, seed) with row i of A and b_i multiplied by
+    10^U(-exponent, exponent), drawn from np.random.default_rng(seed)."""
+    lp = feasible_lp(30, 4, seed)
+    scale = 10.0 ** np.random.default_rng(seed).uniform(-exponent, exponent, lp.n)
     return GeneralLP(lp.A * scale[:, None], lp.b * scale, lp.z)
 
 
+# Seed 53 with rows scaled up to 10^10: HiGHS and the unvalidated solve agree
+# on it under the SkylakeX, Haswell, Sandybridge and Prescott kernels.  A
+# validated solve reaches a facet that is valid in exact rational arithmetic,
+# yet one <h, a_i> exceeds its level by 9.5e-7 to 2.9e-6 under those kernels,
+# at least 950 times eps_feas, so all_below refuses the facet on each.
 @pytest.mark.parametrize("validate", [
     False,
     pytest.param(True, marks=pytest.mark.xfail(
@@ -138,5 +139,18 @@ def _row_scaled_lp():
         reason="all_below's absolute eps_feas refuses a valid facet whose rows reach 1e10")),
 ], ids=["unvalidated", "validated"])
 def test_row_scaled_program_matches_highs(validate):
-    lp = _row_scaled_lp()
+    lp = _row_scaled_lp(53, 10.0)
     _assert_matches_highs(lp, solve_lp(lp, rng=53, validate=validate))
+
+
+# Seed 54 with rows scaled up to 10^12: the lifted walk ends unbounded, which
+# solve_lp refuses as impossible after a bounded Phase I, under all four
+# kernels above (and at solve seeds 0, 1 and 2 on the default one).
+@pytest.mark.xfail(strict=True, raises=NumericFailure,
+                   reason="the lifted walk leaves the cone on rows scaled by up to 10^12")
+def test_row_scaled_program_the_lifted_walk_refuses_matches_highs():
+    lp = _row_scaled_lp(54, 12.0)
+    status, want = _highs(lp)
+    assert status == STATUS_OPTIMAL
+    assert want == pytest.approx(2.2913151940936283, rel=1e-7)
+    _assert_matches_highs(lp, solve_lp(lp, rng=54))

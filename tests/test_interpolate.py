@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 
 from shadowlp import interpolate, phase1, shadow_walk
-from shadowlp.geometry import GeneralLP, SingularSystem
+from shadowlp.geometry import GeneralLP, SingularSystem, vector_norm
+from shadowlp.randgen import derive_rng
 from shadowlp.interpolate import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     NumericFailure,
-    initial_limit_facet,
     lift,
     solve_lp,
 )
 from shadowlp.shadow_walk import WalkOutcome
 
-from helpers import cone_coefficients, recorded_walks, smoothed_lp
+from helpers import cone_coefficients, recorded_walks, scaled_rows_lp, smoothed_lp
 
 
 def _lp_optimal():
@@ -44,35 +44,54 @@ def _lp_infeasible():
 def test_lift_rows_and_frame():
     lp = GeneralLP(A=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
                    b=[1.0, -2.0, 5.0], z=[1.0, 0.0])
-    lifted = lift(lp)
+    ps, plane = lift(lp)
     # row 0 is the vertex at infinity, rows 1..n the constraints, then the top
-    assert np.array_equal(lifted.point_set.points, [[0.0, 0.0, -1.0],
-                                          [1.0, 0.0, 0.0],
-                                          [0.0, 1.0, 3.0],
-                                          [1.0, 1.0, -4.0],
-                                          [0.0, 0.0, 1.0]])
-    assert np.array_equal(lifted.point_set.levels, [0.0, 1.0, 1.0, 1.0, 1.0])
-    assert lifted.top_index == 4
-    assert np.array_equal(lifted.plane.basis1, lifted.point_set.points[0])
-    assert np.array_equal(lifted.plane.basis2, [1.0, 0.0, 0.0])
+    assert np.array_equal(ps.points, [[0.0, 0.0, -1.0],
+                                      [1.0, 0.0, 0.0],
+                                      [0.0, 1.0, 3.0],
+                                      [1.0, 1.0, -4.0],
+                                      [0.0, 0.0, 1.0]])
+    assert ps.points.flags.f_contiguous
+    assert np.array_equal(ps.levels, [0.0, 1.0, 1.0, 1.0, 1.0])
+    assert np.array_equal(plane.basis1, ps.points[0])
+    assert np.array_equal(plane.basis2, [1.0, 0.0, 0.0])
     # Straight up is a half turn from the start: the lifted walk's target.
-    assert lifted.plane.theta_of([0.0, 0.0, 1.0]) == math.pi
-    tilted = lift(GeneralLP(A=lp.A, b=lp.b, z=[3.0, -4.0]))
-    assert np.allclose(tilted.plane.basis2, [0.6, -0.8, 0.0])
-    assert tilted.plane.theta_of([0.0, 0.0, 1.0]) == math.pi
+    assert plane.theta_of([0.0, 0.0, 1.0]) == math.pi
+    _, tilted = lift(GeneralLP(A=lp.A, b=lp.b, z=[3.0, -4.0]))
+    assert np.allclose(tilted.basis2, [0.6, -0.8, 0.0])
+    assert tilted.theta_of([0.0, 0.0, 1.0]) == math.pi
 
 
-def test_initial_limit_facet_joins_infinity(triangle):
+def test_lift_plane_is_row_zero_and_the_normalized_objective_byte_for_byte():
+    # The plane through row 0 and (z, 0) has, bit for bit, the basis the
+    # lift once wrote out: basis1 = row 0, basis2 = (z, 0) / |z|.
+    rng = derive_rng(510)
+    for case in range(300):
+        d = 2 + case % 10
+        lp = smoothed_lp(d + 3, d, case)
+        ps, plane = lift(lp)
+        rot = np.append(lp.z, 0.0)
+        assert plane.basis1.tobytes() == ps.points[0].tobytes()
+        assert plane.basis2.tobytes() == (rot / vector_norm(rot)).tobytes()
+        z = rng.standard_normal(d) * 10.0 ** rng.uniform(-8, 8)
+        _, plane = lift(GeneralLP(A=lp.A, b=lp.b, z=z))
+        rot = np.append(z, 0.0)
+        assert plane.basis2.tobytes() == (rot / vector_norm(rot)).tobytes()
+
+
+def test_lifted_walk_starts_on_the_phase1_facet_joined_with_infinity(triangle):
     lp = GeneralLP(A=triangle, b=np.ones(3), z=[0.1, 1.0])
-    lifted = lift(lp)
-    facet = initial_limit_facet(lifted, (1, 2))
-    assert facet.indices == (0, 2, 3)  # constraint i is lifted row i + 1
+    points, plane, levels, intervals = recorded_walks(solve_lp, lp, rng=0)[-1]
+    assert levels is not None  # the lifted walk
+    facet, theta_start, _ = intervals[0]
+    assert theta_start == 0.0
+    assert facet.indices == (0, 2, 3)  # Phase I's (1, 2); constraint i is lifted row i + 1
     # normal is orthogonal to the downward ray and equals the unit-program
     # normal in the first two coordinates
-    assert np.dot(facet.normal, lifted.point_set.points[0]) == pytest.approx(0.0, abs=1e-12)
+    assert np.dot(facet.normal, points[0]) == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(facet.normal, [1.0 / 9.0, 1.0, 0.0])
     # just off the bottom of the arc, the sweep direction pierces the facet
-    lam = cone_coefficients(lifted.point_set.points, facet.indices, lifted.plane.q(1e-4))
+    lam = cone_coefficients(points, facet.indices, plane.q(1e-4))
     assert float(np.min(lam)) >= -1e-9
 
 
@@ -151,6 +170,12 @@ def test_solve_lp_raises_numeric_failure_on_a_singular_lifted_start(monkeypatch)
     with pytest.raises(NumericFailure, match="degenerate lifted start facet: refused") as info:
         solve_lp(_lp_optimal(), rng=501)
     assert info.value.__cause__ is refused
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_solve_lp_refuses_rows_whose_squares_under_or_overflow(scale):
+    with pytest.raises(NumericFailure, match="largest row norm"):
+        solve_lp(scaled_rows_lp(scale), rng=506)
 
 
 def test_solve_lp_row_scaling_invariance():

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from shadowlp import oracle, phase1, randgen
-from shadowlp.geometry import PointSet, make_facet
+from shadowlp.geometry import NumericFailure, PointSet, make_facet
 from shadowlp.phase1 import GaveUp, add_constraints, simplex_vertices, solve_unit
 from shadowlp.randgen import derive_rng, gaussian, norm_ceiling, sub_seed
 
-from helpers import cone_coefficients, recorded_walks
+from helpers import cone_coefficients, recorded_walks, scaled_rows_lp
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +218,20 @@ def test_solve_unit_on_all_zero_rows_is_unbounded_before_any_attempt():
         ("unbounded", None, 0, 0)
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_solve_unit_refuses_rows_whose_squares_under_or_overflow(scale, monkeypatch):
+    # max_row_norm squares the entries, so the largest row norm reads 0 or
+    # inf, and no added block has a norm bound to be placed beyond: the
+    # solve says so before any attempt, without a warning.
+    monkeypatch.setattr(phase1, "add_constraints", lambda *args: pytest.fail("attempted"))
+    lp = scaled_rows_lp(scale)
+    with pytest.raises(NumericFailure, match="largest row norm (0.0|inf) out of range"):
+        solve_unit(lp.A, lp.z, rng=405)
+
+
+@pytest.mark.xfail(strict=True, raises=NumericFailure,
                    reason="max_row_norm squares the entries, which underflow to 0 below about "
-                          "1e-154, and norm_ceiling refuses a zero bound")
+                          "1e-154, and solve_unit refuses a zero norm bound")
 def test_solve_unit_on_rows_whose_squares_underflow(triangle):
     result = solve_unit(1e-200 * triangle, np.array([0.1, 1.0]), rng=405)
     assert result.status == "optimal"

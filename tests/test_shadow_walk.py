@@ -170,10 +170,10 @@ def test_pivot_tie_with_vertex_at_infinity_enters_infinity():
     # row 0 wins the tie by its smaller index.
     lp = GeneralLP(A=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
                    b=np.array([0.5, 0.5, 0.75]), z=np.array([1.0, 1.0]))
-    lifted = lift(lp)
-    ps = lifted.point_set
-    facet = make_facet(ps, (1, 2, lifted.top_index))
-    new_facet = pivot(ps, facet, lifted.top_index)
+    ps, _ = lift(lp)
+    top = lp.n + 1
+    facet = make_facet(ps, (1, 2, top))
+    new_facet = pivot(ps, facet, top)
     assert new_facet.indices == (0, 1, 2)  # row 0 entered, row 3 did not
     assert float(ps.points[3] @ new_facet.normal) == 1.0  # row 3 tied
 
@@ -444,9 +444,8 @@ def test_pivots_from_every_facet_of_lifted_polytopes_match_a_fresh_factorization
     entered = stayed = 0
     for _ in range(30):
         n, d = int(rng.integers(4, 8)), int(rng.integers(2, 4))
-        lifted = lift(GeneralLP(A=rng.standard_normal((n, d)),
-                                b=rng.standard_normal(n), z=rng.standard_normal(d)))
-        ps = lifted.point_set
+        ps, _ = lift(GeneralLP(A=rng.standard_normal((n, d)),
+                               b=rng.standard_normal(n), z=rng.standard_normal(d)))
         for facet in oracle.enumerate_facets(ps.points, ps.levels):
             for leaving in facet.indices:
                 new_facet = pivot(ps, facet, leaving)
